@@ -12,7 +12,6 @@ from onmf.core import (
     WeightedPointSet,
     angle,
     frobenius_norm_sq,
-    materialize_w,
     normalize_columns,
     read_matrix,
     write_matrix,
@@ -83,7 +82,6 @@ __all__ = [
     "group_centroids",
     "kmeanspp_seed",
     "lloyd",
-    "materialize_w",
     "non_orthogonality",
     "normalize_columns",
     "planted_stat",

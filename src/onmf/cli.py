@@ -2,8 +2,9 @@
 
 Scalar results go to stdout as JSON, matrices and sweep tables to CSV files.
 Every command is deterministic given --seed; the ONMF_THREADS environment
-variable caps the worker count for sweep trials without affecting output
-bytes. Exit codes: 0 success, 1 runtime failure, 2 usage error.
+variable (a positive integer) caps the worker count for sweep trials without
+affecting output bytes. Exit codes: 0 success, 1 runtime failure, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ import numpy as np
 
 from onmf.bcc import BipartiteLabeling, bcc_cluster
 from onmf.core import read_matrix, write_matrix
-from onmf.double import factorize_double, factorize_double_large_k
+from onmf.double import (
+    GroupingError,
+    factorize_double,
+    factorize_double_large_k,
+)
 from onmf.kmeans import KMeansConfig
 from onmf.metrics import (
     non_orthogonality,
@@ -60,11 +65,15 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _worker_count() -> int:
+def _worker_count(parser: argparse.ArgumentParser) -> int:
+    text = os.environ.get("ONMF_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("ONMF_THREADS", "1")))
+        value = int(text)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        parser.error(f"ONMF_THREADS must be a positive integer, got {text!r}")
+    return value
 
 
 def _lower_median(values: list[float]) -> float:
@@ -175,9 +184,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                   rel_tol=args.tol, seed=seed)
             params.append((args.m, args.n, args.k, noise, seed, args.mode,
                            config))
-        workers = _worker_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+        if args.workers > 1:
+            with ThreadPoolExecutor(max_workers=args.workers) as pool:
                 results = list(pool.map(_sweep_trial, params))
         else:
             results = [_sweep_trial(p) for p in params]
@@ -313,9 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sweep":
+        args.workers = _worker_count(parser)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, GroupingError) as exc:
         print(f"onmf: error: {exc}", file=sys.stderr)
         return 1
 

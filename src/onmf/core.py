@@ -131,18 +131,13 @@ class CompactW:
         return self.group.shape[0]
 
     def materialize(self) -> np.ndarray:
-        return materialize_w(self, self.n)
-
-
-def materialize_w(w: CompactW, n: int) -> np.ndarray:
-    """Expand a CompactW into its dense k x n matrix."""
-    if n != w.n:
-        raise ValueError(f"n={n} does not match stored length {w.n}")
-    if w.n and ((w.group < 0).any() or (w.group >= w.k).any()):
-        raise IndexError("group index out of range")
-    W = np.zeros((w.k, n))
-    W[w.group, np.arange(n)] = w.theta
-    return W
+        """Expand into the dense k x n matrix."""
+        n = self.n
+        if n and ((self.group < 0).any() or (self.group >= self.k).any()):
+            raise IndexError("group index out of range")
+        W = np.zeros((self.k, n))
+        W[self.group, np.arange(n)] = self.theta
+        return W
 
 
 def _format_value(x: float) -> str:

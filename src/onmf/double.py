@@ -16,14 +16,18 @@ import numpy as np
 from onmf.core import (
     COS_NARROW,
     COS_WIDE,
-    CompactW,
     WeightedPointSet,
     check_nonneg,
     frobenius_norm_sq,
     normalize_columns,
 )
-from onmf.kmeans import KMeansConfig, KMeansSolution, weighted_kmeans
-from onmf.single import OnmfSolution, _theta_against, rank_one_fit
+from onmf.kmeans import (
+    KMeansConfig,
+    KMeansSolution,
+    _weighted_means,
+    weighted_kmeans,
+)
+from onmf.single import OnmfSolution, _solution, _theta_against, rank_one_fit
 
 
 class GroupingError(RuntimeError):
@@ -42,15 +46,8 @@ def centroid_weights(pts: WeightedPointSet,
     their assigned points (which never increases the k-means cost); the
     recentered centroids then have L2 norm at most 1 and are non-zero.
     """
-    k = sol.centroids.shape[0]
     centroids = np.array(sol.centroids, dtype=np.float64)
-    q = np.zeros(k)
-    for j in range(k):
-        mask = sol.assignment == j
-        qj = float(pts.weights[mask].sum())
-        q[j] = qj
-        if qj > 0:
-            centroids[j] = pts.weights[mask] @ pts.points[mask] / qj
+    q = _weighted_means(pts.points, pts.weights, sol.assignment, centroids)
     return centroids, q
 
 
@@ -69,19 +66,15 @@ def weight_reduction(centroids: np.ndarray, q: np.ndarray) -> np.ndarray:
     One pass suffices because weights never increase. Band membership is an
     inclusive cosine test in [cos(pi/3), cos(pi/6)].
     """
-    k = len(q)
     cos = _cosine_matrix(centroids)
     qp = np.array(q, dtype=np.float64)
-    for j1 in range(k):
-        if qp[j1] <= 0:
+    in_band = (COS_WIDE <= cos) & (cos <= COS_NARROW)
+    for j1, j2 in zip(*np.nonzero(np.triu(in_band, 1))):  # row-major = lexicographic
+        if qp[j1] <= 0 or qp[j2] <= 0:
             continue
-        for j2 in range(j1 + 1, k):
-            if qp[j2] <= 0 or qp[j1] <= 0:
-                continue
-            if COS_WIDE <= cos[j1, j2] <= COS_NARROW:
-                d = min(qp[j1], qp[j2])
-                qp[j1] -= d
-                qp[j2] -= d
+        d = min(qp[j1], qp[j2])
+        qp[j1] -= d
+        qp[j2] -= d
     return qp
 
 
@@ -97,63 +90,57 @@ def group_centroids(centroids: np.ndarray, q_reduced: np.ndarray) -> np.ndarray:
     centroid (ties toward the smallest index); with no positive-weight
     centroid at all everything maps to group 0.
     """
-    k = len(q_reduced)
-    sigma = np.zeros(k, dtype=np.int64)
-    positive = np.flatnonzero(q_reduced > 0)
+    sigma = np.zeros(len(q_reduced), dtype=np.int64)
+    is_positive = q_reduced > 0
+    positive = np.flatnonzero(is_positive)
     if positive.size == 0:
         return sigma
     cos = _cosine_matrix(centroids)
+    sub = cos[np.ix_(positive, positive)]
+    # Mirror the upper triangle so the graph stays symmetric even where the
+    # matmul rounded cos[i, j] and cos[j, i] differently.
+    near = np.triu(sub > COS_NARROW, 1)
+    near |= near.T
 
-    # Union-find over the positive-weight centroids.
-    parent = {int(j): int(j) for j in positive}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a_idx in range(positive.size):
-        for b_idx in range(a_idx + 1, positive.size):
-            j1, j2 = int(positive[a_idx]), int(positive[b_idx])
-            if cos[j1, j2] > COS_NARROW:
-                ra, rb = find(j1), find(j2)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-
-    group_of_root: dict[int, int] = {}
-    for j in positive:
-        root = find(int(j))
-        if root not in group_of_root:
-            group_of_root[root] = len(group_of_root)
-        sigma[j] = group_of_root[root]
-
-    # Verification pass: the post-reduction angle structure must hold.
-    for a_idx in range(positive.size):
-        for b_idx in range(a_idx + 1, positive.size):
-            j1, j2 = int(positive[a_idx]), int(positive[b_idx])
-            c = cos[j1, j2]
-            if sigma[j1] == sigma[j2]:
-                if not c > COS_NARROW:
-                    # Reachable through a chain of small angles whose total
-                    # stays below pi/3, yet the direct angle must then be
-                    # below pi/6 since the band is empty.
-                    raise GroupingError(
-                        f"within-group angle too large for centroids {j1},{j2}")
-            elif not c < COS_WIDE:
-                raise GroupingError(
-                    f"cross-group angle too small for centroids {j1},{j2}")
-
-    # Extend to zero-weight centroids by the nearest positive one.
-    zero_norm = np.linalg.norm(centroids, axis=1) == 0
-    for j in range(k):
-        if q_reduced[j] > 0:
+    # Connected components by a growing reachability frontier; scanning the
+    # seeds in order numbers the components by their smallest member.
+    comp = np.full(positive.size, -1, dtype=np.int64)
+    n_groups = 0
+    for seed in range(positive.size):
+        if comp[seed] >= 0:
             continue
-        if zero_norm[j]:
-            nearest = int(positive[0])
-        else:
-            nearest = int(positive[np.argmax(cos[j, positive])])
-        sigma[j] = sigma[nearest]
+        reached = np.zeros(positive.size, dtype=bool)
+        reached[seed] = True
+        frontier = reached.copy()
+        while frontier.any():
+            frontier = near[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        comp[reached] = n_groups
+        n_groups += 1
+    sigma[positive] = comp
+
+    # Verification: the post-reduction angle structure must hold. Within a
+    # group the angles are reached through chains of small ones whose total
+    # stays below pi/3, so with the band empty the direct angle is below
+    # pi/6. The first violating pair in lexicographic order is reported.
+    same = comp[:, None] == comp[None, :]
+    bad = np.triu(np.where(same, ~(sub > COS_NARROW), ~(sub < COS_WIDE)), 1)
+    if bad.any():
+        a_idx, b_idx = np.argwhere(bad)[0]
+        j1, j2 = int(positive[a_idx]), int(positive[b_idx])
+        if same[a_idx, b_idx]:
+            raise GroupingError(
+                f"within-group angle too large for centroids {j1},{j2}")
+        raise GroupingError(
+            f"cross-group angle too small for centroids {j1},{j2}")
+
+    # Extend to zero-weight centroids by the nearest positive one. A centroid
+    # of zero norm goes to positive[0]; its cosines are all 0 unless the norm
+    # merely underflowed, so the override is needed only then.
+    zero = np.flatnonzero(~is_positive)
+    nearest = np.argmax(cos[np.ix_(zero, positive)], axis=1)
+    nearest[(np.linalg.norm(centroids, axis=1) == 0)[zero]] = 0
+    sigma[zero] = sigma[positive[nearest]]
     return sigma
 
 
@@ -173,14 +160,9 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
     k, m = centroids.shape
     a = np.zeros((m, k))
     n_groups = int(sigma.max()) + 1 if k else 0
-    qstar = np.zeros(n_groups)
     mu = np.zeros((n_groups, m))
-    for s in range(n_groups):
-        members = (sigma == s) & (q_reduced > 0)
-        qs = float(q_reduced[members].sum())
-        qstar[s] = qs
-        if qs > 0:
-            mu[s] = q_reduced[members] @ centroids[members] / qs
+    qstar = _weighted_means(centroids, q_reduced,
+                            np.where(q_reduced > 0, sigma, -1), mu)
     if n_groups == 0 or not (qstar > 0).any():
         return a
     scores = qstar[:, None] * mu**2  # (n_groups, m)
@@ -191,16 +173,13 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
 
 
 def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
-            phi: np.ndarray, k: int) -> OnmfSolution:
+            phi: np.ndarray) -> OnmfSolution:
     """Steps 2-3 on prepared centroids/weights, then scale fitting."""
     qp = weight_reduction(centroids, q)
     sigma = group_centroids(centroids, qp)
     a = solve_orthogonal_centroids(centroids, qp, sigma)
     group = sigma[phi]
-    theta = _theta_against(M, a, group)
-    w = CompactW(k=k, group=group, theta=theta)
-    objective = frobenius_norm_sq(M - a @ w.materialize())
-    return OnmfSolution(a=a, w=w, objective=objective)
+    return _solution(M, a, group, _theta_against(M, a, group))
 
 
 def factorize_double(M, k: int, config: KMeansConfig | None = None) -> OnmfSolution:
@@ -213,7 +192,7 @@ def factorize_double(M, k: int, config: KMeansConfig | None = None) -> OnmfSolut
     pts = normalize_columns(M)
     sol = weighted_kmeans(pts, k, config)
     centroids, q = centroid_weights(pts, sol)
-    return _finish(M, centroids, q, sol.assignment, k)
+    return _finish(M, centroids, q, sol.assignment)
 
 
 def factorize_double_large_k(M) -> OnmfSolution:
@@ -229,10 +208,7 @@ def factorize_double_large_k(M) -> OnmfSolution:
         sol_t = factorize_double_large_k(M.T)
         return _transpose_solution(M, sol_t)
     pts = normalize_columns(M)
-    centroids = pts.points
-    q = pts.weights
-    phi = np.arange(n)
-    return _finish(M, centroids, q, phi, n)
+    return _finish(M, pts.points, pts.weights, np.arange(n))
 
 
 def _transpose_solution(M: np.ndarray, sol_t: OnmfSolution) -> OnmfSolution:
@@ -242,20 +218,10 @@ def _transpose_solution(M: np.ndarray, sol_t: OnmfSolution) -> OnmfSolution:
     supports, so A2^T has at most one non-zero per column and converts to the
     compact form directly.
     """
-    m, n = M.shape
     a2 = sol_t.a  # (n, k)
-    k = a2.shape[1]
-    a = sol_t.w.materialize().T  # (m, k)
-    group = np.zeros(n, dtype=np.int64)
-    theta = np.zeros(n)
-    for i in range(n):
-        nz = np.flatnonzero(a2[i])
-        if nz.size:
-            group[i] = nz[0]
-            theta[i] = a2[i, nz[0]]
-    w = CompactW(k=k, group=group, theta=theta)
-    objective = frobenius_norm_sq(M - a @ w.materialize())
-    return OnmfSolution(a=a, w=w, objective=objective)
+    group = np.argmax(a2 > 0, axis=1)  # rows without a non-zero get group 0
+    theta = a2[np.arange(a2.shape[0]), group]
+    return _solution(M, sol_t.w.materialize().T, group, theta)
 
 
 def brute_force_double(M, k: int) -> float:

@@ -49,6 +49,23 @@ def _weighted_cost(pts: WeightedPointSet, centroids: np.ndarray,
     return float(np.sum(pts.weights * np.einsum("nm,nm->n", diff, diff)))
 
 
+def _weighted_means(points: np.ndarray, weights: np.ndarray,
+                    labels: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Recenter each row j of out on the weighted mean of the points labeled j.
+
+    Rows whose points carry no positive total weight (empty clusters
+    included) keep their value. Returns the total weight per row.
+    """
+    totals = np.zeros(out.shape[0])
+    for j in range(out.shape[0]):
+        mask = labels == j
+        total = float(weights[mask].sum())
+        totals[j] = total
+        if total > 0:
+            out[j] = weights[mask] @ points[mask] / total
+    return totals
+
+
 def _sample_index(weights: np.ndarray, rng: SeededRng) -> int:
     cum = np.cumsum(weights)
     u = rng.random() * cum[-1]
@@ -93,17 +110,10 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
     config.max_iters is reached. The cost never increases.
     """
     centroids = np.array(centroids, dtype=np.float64)
-    k = centroids.shape[0]
     assignment = np.argmin(_distances_sq(pts.points, centroids), axis=1)
     prev_cost = _weighted_cost(pts, centroids, assignment)
     for _ in range(config.max_iters):
-        # Recenter clusters with positive total weight; empty or zero-weight
-        # clusters keep their centroid.
-        for j in range(k):
-            mask = assignment == j
-            wsum = float(pts.weights[mask].sum())
-            if wsum > 0:
-                centroids[j] = pts.weights[mask] @ pts.points[mask] / wsum
+        _weighted_means(pts.points, pts.weights, assignment, centroids)
         assignment = np.argmin(_distances_sq(pts.points, centroids), axis=1)
         cost = _weighted_cost(pts, centroids, assignment)
         assert cost <= prev_cost + 1e-12 * max(1.0, prev_cost)
@@ -168,10 +178,6 @@ def brute_force_kmeans(pts: WeightedPointSet, k: int) -> KMeansSolution:
     assert best_assign is not None
     assignment = np.array(best_assign, dtype=np.int64)
     centroids = np.zeros((k, m))
-    for j in range(k):
-        mask = assignment == j
-        wsum = float(pts.weights[mask].sum())
-        if wsum > 0:
-            centroids[j] = pts.weights[mask] @ pts.points[mask] / wsum
+    _weighted_means(pts.points, pts.weights, assignment, centroids)
     return KMeansSolution(centroids=centroids, assignment=assignment,
                           cost=_weighted_cost(pts, centroids, assignment))

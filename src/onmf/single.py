@@ -70,6 +70,14 @@ def _theta_against(M: np.ndarray, a: np.ndarray, group: np.ndarray) -> np.ndarra
     return theta
 
 
+def _solution(M: np.ndarray, a: np.ndarray, group: np.ndarray,
+              theta: np.ndarray) -> OnmfSolution:
+    """Package (a, group, theta) with its objective ||M - a W||_F^2."""
+    w = CompactW(k=a.shape[1], group=group, theta=theta)
+    return OnmfSolution(a=a, w=w,
+                        objective=frobenius_norm_sq(M - a @ w.materialize()))
+
+
 def factorize_single(M, k: int, config: KMeansConfig | None = None) -> OnmfSolution:
     """Factorize with orthogonal rows of W via weighted k-means."""
     M = check_nonneg(M)
@@ -80,11 +88,8 @@ def factorize_single(M, k: int, config: KMeansConfig | None = None) -> OnmfSolut
     pts = normalize_columns(M)
     sol = weighted_kmeans(pts, k, config)
     a = np.maximum(sol.centroids.T, 0.0)  # (m, k), clamp is a no-op on our data
-    group = sol.assignment
-    theta = _theta_against(M, a, group)
-    w = CompactW(k=k, group=group, theta=theta)
-    objective = frobenius_norm_sq(M - a @ w.materialize())
-    return OnmfSolution(a=a, w=w, objective=objective)
+    return _solution(M, a, sol.assignment,
+                     _theta_against(M, a, sol.assignment))
 
 
 def brute_force_single(M, k: int) -> OnmfSolution:
@@ -129,7 +134,4 @@ def brute_force_single(M, k: int) -> OnmfSolution:
         if idx.size:
             _, u, _ = rank_one_fit(M[:, idx])
             a[:, j] = u
-    theta = _theta_against(M, a, group)
-    w = CompactW(k=k, group=group, theta=theta)
-    objective = frobenius_norm_sq(M - a @ w.materialize())
-    return OnmfSolution(a=a, w=w, objective=objective)
+    return _solution(M, a, group, _theta_against(M, a, group))

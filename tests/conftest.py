@@ -1,0 +1,15 @@
+import os
+
+import onmf
+
+# Directory holding the onmf package under test, as an absolute path, so a
+# child process finds the same package whatever its working directory.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(onmf.__file__)))
+
+
+def cli_env(extra=None):
+    """Environment for a `python -m onmf.cli` child process."""
+    env = dict(os.environ, **(extra or {}))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    return env

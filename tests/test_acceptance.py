@@ -5,7 +5,6 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -13,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import cli_env
 from onmf.bcc import BipartiteLabeling, bcc_cluster, brute_force_bcc, round_block
 from onmf.core import SIN_SQ_PI_12, frobenius_norm_sq, normalize_columns
 from onmf.double import (
@@ -265,10 +265,9 @@ def test_criterion_09_inequality_property_suites():
 
 
 def _run_cli(args, cwd, threads="1"):
-    env = dict(os.environ, ONMF_THREADS=threads)
     return subprocess.run([sys.executable, "-m", "onmf.cli", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True,
-                          check=True)
+                          cwd=cwd, env=cli_env({"ONMF_THREADS": threads}),
+                          capture_output=True, text=True, check=True)
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -1,20 +1,20 @@
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import onmf.cli
+from conftest import cli_env
 from onmf.core import read_matrix, write_matrix
+from onmf.double import GroupingError
 
 
 def run_cli(args, cwd, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "onmf.cli", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+                          cwd=cwd, env=cli_env(env_extra),
+                          capture_output=True, text=True)
 
 
 def test_generate_writes_instance(tmp_path):
@@ -157,3 +157,26 @@ def test_bcc_incomplete_without_flag(tmp_path):
     res = run_cli(["bcc", "--edges", "edges.csv", "--complete"], cwd=tmp_path)
     assert res.returncode == 0
     assert res.stdout.strip() == "0"
+
+
+def test_grouping_error_is_a_cli_error(tmp_path, monkeypatch, capsys):
+    def fail(M):
+        raise GroupingError("cross-group angle too small for centroids 0,1")
+
+    monkeypatch.setattr(onmf.cli, "factorize_double_large_k", fail)
+    write_matrix(np.eye(2), tmp_path / "M.csv")
+    code = onmf.cli.main(["factorize", "--input", str(tmp_path / "M.csv"),
+                          "--mode", "double-large-k"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "onmf: error: cross-group angle too small for centroids 0,1\n")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_sweep_rejects_bad_thread_count(value, monkeypatch, capsys):
+    monkeypatch.setenv("ONMF_THREADS", value)
+    with pytest.raises(SystemExit) as exc:
+        onmf.cli.main(["sweep", "--m", "4", "--n", "6", "--k", "2",
+                       "--noise-grid", "0", "--trials", "1"])
+    assert exc.value.code == 2
+    assert "ONMF_THREADS must be a positive integer" in capsys.readouterr().err

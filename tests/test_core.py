@@ -10,7 +10,6 @@ from onmf.core import (
     CompactW,
     angle,
     frobenius_norm_sq,
-    materialize_w,
     normalize_columns,
     read_matrix,
     write_matrix,
@@ -73,7 +72,7 @@ def test_angle_zero_vector_errors():
 
 def test_materialize_w_examples():
     w = CompactW(k=2, group=[0, 1, 0], theta=[2.0, 3.0, 4.0])
-    assert np.array_equal(materialize_w(w, 3),
+    assert np.array_equal(w.materialize(),
                           [[2.0, 0.0, 4.0], [0.0, 3.0, 0.0]])
     w = CompactW(k=2, group=[0, 1], theta=[0.0, 0.0])
     assert np.array_equal(w.materialize(), np.zeros((2, 2)))

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from onmf.core import COS_NARROW, COS_WIDE, SIN_SQ_PI_12, angle, normalize_columns
 from onmf.double import (
+    GroupingError,
+    _cosine_matrix,
     brute_force_double,
     centroid_weights,
     factorize_double,
@@ -118,6 +121,147 @@ def test_grouping_transitivity_on_random_reduced_inputs():
                 assert a < math.pi / 6 + 1e-12
             else:
                 assert a > math.pi / 3 - 1e-12
+
+
+# The pair-loop forms of weight_reduction and group_centroids that the array
+# forms replaced, kept as the reference for the differential tests below.
+
+
+def _reference_weight_reduction(centroids: np.ndarray, q: np.ndarray) -> np.ndarray:
+    k = len(q)
+    cos = _cosine_matrix(centroids)
+    qp = np.array(q, dtype=np.float64)
+    for j1 in range(k):
+        if qp[j1] <= 0:
+            continue
+        for j2 in range(j1 + 1, k):
+            if qp[j2] <= 0 or qp[j1] <= 0:
+                continue
+            if COS_WIDE <= cos[j1, j2] <= COS_NARROW:
+                d = min(qp[j1], qp[j2])
+                qp[j1] -= d
+                qp[j2] -= d
+    return qp
+
+
+def _reference_group_centroids(centroids: np.ndarray,
+                               q_reduced: np.ndarray) -> np.ndarray:
+    k = len(q_reduced)
+    sigma = np.zeros(k, dtype=np.int64)
+    positive = np.flatnonzero(q_reduced > 0)
+    if positive.size == 0:
+        return sigma
+    cos = _cosine_matrix(centroids)
+
+    # Union-find over the positive-weight centroids.
+    parent = {int(j): int(j) for j in positive}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a_idx in range(positive.size):
+        for b_idx in range(a_idx + 1, positive.size):
+            j1, j2 = int(positive[a_idx]), int(positive[b_idx])
+            if cos[j1, j2] > COS_NARROW:
+                ra, rb = find(j1), find(j2)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+
+    group_of_root: dict[int, int] = {}
+    for j in positive:
+        root = find(int(j))
+        if root not in group_of_root:
+            group_of_root[root] = len(group_of_root)
+        sigma[j] = group_of_root[root]
+
+    # Verification pass: the post-reduction angle structure must hold.
+    for a_idx in range(positive.size):
+        for b_idx in range(a_idx + 1, positive.size):
+            j1, j2 = int(positive[a_idx]), int(positive[b_idx])
+            c = cos[j1, j2]
+            if sigma[j1] == sigma[j2]:
+                if not c > COS_NARROW:
+                    # Reachable through a chain of small angles whose total
+                    # stays below pi/3, yet the direct angle must then be
+                    # below pi/6 since the band is empty.
+                    raise GroupingError(
+                        f"within-group angle too large for centroids {j1},{j2}")
+            elif not c < COS_WIDE:
+                raise GroupingError(
+                    f"cross-group angle too small for centroids {j1},{j2}")
+
+    # Extend to zero-weight centroids by the nearest positive one.
+    zero_norm = np.linalg.norm(centroids, axis=1) == 0
+    for j in range(k):
+        if q_reduced[j] > 0:
+            continue
+        if zero_norm[j]:
+            nearest = int(positive[0])
+        else:
+            nearest = int(positive[np.argmax(cos[j, positive])])
+        sigma[j] = sigma[nearest]
+    return sigma
+
+
+ANGLES = (0.0, math.pi / 12, math.pi / 6, math.pi / 3, math.pi / 2)
+
+
+@st.composite
+def centroid_sets(draw):
+    """(centroids, q): random, 0/1 tie-heavy or 2-D band-edge centroids,
+    with zero centroids and zero or negative weights mixed in."""
+    k = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["random", "binary", "angles"]))
+    if kind == "angles":
+        row = st.builds(lambda t, r: [r * math.cos(t), r * math.sin(t)],
+                        st.sampled_from(ANGLES),
+                        st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    else:
+        d = draw(st.integers(1, 4))
+        cell = (st.floats(0.0, 1.0) if kind == "random"
+                else st.sampled_from([0.0, 1.0]))
+        row = st.lists(cell, min_size=d, max_size=d)
+    centroids = np.array(draw(st.lists(row, min_size=k, max_size=k)))
+    weight = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-1.0, 4.0)
+    q = np.array(draw(st.lists(weight, min_size=k, max_size=k)))
+    return centroids, q
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except GroupingError as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(centroid_sets())
+@example((np.array([[0.0], [1e-200], [0.0], [1.0]]),  # 1e-200: norm underflows
+          np.array([0.0, 0.0, 1.0, 1.0])))
+def test_large_k_steps_match_pair_loop_reference(case):
+    centroids, q = case
+    assert _outcome(weight_reduction, centroids, q) == _outcome(
+        _reference_weight_reduction, centroids, q)
+    # Reduced weights, then the unreduced ones, which may raise.
+    for weights in (weight_reduction(centroids, q), q):
+        assert _outcome(group_centroids, centroids, weights) == _outcome(
+            _reference_group_centroids, centroids, weights)
+
+
+@pytest.mark.parametrize("angles, message", [
+    ((0.0, math.pi / 4), "cross-group angle too small for centroids 0,1"),
+    ((0.0, 0.5, 1.0), "within-group angle too large for centroids 0,2"),
+])
+def test_grouping_error_matches_reference(angles, message):
+    centroids = np.array([[math.cos(t), math.sin(t)] for t in angles])
+    q = np.ones(len(angles))
+    expected = (GroupingError, message)
+    assert _outcome(_reference_group_centroids, centroids, q) == expected
+    assert _outcome(group_centroids, centroids, q) == expected
 
 
 def test_solver_one_group_is_weighted_mean():
