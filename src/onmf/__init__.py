@@ -16,20 +16,17 @@ from onmf.core import (
     read_matrix,
     write_matrix,
 )
-from onmf.rng import SeededRng, exp_sample
 from onmf.synth import PlantedInstance, gen_planted_double, gen_planted_single
 from onmf.kmeans import (
     KMeansConfig,
     KMeansSolution,
-    brute_force_kmeans,
     kmeanspp_seed,
     lloyd,
     weighted_kmeans,
 )
-from onmf.single import OnmfSolution, brute_force_single, factorize_single
+from onmf.single import OnmfSolution, factorize_single
 from onmf.double import (
     GroupingError,
-    brute_force_double,
     centroid_weights,
     factorize_double,
     factorize_double_large_k,
@@ -41,7 +38,6 @@ from onmf.bcc import (
     BipartiteLabeling,
     Clustering,
     bcc_cluster,
-    brute_force_bcc,
     disagreements,
     round_block,
 )
@@ -62,17 +58,11 @@ __all__ = [
     "KMeansSolution",
     "OnmfSolution",
     "PlantedInstance",
-    "SeededRng",
     "WeightedPointSet",
     "angle",
     "bcc_cluster",
-    "brute_force_bcc",
-    "brute_force_double",
-    "brute_force_kmeans",
-    "brute_force_single",
     "centroid_weights",
     "disagreements",
-    "exp_sample",
     "factorize_double",
     "factorize_double_large_k",
     "factorize_single",

@@ -4,7 +4,7 @@ A labeling is solved by factorizing the binary matrix with both factors
 orthogonal (large inner dimension, no k-means needed), rounding every rank-1
 block to binary vectors, and translating the non-empty binary blocks into
 clusters. The rounding of a single block loses at most a factor 8 in squared
-error; an exact Bell-number oracle is provided for ratio tests.
+error.
 """
 
 from __future__ import annotations
@@ -128,35 +128,3 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
         next_id += 1
     clustering = Clustering(left=left, right=right)
     return clustering, disagreements(g, clustering)
-
-
-def _partitions(items: list[int]):
-    """All set partitions, as lists of blocks (restricted-growth recursion)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1:]
-        yield [[first]] + part
-
-
-def brute_force_bcc(g: BipartiteLabeling) -> int:
-    """Minimum disagreements over all vertex partitions (test oracle)."""
-    m, n = g.m, g.n
-    if m + n > 8:
-        raise ValueError("instance too large for brute force")
-    best = m * n + 1
-    vertices = list(range(m + n))
-    for part in _partitions(vertices):
-        left = np.zeros(m, dtype=np.int64)
-        right = np.zeros(n, dtype=np.int64)
-        for cid, block in enumerate(part, start=1):
-            for v in block:
-                if v < m:
-                    left[v] = cid
-                else:
-                    right[v - m] = cid
-        best = min(best, disagreements(g, Clustering(left, right)))
-    return best

@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -175,15 +176,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.timing:
         header.append("median_wall_time_ms")
     lines = [",".join(header)]
+    base = _config(args)
     for level_idx, noise in enumerate(args.noise_grid):
         params = []
         for t in range(args.trials):
             seed = args.seed + level_idx * args.trials + t
-            config = KMeansConfig(restarts=args.restarts,
-                                  max_iters=args.max_iters,
-                                  rel_tol=args.tol, seed=seed)
             params.append((args.m, args.n, args.k, noise, seed, args.mode,
-                           config))
+                           dataclasses.replace(base, seed=seed)))
         if args.workers > 1:
             with ThreadPoolExecutor(max_workers=args.workers) as pool:
                 results = list(pool.map(_sweep_trial, params))

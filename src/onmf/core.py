@@ -63,10 +63,6 @@ class WeightedPointSet:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
     def total_weight(self) -> float:
         return float(self.weights.sum())
 

@@ -18,7 +18,6 @@ from onmf.core import (
     COS_WIDE,
     WeightedPointSet,
     check_nonneg,
-    frobenius_norm_sq,
     normalize_columns,
 )
 from onmf.kmeans import (
@@ -27,7 +26,7 @@ from onmf.kmeans import (
     _weighted_means,
     weighted_kmeans,
 )
-from onmf.single import OnmfSolution, _solution, _theta_against, rank_one_fit
+from onmf.single import OnmfSolution, _solution, _theta_against
 
 
 class GroupingError(RuntimeError):
@@ -222,65 +221,3 @@ def _transpose_solution(M: np.ndarray, sol_t: OnmfSolution) -> OnmfSolution:
     group = np.argmax(a2 > 0, axis=1)  # rows without a non-zero get group 0
     theta = a2[np.arange(a2.shape[0]), group]
     return _solution(M, sol_t.w.materialize().T, group, theta)
-
-
-def brute_force_double(M, k: int) -> float:
-    """Exact double-orthogonal optimum for tiny matrices (test oracle).
-
-    A feasible solution is a family of at most k blocks with pairwise
-    disjoint row sets and pairwise disjoint column sets, each fitted by its
-    best rank-1 approximation; the objective is the total squared norm minus
-    the leading squared singular values of the chosen blocks. Enumerates all
-    block families by subset recursion with memoization.
-    """
-    M = check_nonneg(M)
-    m, n = M.shape
-    if m > 5 or n > 5:
-        raise ValueError("instance too large for brute force")
-    total_sq = frobenius_norm_sq(M)
-
-    sigma_cache: dict[tuple[int, int], float] = {}
-
-    def sigma_sq(rmask: int, cmask: int) -> float:
-        key = (rmask, cmask)
-        hit = sigma_cache.get(key)
-        if hit is not None:
-            return hit
-        rows = [i for i in range(m) if rmask >> i & 1]
-        cols = [j for j in range(n) if cmask >> j & 1]
-        val, _, _ = rank_one_fit(M[np.ix_(rows, cols)])
-        sigma_cache[key] = val
-        return val
-
-    best_cache: dict[tuple[int, int, int], float] = {}
-
-    def best(rmask: int, cmask: int, blocks: int) -> float:
-        if rmask == 0 or cmask == 0 or blocks == 0:
-            return 0.0
-        key = (rmask, cmask, blocks)
-        hit = best_cache.get(key)
-        if hit is not None:
-            return hit
-        low = rmask & -rmask
-        # Option: the lowest remaining row joins no block.
-        result = best(rmask ^ low, cmask, blocks)
-        # Option: it anchors a block with rows r1 and columns c1.
-        rest = rmask ^ low
-        r_sub = rest
-        while True:
-            r1 = r_sub | low
-            c_sub = cmask
-            while c_sub:
-                cand = sigma_sq(r1, c_sub) + best(
-                    rmask ^ r1, cmask ^ c_sub, blocks - 1)
-                if cand > result:
-                    result = cand
-                c_sub = (c_sub - 1) & cmask
-            if r_sub == 0:
-                break
-            r_sub = (r_sub - 1) & rest
-        best_cache[key] = result
-        return result
-
-    gain = best((1 << m) - 1, (1 << n) - 1, min(k, m, n))
-    return max(total_sq - gain, 0.0)

@@ -8,13 +8,11 @@ own generator from the configured seed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from onmf.core import WeightedPointSet
-from onmf.rng import SeededRng
 
 
 @dataclass
@@ -66,13 +64,14 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
     return totals
 
 
-def _sample_index(weights: np.ndarray, rng: SeededRng) -> int:
+def _sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
     cum = np.cumsum(weights)
     u = rng.random() * cum[-1]
     return int(np.searchsorted(cum, u, side="right").clip(0, len(weights) - 1))
 
 
-def kmeanspp_seed(pts: WeightedPointSet, k: int, rng: SeededRng) -> np.ndarray:
+def kmeanspp_seed(pts: WeightedPointSet, k: int,
+                  rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding on a weighted point set.
 
     The first centroid is sampled with probability proportional to the point
@@ -130,54 +129,10 @@ def weighted_kmeans(pts: WeightedPointSet, k: int,
     """Best-of-restarts k-means++ plus Lloyd; deterministic given the seed."""
     best: KMeansSolution | None = None
     for t in range(config.restarts):
-        rng = SeededRng(config.seed + t)
+        rng = np.random.default_rng(config.seed + t)
         seeds = kmeanspp_seed(pts, k, rng)
         sol = lloyd(pts, seeds, config)
         if best is None or sol.cost < best.cost:
             best = sol
     assert best is not None
     return best
-
-
-def _subset_cost(pts: WeightedPointSet, mask: int, cache: dict) -> float:
-    # Optimal single-cluster cost for the points in the bitmask, via the
-    # center-of-mass identity: sum l_i ||x_i||^2 - ||sum l_i x_i||^2 / L.
-    hit = cache.get(mask)
-    if hit is not None:
-        return hit
-    idx = [i for i in range(len(pts)) if mask >> i & 1]
-    w = pts.weights[idx]
-    x = pts.points[idx]
-    total = float(w.sum())
-    if total == 0:
-        cost = 0.0
-    else:
-        s = w @ x
-        cost = float(np.sum(w * np.einsum("nm,nm->n", x, x)) - s @ s / total)
-        cost = max(cost, 0.0)
-    cache[mask] = cost
-    return cost
-
-
-def brute_force_kmeans(pts: WeightedPointSet, k: int) -> KMeansSolution:
-    """Exact optimum by enumerating every assignment (test oracle)."""
-    n, m = pts.points.shape
-    if k**n > 10**7:
-        raise ValueError("instance too large for brute force")
-    cache: dict = {}
-    best_cost = np.inf
-    best_assign: tuple[int, ...] | None = None
-    for assign in itertools.product(range(k), repeat=n):
-        masks = [0] * k
-        for i, j in enumerate(assign):
-            masks[j] |= 1 << i
-        cost = sum(_subset_cost(pts, msk, cache) for msk in masks if msk)
-        if cost < best_cost:
-            best_cost = cost
-            best_assign = assign
-    assert best_assign is not None
-    assignment = np.array(best_assign, dtype=np.int64)
-    centroids = np.zeros((k, m))
-    _weighted_means(pts.points, pts.weights, assignment, centroids)
-    return KMeansSolution(centroids=centroids, assignment=assignment,
-                          cost=_weighted_cost(pts, centroids, assignment))

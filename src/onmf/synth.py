@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from onmf.rng import SeededRng, exp_array, exp_inverse_cdf
-
 
 @dataclass(frozen=True)
 class PlantedInstance:
@@ -29,31 +27,41 @@ class PlantedInstance:
     mode: str  # "single" or "double"
 
 
+def _exp(rng: np.random.Generator, shape, mean: float) -> np.ndarray:
+    """iid exponential draws with the given mean.
+
+    Drawn by inverting the CDF, not with rng.exponential: that keeps the
+    established streams, consumes exactly one uniform per draw, and makes a
+    mean of zero give exactly zero.
+    """
+    return -mean * np.log1p(-rng.random(shape))
+
+
 def _planted(m: int, n: int, k: int, noise_level: float, seed: int,
              double: bool) -> PlantedInstance:
     if m < 1 or n < 1 or k < 1:
         raise ValueError("m, n, k must all be >= 1")
     if noise_level < 0:
         raise ValueError("noise_level must be non-negative")
-    rng = SeededRng(seed)
+    rng = np.random.default_rng(seed)
 
     if double:
         # One non-zero per row of A at a uniformly random column: the columns
         # of A then have pairwise disjoint supports.
         a_truth = np.zeros((m, k))
         cols = rng.integers(0, k, size=m)
-        a_truth[np.arange(m), cols] = exp_inverse_cdf(rng.random(m), 1.0)
+        a_truth[np.arange(m), cols] = _exp(rng, m, 1.0)
     else:
-        a_truth = exp_array(rng, (m, k), 1.0)
+        a_truth = _exp(rng, (m, k), 1.0)
 
     # One non-zero per column of W at a uniformly random row: rows of W have
     # pairwise disjoint supports.
     w_truth = np.zeros((k, n))
     rows = rng.integers(0, k, size=n)
-    w_truth[rows, np.arange(n)] = exp_inverse_cdf(rng.random(n), 1.0)
+    w_truth[rows, np.arange(n)] = _exp(rng, n, 1.0)
 
     m_truth = a_truth @ w_truth
-    noise = exp_array(rng, (m, n), noise_level)
+    noise = _exp(rng, (m, n), noise_level)
     return PlantedInstance(
         a_truth=a_truth,
         w_truth=w_truth,

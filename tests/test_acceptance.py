@@ -13,18 +13,23 @@ import numpy as np
 import pytest
 
 from conftest import cli_env
-from onmf.bcc import BipartiteLabeling, bcc_cluster, brute_force_bcc, round_block
+from onmf.bcc import BipartiteLabeling, bcc_cluster, round_block
 from onmf.core import SIN_SQ_PI_12, frobenius_norm_sq, normalize_columns
 from onmf.double import (
-    brute_force_double,
     factorize_double,
     factorize_double_large_k,
     solve_orthogonal_centroids,
 )
-from onmf.kmeans import KMeansConfig, brute_force_kmeans, weighted_kmeans
+from onmf.kmeans import KMeansConfig, weighted_kmeans
 from onmf.metrics import non_orthogonality, planted_stat
-from onmf.single import brute_force_single, factorize_single
+from onmf.single import factorize_single
 from onmf.synth import gen_planted_single
+from oracles import (
+    brute_force_bcc,
+    brute_force_double,
+    brute_force_kmeans,
+    brute_force_single,
+)
 
 
 def report(num: int, limit_s: float, start: float, detail: str = "") -> None:

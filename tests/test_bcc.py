@@ -5,11 +5,11 @@ from onmf.bcc import (
     BipartiteLabeling,
     Clustering,
     bcc_cluster,
-    brute_force_bcc,
     disagreements,
     round_block,
 )
 from onmf.core import frobenius_norm_sq
+from oracles import brute_force_bcc
 
 
 def labeling(rows):

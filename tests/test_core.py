@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import onmf
 from onmf.core import (
     COS_NARROW,
     COS_WIDE,
@@ -133,3 +134,11 @@ def test_angle_band_constants():
     assert SIN_SQ_PI_12 == pytest.approx((2 - math.sqrt(3)) / 4, abs=1e-15)
     assert COS_NARROW == pytest.approx(math.cos(math.pi / 6), abs=1e-15)
     assert COS_WIDE == pytest.approx(math.cos(math.pi / 3), abs=1e-15)
+
+
+def test_public_names_resolve():
+    for name in onmf.__all__:
+        getattr(onmf, name)
+    namespace = {}
+    exec("from onmf import *", namespace)
+    assert set(onmf.__all__) <= namespace.keys()

@@ -9,7 +9,6 @@ from onmf.core import COS_NARROW, COS_WIDE, SIN_SQ_PI_12, angle, normalize_colum
 from onmf.double import (
     GroupingError,
     _cosine_matrix,
-    brute_force_double,
     centroid_weights,
     factorize_double,
     factorize_double_large_k,
@@ -20,6 +19,7 @@ from onmf.double import (
 from onmf.kmeans import KMeansConfig, KMeansSolution, weighted_kmeans
 from onmf.metrics import non_orthogonality
 from onmf.synth import gen_planted_double
+from oracles import brute_force_double
 
 LARGE_K_RATIO = 1.0 / SIN_SQ_PI_12
 

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from onmf.core import frobenius_norm_sq, normalize_columns
-from onmf.kmeans import KMeansConfig, brute_force_kmeans, weighted_kmeans
+from onmf.double import factorize_double, factorize_double_large_k
+from onmf.kmeans import KMeansConfig, weighted_kmeans
 from onmf.metrics import non_orthogonality
-from onmf.single import brute_force_single, factorize_single, rank_one_fit
-from onmf.synth import gen_planted_single
+from onmf.single import _solution, _theta_against, factorize_single
+from onmf.synth import gen_planted_double, gen_planted_single
+from oracles import brute_force_kmeans, brute_force_single, rank_one_fit
 
 
 def test_exactly_factorizable():
@@ -113,3 +115,28 @@ def test_scale_covariance():
     base = factorize_single(M, 2, cfg).objective
     scaled = factorize_single(4.0 * M, 2, cfg).objective
     assert scaled == pytest.approx(16.0 * base, rel=1e-9)
+
+
+def test_objective_matches_dense_product():
+    # _solution takes the objective without materializing W; it must equal
+    # the dense ||M - a @ W||_F^2 bit for bit.
+    rng = np.random.default_rng(15)
+    M = rng.random((5, 8))
+    a = rng.random((5, 4))
+    a[:, 2] = 0.0  # an all-zero column of a
+    group = np.array([0, 1, 2, 3, 2, 0, 1, 3])
+    theta = _theta_against(M, a, group)
+    theta[[1, 6]] = 0.0  # zero-theta columns
+    cases = [(M, _solution(M, a, group, theta))]
+    for trial in range(4):
+        cfg = KMeansConfig(restarts=2, seed=trial)
+        single = gen_planted_single(20, 60, 5, 0.3, trial).m_observed
+        double = gen_planted_double(20, 60, 5, 0.3, trial).m_observed
+        cases += [
+            (single, factorize_single(single, 5, cfg)),
+            (double, factorize_double(double, 5, cfg)),
+            (double, factorize_double_large_k(double)),  # transposed path
+            (double.T, factorize_double_large_k(double.T)),
+        ]
+    for M, sol in cases:
+        assert sol.objective == frobenius_norm_sq(M - sol.a @ sol.w.materialize())
