@@ -230,13 +230,13 @@ def _read_edge_list(path: str, complete: bool) -> BipartiteLabeling:
     if max_u < 0:
         raise ValueError(f"{path}: empty edge list")
     m, n = max_u + 1, max_v + 1
-    labels = np.zeros((m, n), dtype=bool)
-    for (u, v), plus in edges.items():
-        labels[u, v] = plus
     if not complete and len(edges) != m * n:
         raise ValueError(
             "incomplete bipartite graph; pass --complete to treat missing "
             "pairs as '-'")
+    labels = np.zeros((m, n), dtype=bool)
+    for (u, v), plus in edges.items():
+        labels[u, v] = plus
     return BipartiteLabeling(labels=labels)
 
 

@@ -4,6 +4,12 @@ This is the subroutine behind all the factorization algorithms. Determinism
 rules: nearest-centroid ties break toward the smallest centroid index,
 restart ties toward the smallest restart index, and each restart derives its
 own generator from the configured seed.
+
+Lloyd's assignment step takes the expanded form ||x||^2 - 2 x.c + ||c||^2
+from one matrix product, then recomputes exactly (per coordinate, so zero
+distances stay exactly zero) only the points whose two nearest centroids
+lie within a proven rounding margin. Its assignment is therefore the argmin
+of the exact distances, ties to the smallest index included.
 """
 
 from __future__ import annotations
@@ -36,9 +42,52 @@ class KMeansSolution:
 
 def _distances_sq(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # (n, k) squared distances; computed exactly, not via the expanded form,
-    # to keep zero distances exactly zero.
+    # to keep zero distances exactly zero. Builds an (n, k, m) temporary.
     diff = points[:, None, :] - centroids[None, :, :]
     return np.einsum("nkm,nkm->nk", diff, diff)
+
+
+def _nearest(points: np.ndarray, norms_sq: np.ndarray,
+             centroids: np.ndarray) -> np.ndarray:
+    """np.argmin(_distances_sq(points, centroids), axis=1), from a GEMM.
+
+    norms_sq holds ||x||^2 for each point. Let S = ||x||^2 + ||c||^2,
+    u = eps / 2 and G_m = m u / (1 - m u). Against the true squared distance
+    D, the expanded form g = fl(fl(||x||^2 - 2 fl(x.c)) + ||c||^2) errs by at
+    most G_m S (the two norms) + 2 G_m S / 2 (the dot product, as
+    sum |x_l c_l| <= S / 2) + 2u S + 3u S (the two additions), and the exact
+    kernel errs by at most G_{m+2} D <= 2 G_{m+2} S. So |g - exact| <=
+    (4m + 9) u S + O(u^2) < 2 (m + 4) eps S, taken below with the largest
+    ||c||^2. Products that underflow add at most 2.5 m smallest subnormals;
+    the 4 (m + 4) of them below also cover the rounding of the margin. A
+    point whose best and second-best g differ by more than twice its margin
+    has the same strict argmin under the exact kernel. The rest, NaN and inf
+    rows included (the test is ~(gap > 2 margin)), are recomputed exactly a
+    few rows at a time, so the temporary stays about n k floats.
+    """
+    n, m = points.shape
+    if len(centroids) == 1:
+        return np.zeros(n, dtype=np.intp)
+    c_norms_sq = np.einsum("km,km->k", centroids, centroids)
+    g = points @ centroids.T
+    g *= -2.0
+    g += norms_sq[:, None]
+    g += c_norms_sq
+    assignment = np.argmin(g, axis=1)
+    rows = np.arange(n)
+    best = g[rows, assignment]
+    g[rows, assignment] = np.inf
+    gap = g.min(axis=1) - best
+    f = np.finfo(np.float64)
+    margin = (m + 4) * (2 * f.eps * (norms_sq + c_norms_sq.max())
+                        + 4 * f.smallest_subnormal)
+    unsure = np.flatnonzero(~(gap > 2 * margin))
+    step = max(1, n // max(m, 1))
+    for lo in range(0, len(unsure), step):
+        idx = unsure[lo:lo + step]
+        assignment[idx] = np.argmin(_distances_sq(points[idx], centroids),
+                                    axis=1)
+    return assignment
 
 
 def _weighted_cost(pts: WeightedPointSet, centroids: np.ndarray,
@@ -106,16 +155,20 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
 
     Alternates nearest-centroid assignment and weighted-mean recentering
     until the relative cost improvement drops below config.rel_tol or
-    config.max_iters is reached. The cost never increases.
+    config.max_iters is reached. The cost never increases (up to rounding).
+    Assignment is a GEMM plus an exact recomputation of the points it cannot
+    certify (see _nearest): each point goes to the centroid at the smallest
+    exact squared distance, ties to the smallest index, and a point on a
+    centroid is at distance exactly zero.
     """
     centroids = np.array(centroids, dtype=np.float64)
-    assignment = np.argmin(_distances_sq(pts.points, centroids), axis=1)
+    norms_sq = np.einsum("nm,nm->n", pts.points, pts.points)
+    assignment = _nearest(pts.points, norms_sq, centroids)
     prev_cost = _weighted_cost(pts, centroids, assignment)
     for _ in range(config.max_iters):
         _weighted_means(pts.points, pts.weights, assignment, centroids)
-        assignment = np.argmin(_distances_sq(pts.points, centroids), axis=1)
+        assignment = _nearest(pts.points, norms_sq, centroids)
         cost = _weighted_cost(pts, centroids, assignment)
-        assert cost <= prev_cost + 1e-12 * max(1.0, prev_cost)
         if prev_cost - cost <= config.rel_tol * prev_cost:
             prev_cost = cost
             break

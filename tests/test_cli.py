@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,21 @@ def test_grouping_error_is_a_cli_error(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert capsys.readouterr().err == (
         "onmf: error: cross-group angle too small for centroids 0,1\n")
+
+
+def test_bcc_rejects_incomplete_graph_before_allocating(tmp_path, capsys):
+    # One edge at (4999, 4999) names a 5000x5000 graph: the dense label
+    # matrix would take 25 MB, and it is missing every other pair.
+    (tmp_path / "edges.csv").write_text("4999,4999,+\n")
+    tracemalloc.start()
+    try:
+        code = onmf.cli.main(["bcc", "--edges", str(tmp_path / "edges.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "incomplete bipartite graph" in capsys.readouterr().err
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from onmf.core import WeightedPointSet, normalize_columns
 from onmf.kmeans import (
     KMeansConfig,
+    KMeansSolution,
+    _distances_sq,
+    _nearest,
+    _weighted_cost,
+    _weighted_means,
     kmeanspp_seed,
     lloyd,
     weighted_kmeans,
 )
+from onmf.synth import gen_planted_single
 from oracles import brute_force_kmeans
 
 
@@ -114,12 +121,15 @@ def test_kmeans_matches_brute_force_on_tiny_instances():
 
 
 def test_lloyd_cost_never_increases():
-    # lloyd itself asserts monotonicity each iteration; exercise it broadly
+    # Lloyd with one more iteration from the same seeds never costs more.
     rng = np.random.default_rng(7)
     for trial in range(10):
         pts = normalize_columns(rng.random((4, 15)))
         seeds = kmeanspp_seed(pts, 3, np.random.default_rng(trial))
-        lloyd(pts, seeds, KMeansConfig(max_iters=50))
+        costs = [lloyd(pts, seeds, KMeansConfig(max_iters=t)).cost
+                 for t in range(1, 21)]
+        for prev, cost in zip(costs, costs[1:]):
+            assert cost <= prev + 1e-12 * max(1.0, prev)
 
 
 def test_clamping_negative_coordinates_never_hurts():
@@ -150,3 +160,120 @@ def test_center_of_mass_identity():
         rhs = float(np.sum(l * np.sum((x - y) ** 2, axis=1))
                     + l.sum() * np.sum((y - b) ** 2))
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+def exact_lloyd(pts, centroids, config):
+    """lloyd as it was before the GEMM kernel: exact distances every step."""
+    centroids = np.array(centroids, dtype=np.float64)
+    assignment = np.argmin(_distances_sq(pts.points, centroids), axis=1)
+    prev_cost = _weighted_cost(pts, centroids, assignment)
+    for _ in range(config.max_iters):
+        _weighted_means(pts.points, pts.weights, assignment, centroids)
+        assignment = np.argmin(_distances_sq(pts.points, centroids), axis=1)
+        cost = _weighted_cost(pts, centroids, assignment)
+        if prev_cost - cost <= config.rel_tol * prev_cost:
+            prev_cost = cost
+            break
+        prev_cost = cost
+    return KMeansSolution(centroids=centroids, assignment=assignment,
+                          cost=prev_cost)
+
+
+def nearest(points, centroids):
+    return _nearest(points, np.einsum("nm,nm->n", points, points), centroids)
+
+
+def as_bytes(sol):
+    return (sol.assignment.tobytes(), sol.centroids.tobytes(),
+            np.float64(sol.cost).tobytes())
+
+
+@st.composite
+def kernel_cases(draw):
+    """(points, weights, centroids) for the GEMM kernel's differential test.
+
+    Kinds: random; 0/1 with duplicated points (duplicated columns of M);
+    0 and -0.0 heavy; and random scaled to about 1e+-150, where the squared
+    norms overflow or underflow. Centroids are random, copies of points
+    (exact ties), or k-means++ seeds, which end in zero centroids when k
+    exceeds the distinct points; a duplicate may be appended.
+    """
+    kind = draw(st.sampled_from(["random", "binary", "zeros", "huge", "tiny"]))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 6))
+    cell = {"binary": st.sampled_from([0.0, 1.0]),
+            "zeros": st.sampled_from([0.0, -0.0, 1.0, 0.5]),
+            }.get(kind, st.floats(-1.0, 1.0))
+    grid = st.lists(st.lists(cell, min_size=m, max_size=m),
+                    min_size=n, max_size=n)
+    points = np.array(draw(grid), dtype=np.float64)
+    if kind == "binary":
+        points = points[draw(st.lists(st.integers(0, n - 1),
+                                      min_size=n, max_size=n))]
+    if kind in ("huge", "tiny"):
+        exponent = draw(st.sampled_from([140, 150, 154, 155, 160]))
+        points *= 10.0 ** (exponent if kind == "huge" else -exponent)
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]),
+                                     min_size=n, max_size=n)))
+    source = draw(st.sampled_from(["random", "points", "seeding"]))
+    if source == "random":
+        centroids = np.array(draw(st.lists(st.lists(cell, min_size=m,
+                                                    max_size=m),
+                                           min_size=k, max_size=k)))
+        centroids = centroids * (np.abs(points).max() or 1.0)
+    elif source == "points":
+        centroids = points[draw(st.lists(st.integers(0, n - 1),
+                                         min_size=k, max_size=k))]
+    else:
+        pts = WeightedPointSet(points=points, weights=weights)
+        seed = draw(st.integers(0, 2**16))
+        with np.errstate(all="ignore"):
+            centroids = kmeanspp_seed(pts, k, np.random.default_rng(seed))
+    if draw(st.booleans()):
+        centroids = np.vstack([centroids, centroids[draw(
+            st.integers(0, len(centroids) - 1))]])
+    return points, weights, np.asarray(centroids, dtype=np.float64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_cases())
+@example((np.array([[0.0, 1.0], [-0.0, 0.0], [0.0, -0.0]]), np.ones(3),
+          np.zeros((3, 2))))
+@example((np.array([[1e200, 3e200], [-2e200, 1e200]]), np.ones(2),
+          np.array([[1e200, 1e200], [-1e200, 1e200]])))
+@np.errstate(all="ignore")  # the 1e+-150 cases overflow and underflow
+def test_gemm_kernel_matches_exact_kernel(case):
+    points, weights, centroids = case
+    exact = np.argmin(_distances_sq(points, centroids), axis=1)
+    assert nearest(points, centroids).tobytes() == exact.tobytes()
+    pts = WeightedPointSet(points=points, weights=weights)
+    config = KMeansConfig(max_iters=5)
+    assert (as_bytes(lloyd(pts, centroids, config))
+            == as_bytes(exact_lloyd(pts, centroids, config)))
+
+
+def test_gemm_kernel_near_tie_falls_back_to_exact():
+    # The point is 2e-8 from the second centroid and 3e-8 from the first,
+    # but the expanded form cancels ||x||^2 = 100 against the rest and
+    # rounds the first distance to 0 and the second to about 1.4e-14.
+    points = np.array([[10.0]])
+    centroids = np.array([[10.0 + 3e-8], [10.0 - 2e-8]])
+    s = np.einsum("nm,nm->n", points, points)
+    t = np.einsum("km,km->k", centroids, centroids)
+    raw = s[:, None] - 2.0 * (points @ centroids.T) + t
+    assert np.argmin(raw, axis=1).tolist() == [0]
+    assert np.argmin(_distances_sq(points, centroids), axis=1).tolist() == [1]
+    assert nearest(points, centroids).tolist() == [1]
+    assert nearest(np.repeat(points, 50, axis=0), centroids).tolist() == [1] * 50
+
+
+def test_gemm_kernel_on_planted_lloyd_runs():
+    # Whole Lloyd runs on planted inputs match the exact kernel.
+    for seed in range(3):
+        pts = normalize_columns(
+            gen_planted_single(30, 300, 8, 0.5, seed).m_observed)
+        seeds = kmeanspp_seed(pts, 8, np.random.default_rng(seed))
+        config = KMeansConfig(max_iters=20)
+        assert (as_bytes(lloyd(pts, seeds, config))
+                == as_bytes(exact_lloyd(pts, seeds, config)))

@@ -7,6 +7,7 @@ import pytest
 from onmf.core import frobenius_norm_sq, normalize_columns
 from onmf.kmeans import KMeansConfig, kmeanspp_seed, weighted_kmeans
 from onmf.metrics import planted_stat
+from onmf.single import factorize_single
 from onmf.synth import _exp, gen_planted_double, gen_planted_single
 
 
@@ -82,6 +83,28 @@ def test_frozen_kmeans_streams():
     # they pin how each restart turns the configured seed into a generator.
     sol = weighted_kmeans(pts, 4, KMeansConfig(restarts=2, max_iters=1, seed=5))
     assert "".join(map(str, sol.assignment)) == "212021002311021321023102201121"
+
+
+# sha256 prefixes of the weighted_kmeans labels and cost, and of the
+# factorize_single objective and w.group, on 100x2000 planted instances with
+# k = 20, 2 restarts and 10 Lloyd iterations. Several Lloyd steps deep, they
+# catch a drift in the assignment kernel that one step would not show.
+FROZEN_KMEANS_RUNS = {
+    11: ("1147d89645d2ccd0", "9c7a50c003ff1c7f", "1279b6ec5a0f1848",
+         "1147d89645d2ccd0"),
+    12: ("d0f4eb6665940b96", "0f7d80a94f79f476", "094c1444259673d0",
+         "d0f4eb6665940b96"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_KMEANS_RUNS))
+def test_frozen_kmeans_runs(seed):
+    M = gen_planted_single(100, 2000, 20, 0.5, seed).m_observed
+    config = KMeansConfig(restarts=2, max_iters=10, seed=seed)
+    sol = weighted_kmeans(normalize_columns(M), 20, config)
+    fact = factorize_single(M, 20, config)
+    assert (digest(sol.assignment), digest(sol.cost), digest(fact.objective),
+            digest(fact.w.group)) == FROZEN_KMEANS_RUNS[seed]
 
 
 def test_planted_single_structure():
