@@ -111,12 +111,20 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
     a, w = sol.a, sol.w
     left = np.zeros(g.m, dtype=np.int64)
     right = np.zeros(g.n, dtype=np.int64)
+    # Rows of every block in one pass, grouped by block and ascending within
+    # it; columns with positive theta grouped by block by one stable sort.
+    row_block, rows_all = np.nonzero(a.T > 0)
+    cols_all = np.flatnonzero(w.theta > 0)
+    cols_all = cols_all[np.argsort(w.group[cols_all], kind="stable")]
+    col_block = w.group[cols_all]
+    blocks = np.intersect1d(row_block, col_block)  # non-empty, ascending
+    row_lo = np.searchsorted(row_block, blocks, side="left")
+    row_hi = np.searchsorted(row_block, blocks, side="right")
+    col_lo = np.searchsorted(col_block, blocks, side="left")
+    col_hi = np.searchsorted(col_block, blocks, side="right")
     next_id = 1
-    for s in range(a.shape[1]):
-        rows = np.flatnonzero(a[:, s] > 0)
-        cols = np.flatnonzero((w.group == s) & (w.theta > 0))
-        if rows.size == 0 or cols.size == 0:
-            continue
+    for s, r0, r1, c0, c1 in zip(blocks, row_lo, row_hi, col_lo, col_hi):
+        rows, cols = rows_all[r0:r1], cols_all[c0:c1]
         a_hat, w_hat = round_block(M[np.ix_(rows, cols)], a[rows, s],
                                    w.theta[cols])
         rset = rows[a_hat > 0]

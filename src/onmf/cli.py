@@ -327,6 +327,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError, GroupingError) as exc:
         print(f"onmf: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate.
+        detail = str(exc) or "allocation failed"
+        print(f"onmf: error: out of memory: {detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -57,15 +57,18 @@ def _cosine_matrix(centroids: np.ndarray) -> np.ndarray:
     return np.clip(unit @ unit.T, 0.0, 1.0)
 
 
-def weight_reduction(centroids: np.ndarray, q: np.ndarray) -> np.ndarray:
+def weight_reduction(centroids: np.ndarray, q: np.ndarray, *,
+                     cos: np.ndarray | None = None) -> np.ndarray:
     """Zero out paired weights of centroids with angle in [pi/6, pi/3].
 
     Single lexicographic pass over pairs (j1, j2) with j1 < j2; each hit
     decreases both weights by their minimum, sending at least one to zero.
     One pass suffices because weights never increase. Band membership is an
-    inclusive cosine test in [cos(pi/3), cos(pi/6)].
+    inclusive cosine test in [cos(pi/3), cos(pi/6)]. `cos` is the centroids'
+    cosine matrix when the caller already has it.
     """
-    cos = _cosine_matrix(centroids)
+    if cos is None:
+        cos = _cosine_matrix(centroids)
     qp = np.array(q, dtype=np.float64)
     in_band = (COS_WIDE <= cos) & (cos <= COS_NARROW)
     for j1, j2 in zip(*np.nonzero(np.triu(in_band, 1))):  # row-major = lexicographic
@@ -77,45 +80,50 @@ def weight_reduction(centroids: np.ndarray, q: np.ndarray) -> np.ndarray:
     return qp
 
 
-def group_centroids(centroids: np.ndarray, q_reduced: np.ndarray) -> np.ndarray:
+def group_centroids(centroids: np.ndarray, q_reduced: np.ndarray, *,
+                    cos: np.ndarray | None = None) -> np.ndarray:
     """Group the surviving centroids by connected small-angle components.
 
     Positive-weight centroids are joined when their angle is below pi/6
     (cosine above cos(pi/6)); the connected components of that graph are the
-    groups, numbered in order of their smallest member. A verification pass
-    asserts the separation the weight reduction guarantees: within a group
-    all angles below pi/6, across groups all above pi/3. Zero-weight
+    groups, numbered in order of their smallest member. The components come
+    from min-label propagation along the graph's edges: every centroid ends
+    labeled with the smallest member of its component, and np.unique numbers
+    those labels in ascending order. A verification pass asserts the
+    separation the weight reduction guarantees: within a group all angles
+    below pi/6, across groups all above pi/3. Zero-weight
     centroids join the group of the angularly nearest positive-weight
     centroid (ties toward the smallest index); with no positive-weight
-    centroid at all everything maps to group 0.
+    centroid at all everything maps to group 0. `cos` is the centroids'
+    cosine matrix when the caller already has it.
     """
     sigma = np.zeros(len(q_reduced), dtype=np.int64)
     is_positive = q_reduced > 0
     positive = np.flatnonzero(is_positive)
     if positive.size == 0:
         return sigma
-    cos = _cosine_matrix(centroids)
+    if cos is None:
+        cos = _cosine_matrix(centroids)
     sub = cos[np.ix_(positive, positive)]
     # Mirror the upper triangle so the graph stays symmetric even where the
     # matmul rounded cos[i, j] and cos[j, i] differently.
     near = np.triu(sub > COS_NARROW, 1)
     near |= near.T
 
-    # Connected components by a growing reachability frontier; scanning the
-    # seeds in order numbers the components by their smallest member.
-    comp = np.full(positive.size, -1, dtype=np.int64)
-    n_groups = 0
-    for seed in range(positive.size):
-        if comp[seed] >= 0:
-            continue
-        reached = np.zeros(positive.size, dtype=bool)
-        reached[seed] = True
-        frontier = reached.copy()
-        while frontier.any():
-            frontier = near[frontier].any(axis=0) & ~reached
-            reached |= frontier
-        comp[reached] = n_groups
-        n_groups += 1
+    # Connected components by min-label propagation: each step takes the
+    # smallest label among a node and its neighbours, then replaces every
+    # label by the label of the node it names. Labels never rise, never
+    # exceed their node's index and stay inside the component, so the fixed
+    # point labels each node with its component's smallest member.
+    src, dst = np.nonzero(near)
+    labels = np.arange(positive.size)
+    while True:
+        prev = labels.copy()
+        np.minimum.at(labels, src, prev[dst])
+        labels = labels[labels]
+        if np.array_equal(labels, prev):
+            break
+    comp = np.unique(labels, return_inverse=True)[1]
     sigma[positive] = comp
 
     # Verification: the post-reduction angle structure must hold. Within a
@@ -173,9 +181,14 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
 
 def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
             phi: np.ndarray) -> OnmfSolution:
-    """Steps 2-3 on prepared centroids/weights, then scale fitting."""
-    qp = weight_reduction(centroids, q)
-    sigma = group_centroids(centroids, qp)
+    """Steps 2-3 on prepared centroids/weights, then scale fitting.
+
+    Reduction and grouping share one cosine matrix, freed before the solve.
+    """
+    cos = _cosine_matrix(centroids)
+    qp = weight_reduction(centroids, q, cos=cos)
+    sigma = group_centroids(centroids, qp, cos=cos)
+    del cos
     a = solve_orthogonal_centroids(centroids, qp, sigma)
     group = sigma[phi]
     return _solution(M, a, group, _theta_against(M, a, group))

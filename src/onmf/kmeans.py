@@ -101,15 +101,44 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
     """Recenter each row j of out on the weighted mean of the points labeled j.
 
     Rows whose points carry no positive total weight (empty clusters
-    included) keep their value. Returns the total weight per row.
+    included) keep their value; labels outside [0, len(out)), such as -1,
+    are ignored. Returns the total weight per row.
+
+    One stable sort of the labels turns each row's points into a segment in
+    index order. A segment of two or more points takes the gemv w @ P / total
+    on its rows, as a per-label mask would select them. The single points
+    are done in one array expression: the one-term BLAS product starts from
+    +0.0, so it gives +0.0 where w * x is -0.0, and (w * x + 0.0) / w
+    reproduces it bit for bit; likewise a one-element sum of -0.0 is +0.0.
     """
-    totals = np.zeros(out.shape[0])
-    for j in range(out.shape[0]):
-        mask = labels == j
-        total = float(weights[mask].sum())
+    k = out.shape[0]
+    order = np.argsort(labels, kind="stable")
+    # Label j's points are order[bounds[j]:bounds[j + 1]].
+    bounds = np.searchsorted(labels[order], np.arange(k + 1))
+    counts = np.diff(bounds)
+    totals = np.zeros(k)
+
+    single = np.flatnonzero(counts == 1)
+    if single.size:
+        idx = order[bounds[single]]
+        w = weights[idx] + 0.0
+        totals[single] = w
+        pos = w > 0
+        w = w[pos, None]
+        rows = points[idx[pos]]  # a copy: (w * x + 0.0) / w in place
+        rows *= w
+        rows += 0.0
+        rows /= w
+        out[single[pos]] = rows
+
+    bounds = bounds.tolist()  # Python ints slice faster
+    for j in np.flatnonzero(counts > 1).tolist():
+        idx = order[bounds[j]:bounds[j + 1]]
+        w = weights[idx]
+        total = float(w.sum())
         totals[j] = total
         if total > 0:
-            out[j] = weights[mask] @ points[mask] / total
+            out[j] = w @ points[idx] / total
     return totals
 
 

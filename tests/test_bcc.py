@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from onmf.bcc import (
     disagreements,
     round_block,
 )
+from conftest import planted_labels
 from onmf.core import frobenius_norm_sq
 from oracles import brute_force_bcc
 
@@ -137,3 +140,27 @@ def test_bcc_within_120_of_optimum():
         g = labeling(rng.random((m, n)) < 0.5)
         _, count = bcc_cluster(g)
         assert count <= 120 * brute_force_bcc(g)
+
+
+# sha256 prefixes of bcc_cluster's count, left ids and right ids, taken
+# before the block discovery and the large-k steps were vectorized.
+FROZEN_BCC = [
+    ("600x600", lambda: planted_labels(600, 600, 12, 0.2, 1),
+     "3c1dda94716b9d91"),
+    ("40x90-transposed", lambda: planted_labels(40, 90, 4, 0.2, 2),
+     "c282bd284ca66cbc"),
+    ("all-plus", lambda: np.ones((30, 30), dtype=bool), "f4625e2533d8dd12"),
+    ("all-minus", lambda: np.zeros((30, 30), dtype=bool), "1abd205526b9d2ae"),
+    ("noiseless-4", lambda: planted_labels(50, 70, 4, 0.0, 3),
+     "cef9e1ae2b6e1607"),
+]
+
+
+@pytest.mark.parametrize("make, digest", [case[1:] for case in FROZEN_BCC],
+                         ids=[case[0] for case in FROZEN_BCC])
+def test_bcc_frozen_outputs(make, digest):
+    clustering, count = bcc_cluster(BipartiteLabeling(labels=make()))
+    data = b"".join([repr(int(count)).encode(),
+                     np.asarray(clustering.left, dtype=np.int64).tobytes(),
+                     np.asarray(clustering.right, dtype=np.int64).tobytes()])
+    assert hashlib.sha256(data).hexdigest()[:16] == digest

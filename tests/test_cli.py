@@ -188,6 +188,24 @@ def test_bcc_rejects_incomplete_graph_before_allocating(tmp_path, capsys):
     assert peak < 1_000_000
 
 
+def test_memory_error_is_a_cli_error(tmp_path, monkeypatch, capsys):
+    # What numpy raises for `5000000,5000000,+` under --complete, without
+    # asking for the 25 TB.
+    message = ("Unable to allocate 22.7 TiB for an array with shape "
+               "(5000001, 5000001) and data type bool")
+
+    def fail(path, complete):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(onmf.cli, "_read_edge_list", fail)
+    (tmp_path / "edges.csv").write_text("5000000,5000000,+\n")
+    code = onmf.cli.main(["bcc", "--complete",
+                          "--edges", str(tmp_path / "edges.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"onmf: error: out of memory: {message}\n")
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
 def test_sweep_rejects_bad_thread_count(value, monkeypatch, capsys):
     monkeypatch.setenv("ONMF_THREADS", value)

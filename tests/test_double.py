@@ -19,6 +19,7 @@ from onmf.double import (
 from onmf.kmeans import KMeansConfig, KMeansSolution, weighted_kmeans
 from onmf.metrics import non_orthogonality
 from onmf.synth import gen_planted_double
+from conftest import planted_labels
 from oracles import brute_force_double
 
 LARGE_K_RATIO = 1.0 / SIN_SQ_PI_12
@@ -250,6 +251,44 @@ def test_large_k_steps_match_pair_loop_reference(case):
     for weights in (weight_reduction(centroids, q), q):
         assert _outcome(group_centroids, centroids, weights) == _outcome(
             _reference_group_centroids, centroids, weights)
+
+
+def _duplicated_binary_columns(seed):
+    """0/1 columns on 4 disjoint supports of 15 rows: each support as 3
+    identical columns and 3 one-row-short variants, each twice, plus 2 zero
+    columns, shuffled. Every group has several members joined by many edges."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for s in range(4):
+        base = np.zeros(60)
+        base[15 * s:15 * s + 15] = 1.0
+        cols += [base] * 3
+        for drop in rng.choice(15, size=3, replace=False):
+            variant = base.copy()
+            variant[15 * s + drop] = 0.0
+            cols += [variant] * 2
+    cols += [np.zeros(60)] * 2
+    return np.array(cols).T[:, rng.permutation(len(cols))]
+
+
+@pytest.mark.parametrize("M, multi_member", [
+    (planted_labels(600, 600, 12, 0.2, 1).astype(float), False),
+    (gen_planted_double(300, 200, 20, 0.05, 3).m_observed, True),
+    (_duplicated_binary_columns(4), True),
+], ids=["bcc-600x600", "planted-300x200", "duplicated-0/1"])
+def test_large_k_steps_match_reference_at_benchmark_scale(M, multi_member):
+    pts = normalize_columns(M)
+    centroids, q = pts.points, pts.weights
+    reduced = weight_reduction(centroids, q)
+    assert _outcome(weight_reduction, centroids, q) == _outcome(
+        _reference_weight_reduction, centroids, q)
+    for weights in (reduced, q):
+        assert _outcome(group_centroids, centroids, weights) == _outcome(
+            _reference_group_centroids, centroids, weights)
+    if multi_member:
+        positive = reduced > 0
+        sigma = group_centroids(centroids, reduced)
+        assert np.unique(sigma[positive]).size < positive.sum()
 
 
 @pytest.mark.parametrize("angles, message", [

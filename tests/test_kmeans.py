@@ -277,3 +277,55 @@ def test_gemm_kernel_on_planted_lloyd_runs():
         config = KMeansConfig(max_iters=20)
         assert (as_bytes(lloyd(pts, seeds, config))
                 == as_bytes(exact_lloyd(pts, seeds, config)))
+
+
+def _reference_weighted_means(points, weights, labels, out):
+    """The per-label loop _weighted_means replaced, kept as its reference."""
+    totals = np.zeros(out.shape[0])
+    for j in range(out.shape[0]):
+        mask = labels == j
+        total = float(weights[mask].sum())
+        totals[j] = total
+        if total > 0:
+            out[j] = weights[mask] @ points[mask] / total
+    return totals
+
+
+@st.composite
+def mean_cases(draw):
+    """(points, weights, labels, out): labels from -1 to k - 1, with k up to
+    twice the point count so singleton, multi-member and empty labels all
+    occur; -0.0 and zero, negative or huge/tiny weights and coordinates."""
+    n = draw(st.integers(0, 12))
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 2 * n + 1))
+    scale = draw(st.sampled_from([1.0, 1e150, 1e-150]))
+    cell = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-2.0, 2.0)
+    grid = st.lists(st.lists(cell, min_size=m, max_size=m),
+                    min_size=n, max_size=n)
+    points = np.array(draw(grid), dtype=np.float64).reshape(n, m) * scale
+    weight = st.sampled_from([0.0, -0.0, 1.0, 1e150, 1e-150]) | st.floats(-1.0, 4.0)
+    weights = np.array(draw(st.lists(weight, min_size=n, max_size=n)),
+                       dtype=np.float64)
+    labels = np.array(draw(st.lists(st.integers(-1, k - 1), min_size=n,
+                                    max_size=n)), dtype=np.int64)
+    out = np.array(draw(st.lists(st.lists(cell, min_size=m, max_size=m),
+                                 min_size=k, max_size=k)), dtype=np.float64)
+    return points, weights, labels, out
+
+
+@settings(max_examples=400, deadline=None)
+@given(mean_cases())
+@example((np.array([[-0.0, 1.0]]), np.array([2.0]),  # w * -0.0 is -0.0
+          np.array([0]), np.ones((1, 2))))
+@example((np.array([[1.0], [1.0]]), np.array([-0.0, 1.0]),  # a -0.0 total
+          np.array([0, 1]), np.ones((3, 1))))
+@np.errstate(all="ignore")  # the 1e+-150 cases overflow and underflow
+def test_weighted_means_matches_per_label_loop(case):
+    points, weights, labels, out = case
+    expected_out = out.copy()
+    expected = _reference_weighted_means(points, weights, labels, expected_out)
+    totals = _weighted_means(points, weights, labels, out)
+    assert (totals.dtype, totals.tobytes()) == (expected.dtype,
+                                                expected.tobytes())
+    assert out.tobytes() == expected_out.tobytes()
