@@ -10,7 +10,6 @@ the factorization to binary.
 from onmf.core import (
     CompactW,
     WeightedPointSet,
-    angle,
     frobenius_norm_sq,
     normalize_columns,
     read_matrix,
@@ -59,7 +58,6 @@ __all__ = [
     "OnmfSolution",
     "PlantedInstance",
     "WeightedPointSet",
-    "angle",
     "bcc_cluster",
     "centroid_weights",
     "disagreements",

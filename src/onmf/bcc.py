@@ -78,10 +78,8 @@ def round_block(Mblk, a, w) -> tuple[np.ndarray, np.ndarray]:
     if size == 0:
         w_hat[pos] = 1.0
         return a_hat, w_hat
-    for i in pos:
-        overlap = int(np.count_nonzero((Mblk[:, i] > 0) & support))
-        if 2 * overlap >= size:
-            w_hat[i] = 1.0
+    overlap = np.count_nonzero((Mblk[:, pos] > 0) & support[:, None], axis=0)
+    w_hat[pos[2 * overlap >= size]] = 1.0
     return a_hat, w_hat
 
 
@@ -94,6 +92,10 @@ def disagreements(g: BipartiteLabeling, clustering: Clustering) -> int:
     """
     left = np.asarray(clustering.left, dtype=np.int64)
     right = np.asarray(clustering.right, dtype=np.int64)
+    if left.shape != (g.m,) or right.shape != (g.n,):
+        raise ValueError(
+            f"clustering has {left.shape} left and {right.shape} right ids "
+            f"for a {g.m}x{g.n} graph")
     same = (left[:, None] == right[None, :]) & (left[:, None] > 0)
     plus = g.labels
     return int(np.count_nonzero(plus & ~same) + np.count_nonzero(~plus & same))
@@ -111,20 +113,13 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
     a, w = sol.a, sol.w
     left = np.zeros(g.m, dtype=np.int64)
     right = np.zeros(g.n, dtype=np.int64)
-    # Rows of every block in one pass, grouped by block and ascending within
-    # it; columns with positive theta grouped by block by one stable sort.
-    row_block, rows_all = np.nonzero(a.T > 0)
-    cols_all = np.flatnonzero(w.theta > 0)
-    cols_all = cols_all[np.argsort(w.group[cols_all], kind="stable")]
-    col_block = w.group[cols_all]
-    blocks = np.intersect1d(row_block, col_block)  # non-empty, ascending
-    row_lo = np.searchsorted(row_block, blocks, side="left")
-    row_hi = np.searchsorted(row_block, blocks, side="right")
-    col_lo = np.searchsorted(col_block, blocks, side="left")
-    col_hi = np.searchsorted(col_block, blocks, side="right")
+    live = w.theta > 0
     next_id = 1
-    for s, r0, r1, c0, c1 in zip(blocks, row_lo, row_hi, col_lo, col_hi):
-        rows, cols = rows_all[r0:r1], cols_all[c0:c1]
+    for s in np.unique(w.group[live]):  # ascending: ids follow block order
+        rows = np.flatnonzero(a[:, s] > 0)
+        if rows.size == 0:
+            continue
+        cols = np.flatnonzero(live & (w.group == s))
         a_hat, w_hat = round_block(M[np.ix_(rows, cols)], a[rows, s],
                                    w.theta[cols])
         rset = rows[a_hat > 0]

@@ -1,4 +1,4 @@
-"""Dense matrix plumbing: norms, column normalization, angles, CSV I/O.
+"""Dense matrix plumbing: norms, column normalization, CSV I/O.
 
 Matrices are plain float64 numpy arrays in row-major order. The compact
 representation of an orthogonal-rows factor W (at most one non-zero per
@@ -17,10 +17,6 @@ import numpy as np
 # [COS_WIDE, COS_NARROW], inclusive.
 COS_NARROW = math.sqrt(3.0) / 2.0
 COS_WIDE = 0.5
-
-# sin^2(pi/12) = (1 - cos(pi/6)) / 2, the constant in the double-factor
-# approximation guarantees.
-SIN_SQ_PI_12 = (2.0 - math.sqrt(3.0)) / 4.0
 
 
 def as_matrix(data) -> np.ndarray:
@@ -81,26 +77,6 @@ def normalize_columns(M) -> WeightedPointSet:
     return WeightedPointSet(points=points, weights=weights)
 
 
-def cos_angle(x, y) -> float:
-    """Cosine of the angle between two non-zero non-negative vectors.
-
-    Clamped to [0, 1] so that arccos never sees a value slightly above 1.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        raise ValueError("angle is undefined for the zero vector")
-    c = float(np.dot(x, y) / (nx * ny))
-    return min(max(c, 0.0), 1.0)
-
-
-def angle(x, y) -> float:
-    """Angle in [0, pi/2] between two non-zero non-negative vectors."""
-    return math.acos(cos_angle(x, y))
-
-
 @dataclass
 class CompactW:
     """Orthogonal-rows factor W stored as one (group, scale) pair per column.
@@ -136,40 +112,42 @@ class CompactW:
         return W
 
 
-def _format_value(x: float) -> str:
-    # repr() of a float is the shortest string that round-trips exactly.
-    return repr(float(x))
-
-
 def write_matrix(M, path) -> None:
     """Write a matrix as CSV with exact (round-trip) decimal values."""
     M = as_matrix(M)
     with open(path, "w", encoding="ascii") as fh:
-        for row in M:
-            fh.write(",".join(_format_value(x) for x in row))
-            fh.write("\n")
+        # repr() of a float is the shortest string that round-trips exactly.
+        for row in M.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
+def _csv_lines(path, skip_first: bool = False):
+    """Yield (lineno, cells) for each non-blank line of an ASCII CSV file.
+
+    Each line is stripped of surrounding whitespace and split on commas; the
+    cells themselves are left as they are. Line numbers count every line,
+    blank and skipped ones included, so messages can name ``path:lineno``.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line and not (skip_first and lineno == 1):
+                yield lineno, line.split(",")
 
 
 def read_matrix(path, header: bool = False) -> np.ndarray:
     """Read a CSV matrix; rejects ragged rows and non-numeric cells."""
     rows: list[list[float]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if header and lineno == 1:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                values = [float(c) for c in cells]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{path}:{lineno}: non-finite value")
-            if rows and len(values) != len(rows[0]):
-                raise ValueError(f"{path}:{lineno}: ragged row")
-            rows.append(values)
+    for lineno, cells in _csv_lines(path, skip_first=header):
+        try:
+            values = [float(c) for c in cells]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{path}:{lineno}: non-finite value")
+        if rows and len(values) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: ragged row")
+        rows.append(values)
     if not rows:
         raise ValueError(f"{path}: empty matrix")
     return np.array(rows, dtype=np.float64)

@@ -1,13 +1,15 @@
-"""Brute-force oracles: exact optima on tiny inputs, for ratio tests.
+"""Brute-force oracles and angle helpers for the tests.
 
 Each oracle enumerates every feasible solution, so the instance-size guards
 keep the enumeration small. They reuse the solver's own recentering, cost and
-solution epilogue, so a ratio test compares like with like.
+solution epilogue, so a ratio test compares like with like. The angle helpers
+and the large-k constant state the paper's guarantees directly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -15,6 +17,30 @@ from onmf.bcc import BipartiteLabeling, Clustering, disagreements
 from onmf.core import WeightedPointSet, check_nonneg, frobenius_norm_sq
 from onmf.kmeans import KMeansSolution, _weighted_cost, _weighted_means
 from onmf.single import OnmfSolution, _solution, _theta_against
+
+# sin^2(pi/12) = (1 - cos(pi/6)) / 2, the constant in the double-factor
+# approximation guarantees.
+SIN_SQ_PI_12 = (2.0 - math.sqrt(3.0)) / 4.0
+
+
+def cos_angle(x, y) -> float:
+    """Cosine of the angle between two non-zero non-negative vectors.
+
+    Clamped to [0, 1] so that arccos never sees a value slightly above 1.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    nx = np.linalg.norm(x)
+    ny = np.linalg.norm(y)
+    if nx == 0.0 or ny == 0.0:
+        raise ValueError("angle is undefined for the zero vector")
+    c = float(np.dot(x, y) / (nx * ny))
+    return min(max(c, 0.0), 1.0)
+
+
+def angle(x, y) -> float:
+    """Angle in [0, pi/2] between two non-zero non-negative vectors."""
+    return math.acos(cos_angle(x, y))
 
 
 def rank_one_fit(S: np.ndarray, max_iters: int = 1000,

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import cli_env
 from onmf.bcc import BipartiteLabeling, bcc_cluster, round_block
-from onmf.core import SIN_SQ_PI_12, frobenius_norm_sq, normalize_columns
+from onmf.core import frobenius_norm_sq, normalize_columns
 from onmf.double import (
     factorize_double,
     factorize_double_large_k,
@@ -25,6 +25,7 @@ from onmf.metrics import non_orthogonality, planted_stat
 from onmf.single import factorize_single
 from onmf.synth import gen_planted_single
 from oracles import (
+    SIN_SQ_PI_12,
     brute_force_bcc,
     brute_force_double,
     brute_force_kmeans,

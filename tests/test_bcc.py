@@ -73,6 +73,13 @@ def test_round_block_bound_on_random_triples():
         binary_err = frobenius_norm_sq(Mblk - np.outer(a_hat, w_hat))
         frac_err = frobenius_norm_sq(Mblk - np.outer(a, w))
         assert binary_err <= 8 * frac_err + 1e-12
+        # Column by column: a positive-weight column is kept exactly when
+        # it shares at least half of the chosen support.
+        support = a_hat > 0
+        if support.any():
+            for i in np.flatnonzero(w > 0):
+                overlap = int(np.count_nonzero((Mblk[:, i] > 0) & support))
+                assert w_hat[i] == (2 * overlap >= support.sum())
 
 
 def test_disagreements_perfect_blocks():
@@ -93,6 +100,20 @@ def test_disagreements_all_plus_singletons():
     clustering = Clustering(left=np.zeros(2, dtype=int),
                             right=np.zeros(2, dtype=int))
     assert disagreements(g, clustering) == 4
+
+
+def test_disagreements_rejects_mismatched_sides():
+    # A length-1 side must not broadcast: left=[1] on this graph once
+    # counted 0, where left=[1, 0, 0, 0] has 9 disagreements.
+    g = labeling(np.ones((4, 3)))
+    right = np.ones(3, dtype=int)
+    assert disagreements(g, Clustering(left=np.array([1, 0, 0, 0]),
+                                       right=right)) == 9
+    with pytest.raises(ValueError, match="4x3 graph"):
+        disagreements(g, Clustering(left=np.array([1]), right=right))
+    with pytest.raises(ValueError, match="4x3 graph"):
+        disagreements(g, Clustering(left=np.ones(4, dtype=int),
+                                    right=np.ones(4, dtype=int)))
 
 
 def test_bcc_identity():
@@ -153,6 +174,9 @@ FROZEN_BCC = [
     ("all-minus", lambda: np.zeros((30, 30), dtype=bool), "1abd205526b9d2ae"),
     ("noiseless-4", lambda: planted_labels(50, 70, 4, 0.0, 3),
      "cef9e1ae2b6e1607"),
+    # 300 singleton blocks, against about 20 in the 600x600 case; taken
+    # before bcc_cluster walked the blocks by group.
+    ("identity-300", lambda: np.eye(300, dtype=bool), "12d8250b1e65a058"),
 ]
 
 

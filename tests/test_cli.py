@@ -151,6 +151,30 @@ def test_bcc_malformed_line(tmp_path):
     assert ":2:" in res.stderr
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0,0,+\n\n0,1,?\n", ":3: malformed edge line"),
+    ("\n0,0,+\n\n0,0,-\n", ":4: duplicate edge"),
+    ("\n\n0,x,+\n", ":3: malformed edge line"),
+    ("0,0,+\n\n-1,0,+\n", ":3: negative vertex index"),
+    ("0,0, + \n", ":1: malformed edge line"),
+    ("\n\n", ": empty edge list"),
+])
+def test_edge_list_error_line_numbers(tmp_path, text, message):
+    # Line numbers count blank lines; the sign cell must be bare.
+    path = tmp_path / "edges.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        onmf.cli._read_edge_list(str(path), complete=True)
+    assert str(exc.value) == f"{path}{message}"
+
+
+def test_edge_list_accepts_crlf_and_spaced_indices(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_bytes(b"0,0,+\r\n\r\n 0 , 1 ,-\r\n")
+    g = onmf.cli._read_edge_list(str(path), complete=False)
+    assert g.labels.tolist() == [[True, False]]
+
+
 def test_bcc_incomplete_without_flag(tmp_path):
     (tmp_path / "edges.csv").write_text("0,0,+\n1,1,+\n")
     res = run_cli(["bcc", "--edges", "edges.csv"], cwd=tmp_path)

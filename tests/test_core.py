@@ -7,14 +7,13 @@ import onmf
 from onmf.core import (
     COS_NARROW,
     COS_WIDE,
-    SIN_SQ_PI_12,
     CompactW,
-    angle,
     frobenius_norm_sq,
     normalize_columns,
     read_matrix,
     write_matrix,
 )
+from oracles import SIN_SQ_PI_12, angle
 
 
 def test_frobenius_norm_sq():
@@ -127,6 +126,29 @@ def test_csv_parse(tmp_path):
     path.write_text("a,b\n1,2\n")
     assert np.array_equal(read_matrix(path, header=True), [[1.0, 2.0]])
 
+    path.write_bytes(b"1,2\r\n 3 , 4 \r\n")
+    assert np.array_equal(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    path.write_bytes(b"a,b\r\n\r\n1,2\r\n   \r\n")
+    assert np.array_equal(read_matrix(path, header=True), [[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("text, header, message", [
+    ("a,b\n\n1,2\n3,x\n", True, ":4: non-numeric cell"),
+    ("a,b\n\n1,2\n3\n", True, ":4: ragged row"),
+    ("\na,b\n1,2\n", True, ":2: non-numeric cell"),  # header is line 1
+    ("\n\n1,2\n\n3,inf\n", False, ":5: non-finite value"),
+    ("\n", False, ": empty matrix"),
+    ("a,b\n", True, ": empty matrix"),
+])
+def test_csv_error_line_numbers(tmp_path, text, header, message):
+    # Line numbers count blank lines and the header.
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_matrix(path, header=header)
+    assert str(exc.value) == f"{path}{message}"
+
 
 def test_angle_band_constants():
     assert SIN_SQ_PI_12 == pytest.approx(math.sin(math.pi / 12) ** 2,
@@ -136,7 +158,22 @@ def test_angle_band_constants():
     assert COS_WIDE == pytest.approx(math.cos(math.pi / 3), abs=1e-15)
 
 
+PUBLIC_NAMES = [
+    "BipartiteLabeling", "Clustering", "CompactW", "GroupingError",
+    "KMeansConfig", "KMeansSolution", "OnmfSolution", "PlantedInstance",
+    "WeightedPointSet", "bcc_cluster", "centroid_weights", "disagreements",
+    "factorize_double", "factorize_double_large_k", "factorize_single",
+    "frobenius_norm_sq", "gen_planted_double", "gen_planted_single",
+    "group_centroids", "kmeanspp_seed", "lloyd", "non_orthogonality",
+    "normalize_columns", "planted_stat", "read_matrix", "reconstruction_error",
+    "recovery_error", "round_block", "rsfe", "solve_orthogonal_centroids",
+    "weight_reduction", "weighted_kmeans", "write_matrix",
+]
+
+
 def test_public_names_resolve():
+    # A public name is added or removed only by editing this list.
+    assert sorted(onmf.__all__) == PUBLIC_NAMES
     for name in onmf.__all__:
         getattr(onmf, name)
     namespace = {}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from onmf.core import COS_NARROW, COS_WIDE, SIN_SQ_PI_12, angle, normalize_columns
+from onmf.core import COS_NARROW, COS_WIDE, normalize_columns
 from onmf.double import (
     GroupingError,
     _cosine_matrix,
@@ -20,7 +20,7 @@ from onmf.kmeans import KMeansConfig, KMeansSolution, weighted_kmeans
 from onmf.metrics import non_orthogonality
 from onmf.synth import gen_planted_double
 from conftest import planted_labels
-from oracles import brute_force_double
+from oracles import SIN_SQ_PI_12, angle, brute_force_double
 
 LARGE_K_RATIO = 1.0 / SIN_SQ_PI_12
 
