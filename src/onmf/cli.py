@@ -1,22 +1,19 @@
 """Command-line interface: generate, factorize, evaluate, sweep, bcc.
 
 Scalar results go to stdout as JSON, matrices and sweep tables to CSV files.
-Every command is deterministic given --seed; the ONMF_THREADS environment
-variable (a positive integer) caps the worker count for sweep trials without
-affecting output bytes. Exit codes: 0 success, 1 runtime failure, 2 usage
-error.
+Every command is deterministic given --seed. Exit codes: 0 success, 1 runtime
+failure, 2 usage error, which includes a float flag (--noise, --tol, a
+--noise-grid level) that is negative, NaN or infinite and a negative --seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,19 +42,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonneg_float(text: str) -> float:
-    value = float(text)
+def _nonneg_int(text: str) -> int:
+    value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
+def _nonneg_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {value}")
+    return value
+
+
 def _noise_grid(text: str) -> list[float]:
-    try:
-        grid = [float(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad noise grid {text!r}") from exc
-    if not grid or any(g < 0 for g in grid):
+    grid = [_nonneg_float(t) for t in text.split(",") if t.strip() != ""]
+    if not grid:
         raise argparse.ArgumentTypeError(f"bad noise grid {text!r}")
     return grid
 
@@ -66,18 +68,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _worker_count(parser: argparse.ArgumentParser) -> int:
-    text = os.environ.get("ONMF_THREADS", "1")
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        parser.error(f"ONMF_THREADS must be a positive integer, got {text!r}")
-    return value
-
-
-def _lower_median(values: list[float]) -> float:
+def _lower_median(values: tuple[float, ...]) -> float:
     ordered = sorted(values)
     return ordered[(len(ordered) - 1) // 2]
 
@@ -86,12 +77,12 @@ def _add_kmeans_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=_positive_int, default=10)
     p.add_argument("--max-iters", type=_positive_int, default=100)
     p.add_argument("--tol", type=_nonneg_float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
 
 
-def _config(args: argparse.Namespace) -> KMeansConfig:
+def _config(args: argparse.Namespace, seed: int) -> KMeansConfig:
     return KMeansConfig(restarts=args.restarts, max_iters=args.max_iters,
-                        rel_tol=args.tol, seed=args.seed)
+                        rel_tol=args.tol, seed=seed)
 
 
 def _generate(m, n, k, noise, seed, mode):
@@ -126,7 +117,7 @@ def _run_mode(M: np.ndarray, mode: str, k: int, config: KMeansConfig):
 def cmd_factorize(args: argparse.Namespace) -> int:
     M = read_matrix(args.input, header=args.header)
     start = time.perf_counter()
-    sol = _run_mode(M, args.mode, args.k, _config(args))
+    sol = _run_mode(M, args.mode, args.k, _config(args, args.seed))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if args.out_a:
         write_matrix(sol.a, args.out_a)
@@ -154,11 +145,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_trial(params) -> tuple[float, float, float, float]:
-    (m, n, k, noise, seed, mode, config) = params
-    inst = _generate(m, n, k, noise, seed, mode)
+def _sweep_trial(args: argparse.Namespace, noise: float,
+                 seed: int) -> tuple[float, float, float, float]:
+    inst = _generate(args.m, args.n, args.k, noise, seed, args.mode)
     start = time.perf_counter()
-    sol = _run_mode(inst.m_observed, mode, k, config)
+    sol = _run_mode(inst.m_observed, args.mode, args.k, _config(args, seed))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     W = sol.w.materialize()
     return (
@@ -176,25 +167,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.timing:
         header.append("median_wall_time_ms")
     lines = [",".join(header)]
-    base = _config(args)
     for level_idx, noise in enumerate(args.noise_grid):
-        params = []
-        for t in range(args.trials):
-            seed = args.seed + level_idx * args.trials + t
-            params.append((args.m, args.n, args.k, noise, seed, args.mode,
-                           dataclasses.replace(base, seed=seed)))
-        if args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(_sweep_trial, params))
-        else:
-            results = [_sweep_trial(p) for p in params]
+        first = args.seed + level_idx * args.trials
+        results = [_sweep_trial(args, noise, seed)
+                   for seed in range(first, first + args.trials)]
         rec, recon, ortho, times = zip(*results)
         ref = math.sqrt(2.0 * args.m * args.n) * noise
-        row = [_fmt(noise), _fmt(_lower_median(list(rec))),
-               _fmt(_lower_median(list(recon))),
-               _fmt(_lower_median(list(ortho))), _fmt(ref)]
+        row = [_fmt(noise), _fmt(_lower_median(rec)),
+               _fmt(_lower_median(recon)), _fmt(_lower_median(ortho)),
+               _fmt(ref)]
         if args.timing:
-            row.append(_fmt(_lower_median(list(times))))
+            row.append(_fmt(_lower_median(times)))
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -259,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--noise", type=_nonneg_float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--mode", choices=["single", "double"], default="single")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_generate)
@@ -314,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sweep":
-        args.workers = _worker_count(parser)
     try:
         return args.func(args)
     except (ValueError, OSError, GroupingError) as exc:

@@ -29,7 +29,8 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1 or self.max_iters < 1 or self.rel_tol < 0:
+        if (self.restarts < 1 or self.max_iters < 1 or self.seed < 0
+                or not 0 <= self.rel_tol < np.inf):
             raise ValueError("invalid k-means configuration")
 
 
@@ -66,8 +67,6 @@ def _nearest(points: np.ndarray, norms_sq: np.ndarray,
     few rows at a time, so the temporary stays about n k floats.
     """
     n, m = points.shape
-    if len(centroids) == 1:
-        return np.zeros(n, dtype=np.intp)
     c_norms_sq = np.einsum("km,km->k", centroids, centroids)
     g = points @ centroids.T
     g *= -2.0

@@ -41,8 +41,8 @@ def _planted(m: int, n: int, k: int, noise_level: float, seed: int,
              double: bool) -> PlantedInstance:
     if m < 1 or n < 1 or k < 1:
         raise ValueError("m, n, k must all be >= 1")
-    if noise_level < 0:
-        raise ValueError("noise_level must be non-negative")
+    if not 0 <= noise_level < np.inf:
+        raise ValueError("noise_level must be finite and non-negative")
     rng = np.random.default_rng(seed)
 
     if double:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -46,6 +47,42 @@ def test_generate_usage_error(tmp_path):
     res = run_cli(["generate", "--m", "0", "--n", "2", "--k", "1",
                    "--noise", "0"], cwd=tmp_path)
     assert res.returncode == 2
+
+
+# A valid call per subcommand, writing to "out"; a trailing --flag=value
+# overrides the value given here.
+VALID_ARGV = {
+    "generate": ["generate", "--m", "3", "--n", "4", "--k", "2",
+                 "--noise", "0.1", "--out-dir", "out"],
+    "factorize": ["factorize", "--input", "M.csv", "--k", "2",
+                  "--out-a", "out"],
+    "sweep": ["sweep", "--m", "3", "--n", "4", "--k", "2",
+              "--noise-grid", "0.1", "--trials", "1", "--restarts", "1",
+              "--out", "out"],
+}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("generate", "--noise", "nan"),
+    ("generate", "--noise", "inf"),
+    ("generate", "--seed", "-1"),
+    ("factorize", "--tol", "nan"),
+    ("factorize", "--tol", "inf"),
+    ("factorize", "--seed", "-1"),
+    ("sweep", "--noise-grid", "inf"),
+    ("sweep", "--noise-grid", "0.1,nan"),
+    ("sweep", "--tol", "nan"),
+    ("sweep", "--seed", "-1"),
+])
+def test_bad_numeric_flag_is_a_usage_error(command, flag, value, tmp_path,
+                                           monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]), tmp_path / "M.csv")
+    with pytest.raises(SystemExit) as exc:
+        onmf.cli.main(VALID_ARGV[command] + [f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_factorize_single(tmp_path):
@@ -112,13 +149,32 @@ def test_sweep_row_count_and_reference(tmp_path):
 
 
 def test_sweep_deterministic_under_threads(tmp_path):
+    # ONMF_THREADS is not read: any value, even a malformed one, gives the
+    # same bytes.
     args = ["sweep", "--m", "4", "--n", "10", "--k", "2", "--noise-grid",
             "0.2,0.5", "--trials", "4", "--seed", "3", "--restarts", "3"]
-    run_cli(args + ["--out", "a.csv"], cwd=tmp_path,
-            env_extra={"ONMF_THREADS": "1"})
-    run_cli(args + ["--out", "b.csv"], cwd=tmp_path,
-            env_extra={"ONMF_THREADS": "4"})
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    for name, threads in (("a", "1"), ("b", "4"), ("c", "abc")):
+        res = run_cli(args + ["--out", f"{name}.csv"], cwd=tmp_path,
+                      env_extra={"ONMF_THREADS": threads})
+        assert res.returncode == 0, res.stderr
+    expected = (tmp_path / "a.csv").read_bytes()
+    assert (tmp_path / "b.csv").read_bytes() == expected
+    assert (tmp_path / "c.csv").read_bytes() == expected
+
+
+def test_sweep_timing_column(capsys):
+    args = ["sweep", "--m", "4", "--n", "10", "--k", "2", "--noise-grid",
+            "0,0.3,1", "--trials", "3", "--seed", "5", "--restarts", "2"]
+    assert onmf.cli.main(args) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert onmf.cli.main(args + ["--timing"]) == 0
+    timed = capsys.readouterr().out.splitlines()
+    assert timed[0] == plain[0] + ",median_wall_time_ms"
+    assert len(timed) == len(plain) == 4
+    for p, t in zip(plain[1:], timed[1:]):
+        head, wall = t.rsplit(",", 1)
+        assert head == p  # the first five columns, byte for byte
+        assert 0 <= float(wall) < math.inf
 
 
 def test_bcc_identity_pattern(tmp_path):
@@ -228,13 +284,3 @@ def test_memory_error_is_a_cli_error(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert capsys.readouterr().err == (
         f"onmf: error: out of memory: {message}\n")
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
-def test_sweep_rejects_bad_thread_count(value, monkeypatch, capsys):
-    monkeypatch.setenv("ONMF_THREADS", value)
-    with pytest.raises(SystemExit) as exc:
-        onmf.cli.main(["sweep", "--m", "4", "--n", "6", "--k", "2",
-                       "--noise-grid", "0", "--trials", "1"])
-    assert exc.value.code == 2
-    assert "ONMF_THREADS must be a positive integer" in capsys.readouterr().err

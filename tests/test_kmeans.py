@@ -23,6 +23,15 @@ def pset(points, weights):
                             weights=np.asarray(weights, dtype=float))
 
 
+@pytest.mark.parametrize("bad", [
+    {"restarts": 0}, {"max_iters": 0}, {"rel_tol": -1.0},
+    {"rel_tol": float("nan")}, {"rel_tol": float("inf")}, {"seed": -1},
+], ids=lambda bad: "=".join(map(str, *bad.items())))
+def test_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError, match="invalid k-means configuration"):
+        KMeansConfig(**bad)
+
+
 def test_seeding_all_weight_on_one_point():
     pts = pset([[1.0, 0.0], [0.0, 1.0]], [5.0, 0.0])
     for seed in range(5):

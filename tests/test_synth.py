@@ -47,8 +47,9 @@ def test_exp_sample_law_of_large_numbers():
 
 def test_planted_rejects_bad_arguments():
     for gen in (gen_planted_single, gen_planted_double):
-        with pytest.raises(ValueError):
-            gen(4, 5, 2, -1.0, 0)
+        for noise in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="noise_level must be"):
+                gen(4, 5, 2, noise, 0)
         with pytest.raises(ValueError):
             gen(4, 5, 0, 0.5, 0)
 
