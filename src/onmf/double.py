@@ -57,18 +57,15 @@ def _cosine_matrix(centroids: np.ndarray) -> np.ndarray:
     return np.clip(unit @ unit.T, 0.0, 1.0)
 
 
-def weight_reduction(centroids: np.ndarray, q: np.ndarray, *,
-                     cos: np.ndarray | None = None) -> np.ndarray:
+def weight_reduction(cos: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Zero out paired weights of centroids with angle in [pi/6, pi/3].
 
-    Single lexicographic pass over pairs (j1, j2) with j1 < j2; each hit
-    decreases both weights by their minimum, sending at least one to zero.
-    One pass suffices because weights never increase. Band membership is an
-    inclusive cosine test in [cos(pi/3), cos(pi/6)]. `cos` is the centroids'
-    cosine matrix when the caller already has it.
+    `cos` is the centroids' k x k cosine matrix. Single lexicographic pass
+    over pairs (j1, j2) with j1 < j2; each hit decreases both weights by
+    their minimum, sending at least one to zero. One pass suffices because
+    weights never increase. Band membership is an inclusive cosine test in
+    [cos(pi/3), cos(pi/6)].
     """
-    if cos is None:
-        cos = _cosine_matrix(centroids)
     qp = np.array(q, dtype=np.float64)
     in_band = (COS_WIDE <= cos) & (cos <= COS_NARROW)
     for j1, j2 in zip(*np.nonzero(np.triu(in_band, 1))):  # row-major = lexicographic
@@ -80,30 +77,26 @@ def weight_reduction(centroids: np.ndarray, q: np.ndarray, *,
     return qp
 
 
-def group_centroids(centroids: np.ndarray, q_reduced: np.ndarray, *,
-                    cos: np.ndarray | None = None) -> np.ndarray:
+def group_centroids(cos: np.ndarray, q_reduced: np.ndarray) -> np.ndarray:
     """Group the surviving centroids by connected small-angle components.
 
-    Positive-weight centroids are joined when their angle is below pi/6
-    (cosine above cos(pi/6)); the connected components of that graph are the
-    groups, numbered in order of their smallest member. The components come
-    from min-label propagation along the graph's edges: every centroid ends
-    labeled with the smallest member of its component, and np.unique numbers
-    those labels in ascending order. A verification pass asserts the
-    separation the weight reduction guarantees: within a group all angles
-    below pi/6, across groups all above pi/3. Zero-weight
-    centroids join the group of the angularly nearest positive-weight
-    centroid (ties toward the smallest index); with no positive-weight
-    centroid at all everything maps to group 0. `cos` is the centroids'
-    cosine matrix when the caller already has it.
+    `cos` is the centroids' k x k cosine matrix. Positive-weight centroids
+    are joined when their angle is below pi/6 (cosine above cos(pi/6)); the
+    connected components of that graph are the groups, numbered in order of
+    their smallest member. The components come from min-label propagation
+    along the graph's edges: every centroid ends labeled with the smallest
+    member of its component, and np.unique numbers those labels in ascending
+    order. A verification pass asserts the separation the weight reduction
+    guarantees: within a group all angles below pi/6, across groups all
+    above pi/3. Zero-weight centroids join the group of the angularly
+    nearest positive-weight centroid (ties toward the smallest index); with
+    no positive-weight centroid at all everything maps to group 0.
     """
     sigma = np.zeros(len(q_reduced), dtype=np.int64)
     is_positive = q_reduced > 0
     positive = np.flatnonzero(is_positive)
     if positive.size == 0:
         return sigma
-    if cos is None:
-        cos = _cosine_matrix(centroids)
     sub = cos[np.ix_(positive, positive)]
     # Mirror the upper triangle so the graph stays symmetric even where the
     # matmul rounded cos[i, j] and cos[j, i] differently.
@@ -142,11 +135,13 @@ def group_centroids(centroids: np.ndarray, q_reduced: np.ndarray, *,
             f"cross-group angle too small for centroids {j1},{j2}")
 
     # Extend to zero-weight centroids by the nearest positive one. A centroid
-    # of zero norm goes to positive[0]; its cosines are all 0 unless the norm
-    # merely underflowed, so the override is needed only then.
+    # of zero norm has a zero diagonal cosine and goes to positive[0]; its
+    # cosines are all 0 unless the norm merely underflowed, so the override
+    # is needed only then. (A norm that overflows also leaves a zero row,
+    # whose argmax is already 0.)
     zero = np.flatnonzero(~is_positive)
     nearest = np.argmax(cos[np.ix_(zero, positive)], axis=1)
-    nearest[(np.linalg.norm(centroids, axis=1) == 0)[zero]] = 0
+    nearest[np.diagonal(cos)[zero] == 0] = 0
     sigma[zero] = sigma[positive[nearest]]
     return sigma
 
@@ -186,8 +181,8 @@ def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
     Reduction and grouping share one cosine matrix, freed before the solve.
     """
     cos = _cosine_matrix(centroids)
-    qp = weight_reduction(centroids, q, cos=cos)
-    sigma = group_centroids(centroids, qp, cos=cos)
+    qp = weight_reduction(cos, q)
+    sigma = group_centroids(cos, qp)
     del cos
     a = solve_orthogonal_centroids(centroids, qp, sigma)
     group = sigma[phi]
@@ -211,12 +206,13 @@ def factorize_double_large_k(M) -> OnmfSolution:
     """Double-orthogonal factorization with inner dimension min(m, n).
 
     Skips k-means: every normalized column is its own centroid with its own
-    weight. Works on the transpose when m < n (the objective is symmetric
-    under transposition) and transposes the result back.
+    weight. Works on the transpose when 0 < m < n (the objective is
+    symmetric under transposition) and transposes the result back. With no
+    rows (m = 0) nothing is transposed and the inner dimension is n.
     """
     M = check_nonneg(M)
     m, n = M.shape
-    if m < n:
+    if 0 < m < n:
         sol_t = factorize_double_large_k(M.T)
         return _transpose_solution(M, sol_t)
     pts = normalize_columns(M)

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -15,6 +17,13 @@ def cli_env(extra=None):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return env
+
+
+def run_cli(args, cwd, env_extra=None):
+    """Run `python -m onmf.cli` with `args` in `cwd`, capturing its output."""
+    return subprocess.run([sys.executable, "-m", "onmf.cli", *args],
+                          cwd=cwd, env=cli_env(env_extra),
+                          capture_output=True, text=True)
 
 
 def planted_labels(m, n, clusters, flip, seed):

@@ -223,6 +223,35 @@ def brute_force_double(M, k: int) -> float:
     return max(total_sq - gain, 0.0)
 
 
+def coordinate_enumeration_optimum(centroids, qp, sigma) -> float:
+    """Exact optimum of the orthogonal centroid solve, by enumeration.
+
+    Independent oracle: per coordinate, try every owning group (or none);
+    for a fixed owner the optimal value is that group's weighted mean.
+    """
+    k, m = centroids.shape
+    groups = sorted({int(sigma[j]) for j in range(k) if qp[j] > 0})
+    total = 0.0
+    for h in range(m):
+        best = None
+        for owner in [None] + groups:
+            mean = 0.0
+            if owner is not None:
+                members = [j for j in range(k)
+                           if qp[j] > 0 and sigma[j] == owner]
+                qs = sum(qp[j] for j in members)
+                mean = sum(qp[j] * centroids[j, h] for j in members) / qs
+            cost = 0.0
+            for j in range(k):
+                if qp[j] > 0:
+                    target = mean if sigma[j] == owner else 0.0
+                    cost += qp[j] * (centroids[j, h] - target) ** 2
+            if best is None or cost < best:
+                best = cost
+        total += best or 0.0
+    return total
+
+
 def _partitions(items: list[int]):
     """All set partitions, as lists of blocks (restricted-growth recursion)."""
     if not items:

@@ -131,6 +131,15 @@ def test_bcc_all_plus_single_cluster():
     assert set(clustering.left.tolist()) == set(clustering.right.tolist())
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_bcc_no_vertices_on_one_side(shape):
+    clustering, count = bcc_cluster(BipartiteLabeling(np.zeros(shape, bool)))
+    assert count == 0
+    assert clustering.left.shape == (shape[0],)
+    assert clustering.right.shape == (shape[1],)
+    assert (clustering.right == 0).all() and (clustering.left == 0).all()
+
+
 def test_bcc_count_matches_disagreements_function():
     rng = np.random.default_rng(23)
     for _ in range(20):

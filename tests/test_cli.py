@@ -1,22 +1,14 @@
 import json
 import math
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import onmf.cli
-from conftest import cli_env
+from conftest import run_cli
 from onmf.core import read_matrix, write_matrix
 from onmf.double import GroupingError
-
-
-def run_cli(args, cwd, env_extra=None):
-    return subprocess.run([sys.executable, "-m", "onmf.cli", *args],
-                          cwd=cwd, env=cli_env(env_extra),
-                          capture_output=True, text=True)
 
 
 def test_generate_writes_instance(tmp_path):

@@ -160,14 +160,11 @@ def test_angle_band_constants():
 
 PUBLIC_NAMES = [
     "BipartiteLabeling", "Clustering", "CompactW", "GroupingError",
-    "KMeansConfig", "KMeansSolution", "OnmfSolution", "PlantedInstance",
-    "WeightedPointSet", "bcc_cluster", "centroid_weights", "disagreements",
-    "factorize_double", "factorize_double_large_k", "factorize_single",
-    "frobenius_norm_sq", "gen_planted_double", "gen_planted_single",
-    "group_centroids", "kmeanspp_seed", "lloyd", "non_orthogonality",
-    "normalize_columns", "planted_stat", "read_matrix", "reconstruction_error",
-    "recovery_error", "round_block", "rsfe", "solve_orthogonal_centroids",
-    "weight_reduction", "weighted_kmeans", "write_matrix",
+    "KMeansConfig", "OnmfSolution", "PlantedInstance", "bcc_cluster",
+    "disagreements", "factorize_double", "factorize_double_large_k",
+    "factorize_single", "gen_planted_double", "gen_planted_single",
+    "non_orthogonality", "planted_stat", "read_matrix", "reconstruction_error",
+    "recovery_error", "rsfe", "write_matrix",
 ]
 
 

@@ -20,7 +20,12 @@ from onmf.kmeans import KMeansConfig, KMeansSolution, weighted_kmeans
 from onmf.metrics import non_orthogonality
 from onmf.synth import gen_planted_double
 from conftest import planted_labels
-from oracles import SIN_SQ_PI_12, angle, brute_force_double
+from oracles import (
+    SIN_SQ_PI_12,
+    angle,
+    brute_force_double,
+    coordinate_enumeration_optimum,
+)
 
 LARGE_K_RATIO = 1.0 / SIN_SQ_PI_12
 
@@ -55,19 +60,19 @@ def test_centroid_weights_recentred_norm_at_most_one():
 def test_weight_reduction_orthogonal_pair_untouched():
     centroids = np.array([[1.0, 0.0], [0.0, 1.0]])
     q = np.array([3.0, 5.0])
-    assert np.array_equal(weight_reduction(centroids, q), q)
+    assert np.array_equal(weight_reduction(_cosine_matrix(centroids), q), q)
 
 
 def test_weight_reduction_in_band_pair():
     centroids = np.array([[1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)]])
-    qp = weight_reduction(centroids, np.array([3.0, 5.0]))
+    qp = weight_reduction(_cosine_matrix(centroids), np.array([3.0, 5.0]))
     assert np.allclose(qp, [0.0, 2.0])
 
 
 def test_weight_reduction_identical_centroids_untouched():
     centroids = np.array([[1.0, 0.0], [1.0, 0.0]])
     q = np.array([2.0, 2.0])
-    assert np.array_equal(weight_reduction(centroids, q), q)
+    assert np.array_equal(weight_reduction(_cosine_matrix(centroids), q), q)
 
 
 def test_weight_reduction_band_emptiness():
@@ -76,7 +81,7 @@ def test_weight_reduction_band_emptiness():
         k = int(rng.integers(2, 6))
         centroids = rng.random((k, 3)) + 1e-6
         q = rng.random(k)
-        qp = weight_reduction(centroids, q)
+        qp = weight_reduction(_cosine_matrix(centroids), q)
         assert (qp >= 0).all() and (qp <= q + 1e-15).all()
         for j1, j2 in itertools.combinations(range(k), 2):
             if qp[j1] > 0 and qp[j2] > 0:
@@ -86,7 +91,7 @@ def test_weight_reduction_band_emptiness():
 
 def test_grouping_single_positive_centroid():
     centroids = np.array([[1.0, 0.0], [0.0, 1.0]])
-    sigma = group_centroids(centroids, np.array([1.0, 0.0]))
+    sigma = group_centroids(_cosine_matrix(centroids), np.array([1.0, 0.0]))
     assert sigma[0] == 0
     assert sigma[1] == 0  # zero-weight joins the nearest positive group
 
@@ -97,14 +102,15 @@ def test_grouping_two_groups():
         [0.0, 1.0],
         unit([1.0, 0.05]),
     ])
-    sigma = group_centroids(centroids, np.array([1.0, 1.0, 1.0]))
+    sigma = group_centroids(_cosine_matrix(centroids),
+                            np.array([1.0, 1.0, 1.0]))
     assert sigma[0] == sigma[2]
     assert sigma[1] != sigma[0]
 
 
 def test_grouping_all_equal():
     centroids = np.tile(unit([1.0, 2.0]), (4, 1))
-    sigma = group_centroids(centroids, np.ones(4))
+    sigma = group_centroids(_cosine_matrix(centroids), np.ones(4))
     assert (sigma == 0).all()
 
 
@@ -113,8 +119,9 @@ def test_grouping_transitivity_on_random_reduced_inputs():
     for _ in range(30):
         k = int(rng.integers(2, 6))
         centroids = rng.random((k, 4)) + 1e-6
-        qp = weight_reduction(centroids, rng.random(k))
-        sigma = group_centroids(centroids, qp)
+        cos = _cosine_matrix(centroids)
+        qp = weight_reduction(cos, rng.random(k))
+        sigma = group_centroids(cos, qp)
         pos = np.flatnonzero(qp > 0)
         for j1, j2 in itertools.combinations(pos, 2):
             a = angle(centroids[j1], centroids[j2])
@@ -245,11 +252,12 @@ def _outcome(fn, *args):
           np.array([0.0, 0.0, 1.0, 1.0])))
 def test_large_k_steps_match_pair_loop_reference(case):
     centroids, q = case
-    assert _outcome(weight_reduction, centroids, q) == _outcome(
+    cos = _cosine_matrix(centroids)
+    assert _outcome(weight_reduction, cos, q) == _outcome(
         _reference_weight_reduction, centroids, q)
     # Reduced weights, then the unreduced ones, which may raise.
-    for weights in (weight_reduction(centroids, q), q):
-        assert _outcome(group_centroids, centroids, weights) == _outcome(
+    for weights in (weight_reduction(cos, q), q):
+        assert _outcome(group_centroids, cos, weights) == _outcome(
             _reference_group_centroids, centroids, weights)
 
 
@@ -279,15 +287,16 @@ def _duplicated_binary_columns(seed):
 def test_large_k_steps_match_reference_at_benchmark_scale(M, multi_member):
     pts = normalize_columns(M)
     centroids, q = pts.points, pts.weights
-    reduced = weight_reduction(centroids, q)
-    assert _outcome(weight_reduction, centroids, q) == _outcome(
+    cos = _cosine_matrix(centroids)
+    reduced = weight_reduction(cos, q)
+    assert _outcome(weight_reduction, cos, q) == _outcome(
         _reference_weight_reduction, centroids, q)
     for weights in (reduced, q):
-        assert _outcome(group_centroids, centroids, weights) == _outcome(
+        assert _outcome(group_centroids, cos, weights) == _outcome(
             _reference_group_centroids, centroids, weights)
     if multi_member:
         positive = reduced > 0
-        sigma = group_centroids(centroids, reduced)
+        sigma = group_centroids(cos, reduced)
         assert np.unique(sigma[positive]).size < positive.sum()
 
 
@@ -300,7 +309,7 @@ def test_grouping_error_matches_reference(angles, message):
     q = np.ones(len(angles))
     expected = (GroupingError, message)
     assert _outcome(_reference_group_centroids, centroids, q) == expected
-    assert _outcome(group_centroids, centroids, q) == expected
+    assert _outcome(group_centroids, _cosine_matrix(centroids), q) == expected
 
 
 def test_solver_one_group_is_weighted_mean():
@@ -329,32 +338,6 @@ def test_solver_zero_coordinate():
     assert (a[0] == 0).all()
 
 
-def _enumerate_coordinate_optimum(centroids, qp, sigma):
-    """Exhaustive per-coordinate support assignment (independent oracle)."""
-    k, m = centroids.shape
-    groups = sorted(set(int(s) for j, s in enumerate(sigma) if qp[j] > 0))
-    best_total = 0.0
-    for h in range(m):
-        best = None
-        # choice: which group (or none) owns coordinate h, and its value;
-        # for a fixed owner the best value is the group's weighted mean
-        for owner in [None] + groups:
-            values = {}
-            if owner is not None:
-                members = [j for j in range(k)
-                           if qp[j] > 0 and sigma[j] == owner]
-                qs = sum(qp[j] for j in members)
-                values[owner] = sum(qp[j] * centroids[j, h]
-                                    for j in members) / qs
-            cost = sum(qp[j] * (centroids[j, h]
-                                - values.get(int(sigma[j]), 0.0)) ** 2
-                       for j in range(k) if qp[j] > 0)
-            if best is None or cost < best:
-                best = cost
-        best_total += best or 0.0
-    return best_total
-
-
 def test_solver_exactly_optimal():
     rng = np.random.default_rng(18)
     for _ in range(40):
@@ -366,7 +349,7 @@ def test_solver_exactly_optimal():
         a = solve_orthogonal_centroids(centroids, qp, sigma)
         achieved = sum(qp[j] * np.sum((centroids[j] - a[:, sigma[j]]) ** 2)
                        for j in range(k) if qp[j] > 0)
-        expected = _enumerate_coordinate_optimum(centroids, qp, sigma)
+        expected = coordinate_enumeration_optimum(centroids, qp, sigma)
         assert achieved == pytest.approx(expected, abs=1e-12)
         # feasibility: disjoint supports, non-negative
         assert (a >= 0).all()
@@ -423,6 +406,16 @@ def test_large_k_transposes_wide_input():
     assert sol.w.n == 6
     assert non_orthogonality(sol.w.materialize()) == 0.0
     assert non_orthogonality(sol.a.T) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_large_k_empty_matrix(shape):
+    # With no rows nothing is transposed; either way the inner dimension
+    # is n.
+    sol = factorize_double_large_k(np.zeros(shape))
+    assert sol.objective == 0.0
+    assert sol.a.shape == shape
+    assert sol.w.materialize().shape == (shape[1], shape[1])
 
 
 def test_large_k_ratio_against_brute_force():
