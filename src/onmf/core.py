@@ -72,7 +72,9 @@ def normalize_columns(M) -> WeightedPointSet:
     norms = np.linalg.norm(M, axis=0)
     weights = norms**2
     safe = np.where(norms > 0, norms, 1.0)
-    points = (M / safe).T.copy()
+    # The quotient goes straight into the C-ordered (n, m) result, with no
+    # (m, n) intermediate.
+    points = np.divide(M.T, safe[:, None], out=np.empty(M.shape[::-1]))
     points[norms == 0] = 0.0
     return WeightedPointSet(points=points, weights=weights)
 
@@ -117,8 +119,9 @@ def write_matrix(M, path) -> None:
     M = as_matrix(M)
     with open(path, "w", encoding="ascii") as fh:
         # repr() of a float is the shortest string that round-trips exactly.
-        for row in M.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+        # One row at a time, so no list of all the entries is ever built.
+        for row in M:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _csv_lines(path, skip_first: bool = False):

@@ -54,7 +54,9 @@ def _cosine_matrix(centroids: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(centroids, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     unit = centroids / safe[:, None]
-    return np.clip(unit @ unit.T, 0.0, 1.0)
+    cos = unit @ unit.T
+    del unit
+    return np.clip(cos, 0.0, 1.0, out=cos)
 
 
 def weight_reduction(cos: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -97,7 +99,9 @@ def group_centroids(cos: np.ndarray, q_reduced: np.ndarray) -> np.ndarray:
     positive = np.flatnonzero(is_positive)
     if positive.size == 0:
         return sigma
-    sub = cos[np.ix_(positive, positive)]
+    # With every centroid positive the submatrix is cos itself: no copy.
+    sub = (cos if positive.size == len(q_reduced)
+           else cos[np.ix_(positive, positive)])
     # Mirror the upper triangle so the graph stays symmetric even where the
     # matmul rounded cos[i, j] and cos[j, i] differently.
     near = np.triu(sub > COS_NARROW, 1)
@@ -160,15 +164,19 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
     (columns for absent groups stay zero).
     """
     k, m = centroids.shape
-    a = np.zeros((m, k))
     n_groups = int(sigma.max()) + 1 if k else 0
     mu = np.zeros((n_groups, m))
     qstar = _weighted_means(centroids, q_reduced,
                             np.where(q_reduced > 0, sigma, -1), mu)
     if n_groups == 0 or not (qstar > 0).any():
-        return a
-    scores = qstar[:, None] * mu**2  # (n_groups, m)
-    winners = np.argmax(scores, axis=0)  # argmax takes the smallest index on ties
+        return np.zeros((m, k))
+    # (m, n_groups) and C-ordered, so the row-wise argmax reads it in place
+    # rather than through a transposed copy.
+    scores = np.multiply(mu.T, mu.T, order="C")
+    scores *= qstar
+    winners = np.argmax(scores, axis=1)  # argmax takes the smallest index on ties
+    del scores
+    a = np.zeros((m, k))
     cols = np.arange(m)
     a[cols, winners] = mu[winners, cols]
     return a
@@ -226,7 +234,9 @@ def _transpose_solution(M: np.ndarray, sol_t: OnmfSolution) -> OnmfSolution:
     supports, so A2^T has at most one non-zero per column and converts to the
     compact form directly.
     """
-    a2 = sol_t.a  # (n, k)
+    a2, w2 = sol_t.a, sol_t.w  # a2 is (n, k)
     group = np.argmax(a2 > 0, axis=1)  # rows without a non-zero get group 0
     theta = a2[np.arange(a2.shape[0]), group]
-    return _solution(M, sol_t.w.materialize().T, group, theta)
+    a = np.zeros((w2.n, w2.k))  # W2^T, entry (i, group2[i]) = theta2[i]
+    a[np.arange(w2.n), w2.group] = w2.theta
+    return _solution(M, a, group, theta)

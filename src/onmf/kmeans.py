@@ -49,8 +49,13 @@ def _distances_sq(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _nearest(points: np.ndarray, norms_sq: np.ndarray,
-             centroids: np.ndarray) -> np.ndarray:
+             centroids: np.ndarray,
+             dist: np.ndarray | None = None) -> np.ndarray:
     """np.argmin(_distances_sq(points, centroids), axis=1), from a GEMM.
+
+    dist is an optional (n, k) float64 work buffer: the GEMM writes the
+    expanded distances into it, so a call allocates no (n, k) array, and
+    its contents are overwritten. Without it the call allocates one.
 
     norms_sq holds ||x||^2 for each point. Let S = ||x||^2 + ||c||^2,
     u = eps / 2 and G_m = m u / (1 - m u). Against the true squared distance
@@ -68,7 +73,7 @@ def _nearest(points: np.ndarray, norms_sq: np.ndarray,
     """
     n, m = points.shape
     c_norms_sq = np.einsum("km,km->k", centroids, centroids)
-    g = points @ centroids.T
+    g = np.matmul(points, centroids.T, out=dist)
     g *= -2.0
     g += norms_sq[:, None]
     g += c_norms_sq
@@ -90,13 +95,17 @@ def _nearest(points: np.ndarray, norms_sq: np.ndarray,
 
 
 def _weighted_cost(pts: WeightedPointSet, centroids: np.ndarray,
-                   assignment: np.ndarray) -> float:
-    diff = pts.points - centroids[assignment]
+                   assignment: np.ndarray,
+                   work: np.ndarray | None = None) -> float:
+    # The differences go into work, an optional (n, m) buffer.
+    diff = _gather(centroids, assignment, work)
+    np.subtract(pts.points, diff, out=diff)
     return float(np.sum(pts.weights * np.einsum("nm,nm->n", diff, diff)))
 
 
 def _weighted_means(points: np.ndarray, weights: np.ndarray,
-                    labels: np.ndarray, out: np.ndarray) -> np.ndarray:
+                    labels: np.ndarray, out: np.ndarray,
+                    work: np.ndarray | None = None) -> np.ndarray:
     """Recenter each row j of out on the weighted mean of the points labeled j.
 
     Rows whose points carry no positive total weight (empty clusters
@@ -109,6 +118,8 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
     are done in one array expression: the one-term BLAS product starts from
     +0.0, so it gives +0.0 where w * x is -0.0, and (w * x + 0.0) / w
     reproduces it bit for bit; likewise a one-element sum of -0.0 is +0.0.
+    The rows of each gather go into the leading rows of work, an optional
+    buffer shaped like points, or into a new array without it.
     """
     k = out.shape[0]
     order = np.argsort(labels, kind="stable")
@@ -124,7 +135,7 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
         totals[single] = w
         pos = w > 0
         w = w[pos, None]
-        rows = points[idx[pos]]  # a copy: (w * x + 0.0) / w in place
+        rows = _gather(points, idx[pos], work)  # (w * x + 0.0) / w in place
         rows *= w
         rows += 0.0
         rows /= w
@@ -137,8 +148,20 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
         total = float(w.sum())
         totals[j] = total
         if total > 0:
-            out[j] = w @ points[idx] / total
+            out[j] = w @ _gather(points, idx, work) / total
     return totals
+
+
+def _gather(points: np.ndarray, idx: np.ndarray,
+            work: np.ndarray | None) -> np.ndarray:
+    """points[idx], written into work[:len(idx)] when work is given.
+
+    take writes straight into the buffer only with mode="clip"; under the
+    default "raise" it fills a temporary copy first. Every caller's indices
+    are in range, so none is clipped.
+    """
+    out = None if work is None else work[:len(idx)]
+    return np.take(points, idx, axis=0, out=out, mode="clip")
 
 
 def _sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
@@ -147,15 +170,24 @@ def _sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
     return int(np.searchsorted(cum, u, side="right").clip(0, len(weights) - 1))
 
 
-def kmeanspp_seed(pts: WeightedPointSet, k: int,
-                  rng: np.random.Generator) -> np.ndarray:
+def _sq_dists(points: np.ndarray, c: np.ndarray,
+              work: np.ndarray | None) -> np.ndarray:
+    """np.sum((points - c) ** 2, axis=1), with the (n, m) terms in work."""
+    diff = np.subtract(points, c, out=work)
+    diff *= diff
+    return np.sum(diff, axis=1)
+
+
+def kmeanspp_seed(pts: WeightedPointSet, k: int, rng: np.random.Generator,
+                  *, work: np.ndarray | None = None) -> np.ndarray:
     """k-means++ seeding on a weighted point set.
 
     The first centroid is sampled with probability proportional to the point
     weight, later ones proportional to weight times squared distance to the
     nearest chosen centroid. With zero total remaining probability the
     leftover centroids are the zero vector (they can never lower the cost of
-    any point, so the convention is harmless).
+    any point, so the convention is harmless). work is an optional (n, m)
+    float64 buffer for the distance terms.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -165,7 +197,7 @@ def kmeanspp_seed(pts: WeightedPointSet, k: int,
         return centroids
     first = _sample_index(pts.weights, rng)
     centroids[0] = pts.points[first]
-    d2 = np.sum((pts.points - centroids[0]) ** 2, axis=1)
+    d2 = _sq_dists(pts.points, centroids[0], work)
     for j in range(1, k):
         probs = pts.weights * d2
         total = float(probs.sum())
@@ -173,12 +205,13 @@ def kmeanspp_seed(pts: WeightedPointSet, k: int,
             break  # every point already sits on a centroid
         idx = _sample_index(probs, rng)
         centroids[j] = pts.points[idx]
-        d2 = np.minimum(d2, np.sum((pts.points - centroids[j]) ** 2, axis=1))
+        np.minimum(d2, _sq_dists(pts.points, centroids[j], work), out=d2)
     return centroids
 
 
-def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
-          config: KMeansConfig) -> KMeansSolution:
+def lloyd(pts: WeightedPointSet, centroids: np.ndarray, config: KMeansConfig,
+          *, work: np.ndarray | None = None,
+          dist: np.ndarray | None = None) -> KMeansSolution:
     """Weighted Lloyd iterations from the given initial centroids.
 
     Alternates nearest-centroid assignment and weighted-mean recentering
@@ -187,16 +220,17 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
     Assignment is a GEMM plus an exact recomputation of the points it cannot
     certify (see _nearest): each point goes to the centroid at the smallest
     exact squared distance, ties to the smallest index, and a point on a
-    centroid is at distance exactly zero.
+    centroid is at distance exactly zero. work (n, m) and dist (n, k) are
+    optional float64 work buffers; without them each step allocates its own.
     """
     centroids = np.array(centroids, dtype=np.float64)
     norms_sq = np.einsum("nm,nm->n", pts.points, pts.points)
-    assignment = _nearest(pts.points, norms_sq, centroids)
-    prev_cost = _weighted_cost(pts, centroids, assignment)
+    assignment = _nearest(pts.points, norms_sq, centroids, dist)
+    prev_cost = _weighted_cost(pts, centroids, assignment, work)
     for _ in range(config.max_iters):
-        _weighted_means(pts.points, pts.weights, assignment, centroids)
-        assignment = _nearest(pts.points, norms_sq, centroids)
-        cost = _weighted_cost(pts, centroids, assignment)
+        _weighted_means(pts.points, pts.weights, assignment, centroids, work)
+        assignment = _nearest(pts.points, norms_sq, centroids, dist)
+        cost = _weighted_cost(pts, centroids, assignment, work)
         if prev_cost - cost <= config.rel_tol * prev_cost:
             prev_cost = cost
             break
@@ -207,12 +241,17 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
 
 def weighted_kmeans(pts: WeightedPointSet, k: int,
                     config: KMeansConfig) -> KMeansSolution:
-    """Best-of-restarts k-means++ plus Lloyd; deterministic given the seed."""
+    """Best-of-restarts k-means++ plus Lloyd; deterministic given the seed.
+
+    One (n, m) and one (n, k) work buffer serve every restart.
+    """
+    work = np.empty(pts.points.shape)
+    dist = np.empty((len(pts), k))
     best: KMeansSolution | None = None
     for t in range(config.restarts):
         rng = np.random.default_rng(config.seed + t)
-        seeds = kmeanspp_seed(pts, k, rng)
-        sol = lloyd(pts, seeds, config)
+        seeds = kmeanspp_seed(pts, k, rng, work=work)
+        sol = lloyd(pts, seeds, config, work=work, dist=dist)
         if best is None or sol.cost < best.cost:
             best = sol
     assert best is not None

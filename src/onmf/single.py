@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from onmf.core import CompactW, check_nonneg, frobenius_norm_sq, normalize_columns
+from onmf.core import CompactW, check_nonneg, normalize_columns
 from onmf.kmeans import KMeansConfig, weighted_kmeans
 
 
@@ -45,8 +45,13 @@ def _solution(M: np.ndarray, a: np.ndarray, group: np.ndarray,
     term of the product is a zero), so W is never materialized.
     """
     w = CompactW(k=a.shape[1], group=group, theta=theta)
-    residual = M - np.take(a, w.group, axis=1) * w.theta
-    return OnmfSolution(a=a, w=w, objective=frobenius_norm_sq(residual))
+    # M - a[:, group] * theta, squared, all in one C-ordered buffer: the same
+    # elementwise operations and pairwise sum as frobenius_norm_sq of it.
+    residual = np.take(a, w.group, axis=1)
+    residual *= w.theta
+    np.subtract(M, residual, out=residual)
+    residual *= residual
+    return OnmfSolution(a=a, w=w, objective=float(np.sum(residual)))
 
 
 def factorize_single(M, k: int, config: KMeansConfig | None = None) -> OnmfSolution:

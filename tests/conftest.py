@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+from hypothesis import strategies as st
 
 import onmf
 
@@ -32,3 +33,31 @@ def planted_labels(m, n, clusters, flip, seed):
     left = rng.integers(0, clusters, size=m)
     right = rng.integers(0, clusters, size=n)
     return (left[:, None] == right[None, :]) ^ (rng.random((m, n)) < flip)
+
+
+# -0.0, the smallest subnormal, a subnormal, and a value whose square
+# overflows, among ordinary non-negative cells.
+NONNEG_CELLS = (st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-310, 1e308])
+                | st.floats(0.0, 4.0))
+
+
+@st.composite
+def nonneg_matrices(draw, max_side=6):
+    """Non-negative matrices, up to max_side on each side and possibly
+    empty, with duplicated and zero columns, in C, Fortran or strided
+    layout."""
+    m = draw(st.integers(0, max_side))
+    n = draw(st.integers(0, max_side))
+    rows = st.lists(NONNEG_CELLS, min_size=n, max_size=n)
+    M = np.array(draw(st.lists(rows, min_size=m, max_size=m)),
+                 dtype=np.float64).reshape(m, n)
+    if n:
+        M = M[:, draw(st.lists(st.integers(0, n - 1), min_size=n,
+                               max_size=n))]
+        M[:, draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0.0
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        M = np.asfortranarray(M)
+    elif layout == "strided":
+        M = np.repeat(M, 2, axis=1)[:, ::2]
+    return M

@@ -1,9 +1,14 @@
-"""Brute-force oracles and angle helpers for the tests.
+"""Brute-force oracles, angle helpers and reference copies for the tests.
 
 Each oracle enumerates every feasible solution, so the instance-size guards
 keep the enumeration small. They reuse the solver's own recentering, cost and
 solution epilogue, so a ratio test compares like with like. The angle helpers
 and the large-k constant state the paper's guarantees directly.
+
+The reference_* functions are verbatim copies of library steps as they were
+before they wrote into reused buffers: each allocates its temporaries afresh.
+The differential tests require the library's outputs to equal theirs byte
+for byte.
 """
 
 from __future__ import annotations
@@ -14,8 +19,21 @@ import math
 import numpy as np
 
 from onmf.bcc import BipartiteLabeling, Clustering, disagreements
-from onmf.core import WeightedPointSet, check_nonneg, frobenius_norm_sq
-from onmf.kmeans import KMeansSolution, _weighted_cost, _weighted_means
+from onmf.core import (
+    CompactW,
+    WeightedPointSet,
+    as_matrix,
+    check_nonneg,
+    frobenius_norm_sq,
+)
+from onmf.kmeans import (
+    KMeansConfig,
+    KMeansSolution,
+    _nearest,
+    _sample_index,
+    _weighted_cost,
+    _weighted_means,
+)
 from onmf.single import OnmfSolution, _solution, _theta_against
 
 # sin^2(pi/12) = (1 - cos(pi/6)) / 2, the constant in the double-factor
@@ -282,3 +300,174 @@ def brute_force_bcc(g: BipartiteLabeling) -> int:
                     right[v - m] = cid
         best = min(best, disagreements(g, Clustering(left, right)))
     return best
+
+
+# Reference copies. Bodies are verbatim, except that they call one another's
+# reference copies; docstrings are shortened.
+
+
+def reference_normalize_columns(M) -> WeightedPointSet:
+    """core.normalize_columns with its (m, n) quotient and transposed copy."""
+    M = check_nonneg(M)
+    norms = np.linalg.norm(M, axis=0)
+    weights = norms**2
+    safe = np.where(norms > 0, norms, 1.0)
+    points = (M / safe).T.copy()
+    points[norms == 0] = 0.0
+    return WeightedPointSet(points=points, weights=weights)
+
+
+def reference_write_matrix(M, path) -> None:
+    """core.write_matrix with one list of every entry."""
+    M = as_matrix(M)
+    with open(path, "w", encoding="ascii") as fh:
+        # repr() of a float is the shortest string that round-trips exactly.
+        for row in M.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
+def reference_weighted_cost(pts: WeightedPointSet, centroids: np.ndarray,
+                            assignment: np.ndarray) -> float:
+    """kmeans._weighted_cost with a fresh gather and difference per call."""
+    diff = pts.points - centroids[assignment]
+    return float(np.sum(pts.weights * np.einsum("nm,nm->n", diff, diff)))
+
+
+def reference_weighted_means(points: np.ndarray, weights: np.ndarray,
+                             labels: np.ndarray,
+                             out: np.ndarray) -> np.ndarray:
+    """kmeans._weighted_means with a fresh copy per gather of rows."""
+    k = out.shape[0]
+    order = np.argsort(labels, kind="stable")
+    # Label j's points are order[bounds[j]:bounds[j + 1]].
+    bounds = np.searchsorted(labels[order], np.arange(k + 1))
+    counts = np.diff(bounds)
+    totals = np.zeros(k)
+
+    single = np.flatnonzero(counts == 1)
+    if single.size:
+        idx = order[bounds[single]]
+        w = weights[idx] + 0.0
+        totals[single] = w
+        pos = w > 0
+        w = w[pos, None]
+        rows = points[idx[pos]]  # a copy: (w * x + 0.0) / w in place
+        rows *= w
+        rows += 0.0
+        rows /= w
+        out[single[pos]] = rows
+
+    bounds = bounds.tolist()  # Python ints slice faster
+    for j in np.flatnonzero(counts > 1).tolist():
+        idx = order[bounds[j]:bounds[j + 1]]
+        w = weights[idx]
+        total = float(w.sum())
+        totals[j] = total
+        if total > 0:
+            out[j] = w @ points[idx] / total
+    return totals
+
+
+def reference_kmeanspp_seed(pts: WeightedPointSet, k: int,
+                            rng: np.random.Generator) -> np.ndarray:
+    """kmeans.kmeanspp_seed with two (n, m) temporaries per centroid."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n, m = pts.points.shape
+    centroids = np.zeros((k, m))
+    if pts.total_weight() == 0:
+        return centroids
+    first = _sample_index(pts.weights, rng)
+    centroids[0] = pts.points[first]
+    d2 = np.sum((pts.points - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        probs = pts.weights * d2
+        total = float(probs.sum())
+        if total <= 0:
+            break  # every point already sits on a centroid
+        idx = _sample_index(probs, rng)
+        centroids[j] = pts.points[idx]
+        d2 = np.minimum(d2, np.sum((pts.points - centroids[j]) ** 2, axis=1))
+    return centroids
+
+
+def reference_lloyd(pts: WeightedPointSet, centroids: np.ndarray,
+                    config: KMeansConfig) -> KMeansSolution:
+    """kmeans.lloyd with fresh temporaries in every step.
+
+    _nearest called without its buffer is the GEMM kernel as it was, since
+    np.matmul with no out is the @ operator.
+    """
+    centroids = np.array(centroids, dtype=np.float64)
+    norms_sq = np.einsum("nm,nm->n", pts.points, pts.points)
+    assignment = _nearest(pts.points, norms_sq, centroids)
+    prev_cost = reference_weighted_cost(pts, centroids, assignment)
+    for _ in range(config.max_iters):
+        reference_weighted_means(pts.points, pts.weights, assignment,
+                                 centroids)
+        assignment = _nearest(pts.points, norms_sq, centroids)
+        cost = reference_weighted_cost(pts, centroids, assignment)
+        if prev_cost - cost <= config.rel_tol * prev_cost:
+            prev_cost = cost
+            break
+        prev_cost = cost
+    return KMeansSolution(centroids=centroids, assignment=assignment,
+                          cost=prev_cost)
+
+
+def reference_weighted_kmeans(pts: WeightedPointSet, k: int,
+                               config: KMeansConfig) -> KMeansSolution:
+    """kmeans.weighted_kmeans over the reference seeding and Lloyd."""
+    best: KMeansSolution | None = None
+    for t in range(config.restarts):
+        rng = np.random.default_rng(config.seed + t)
+        seeds = reference_kmeanspp_seed(pts, k, rng)
+        sol = reference_lloyd(pts, seeds, config)
+        if best is None or sol.cost < best.cost:
+            best = sol
+    assert best is not None
+    return best
+
+
+def reference_cosine_matrix(centroids: np.ndarray) -> np.ndarray:
+    """double._cosine_matrix with the unit rows alive through a clip copy."""
+    norms = np.linalg.norm(centroids, axis=1)
+    safe = np.where(norms > 0, norms, 1.0)
+    unit = centroids / safe[:, None]
+    return np.clip(unit @ unit.T, 0.0, 1.0)
+
+
+def reference_solve_orthogonal_centroids(centroids: np.ndarray,
+                                         q_reduced: np.ndarray,
+                                         sigma: np.ndarray) -> np.ndarray:
+    """double.solve_orthogonal_centroids with (n_groups, m) scores."""
+    k, m = centroids.shape
+    a = np.zeros((m, k))
+    n_groups = int(sigma.max()) + 1 if k else 0
+    mu = np.zeros((n_groups, m))
+    qstar = reference_weighted_means(centroids, q_reduced,
+                                     np.where(q_reduced > 0, sigma, -1), mu)
+    if n_groups == 0 or not (qstar > 0).any():
+        return a
+    scores = qstar[:, None] * mu**2  # (n_groups, m)
+    winners = np.argmax(scores, axis=0)  # argmax takes the smallest index on ties
+    cols = np.arange(m)
+    a[cols, winners] = mu[winners, cols]
+    return a
+
+
+def reference_solution(M: np.ndarray, a: np.ndarray, group: np.ndarray,
+                       theta: np.ndarray) -> OnmfSolution:
+    """single._solution with the residual and its square as two arrays."""
+    w = CompactW(k=a.shape[1], group=group, theta=theta)
+    residual = M - np.take(a, w.group, axis=1) * w.theta
+    return OnmfSolution(a=a, w=w, objective=frobenius_norm_sq(residual))
+
+
+def reference_transpose_solution(M: np.ndarray,
+                                 sol_t: OnmfSolution) -> OnmfSolution:
+    """double._transpose_solution through the materialized W of sol_t."""
+    a2 = sol_t.a  # (n, k)
+    group = np.argmax(a2 > 0, axis=1)  # rows without a non-zero get group 0
+    theta = a2[np.arange(a2.shape[0]), group]
+    return reference_solution(M, sol_t.w.materialize().T, group, theta)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,3 +198,19 @@ def test_bcc_frozen_outputs(make, digest):
                      np.asarray(clustering.left, dtype=np.int64).tobytes(),
                      np.asarray(clustering.right, dtype=np.int64).tobytes()])
     assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("m, n", [(600, 600), (400, 600)])
+def test_bcc_peak_memory(m, n):
+    # The large-k finish holds at most four k x k float64 arrays at once
+    # (for m <= n, the input, the unit columns, the cosine matrix and one
+    # working array), so with k = min(m, n) the peak stays below 4.5 m x n
+    # float64s. Six such arrays were once alive at the same time.
+    g = BipartiteLabeling(labels=planted_labels(m, n, 12, 0.2, 5))
+    tracemalloc.start()
+    try:
+        bcc_cluster(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * m * n

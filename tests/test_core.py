@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import onmf
 from onmf.core import (
@@ -13,7 +16,13 @@ from onmf.core import (
     read_matrix,
     write_matrix,
 )
-from oracles import SIN_SQ_PI_12, angle
+from conftest import nonneg_matrices
+from oracles import (
+    SIN_SQ_PI_12,
+    angle,
+    reference_normalize_columns,
+    reference_write_matrix,
+)
 
 
 def test_frobenius_norm_sq():
@@ -39,6 +48,19 @@ def test_normalize_columns_examples():
 def test_normalize_rejects_negative():
     with pytest.raises(ValueError):
         normalize_columns([[1.0, -1.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonneg_matrices())
+@example(np.zeros((0, 3)))
+@example(np.zeros((3, 0)))
+@np.errstate(all="ignore")  # squares of 1e308 overflow in both
+def test_normalize_columns_matches_reference(M):
+    got, want = normalize_columns(M), reference_normalize_columns(M)
+    assert got.points.flags.c_contiguous
+    assert got.points.shape == want.points.shape
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
 
 
 def test_weights_partition_squared_norm():
@@ -104,6 +126,44 @@ def test_csv_roundtrip_bit_exact(tmp_path):
     write_matrix(M, path)
     back = read_matrix(path)
     assert np.array_equal(back, M)
+
+
+# Signed zeros, subnormals and the largest magnitudes among ordinary floats.
+CSV_CELLS = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310,
+                              2.2250738585072014e-308, 1e308, -1e308,
+                              1.7976931348623157e308])
+             | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                       max_side=5), elements=CSV_CELLS))
+@example(np.zeros((0, 0)))
+@example(np.zeros((0, 3)))
+@example(np.zeros((3, 0)))
+def test_write_matrix_matches_reference_bytes(tmp_path, M):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_matrix(M, got)
+    reference_write_matrix(M, want)
+    assert got.read_bytes() == want.read_bytes()
+    # Unlinked, not overwritten by the next example: on some filesystems
+    # truncating a file flushes it to disk.
+    got.unlink()
+    want.unlink()
+
+
+def test_write_matrix_streams_rows(tmp_path):
+    # Rows one at a time: the peak is the finiteness check's bool mask,
+    # M.nbytes / 8. A list of all 400,000 entries takes about 13 MB.
+    M = np.random.default_rng(7).random((200, 2000))
+    tracemalloc.start()
+    try:
+        write_matrix(M, tmp_path / "m.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < M.nbytes / 4
 
 
 def test_csv_parse(tmp_path):

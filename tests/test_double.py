@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from onmf.core import COS_NARROW, COS_WIDE, normalize_columns
+from onmf.core import COS_NARROW, COS_WIDE, check_nonneg, normalize_columns
 from onmf.double import (
     GroupingError,
     _cosine_matrix,
@@ -18,13 +18,19 @@ from onmf.double import (
 )
 from onmf.kmeans import KMeansConfig, KMeansSolution, weighted_kmeans
 from onmf.metrics import non_orthogonality
+from onmf.single import _theta_against
 from onmf.synth import gen_planted_double
-from conftest import planted_labels
+from conftest import nonneg_matrices, planted_labels
 from oracles import (
     SIN_SQ_PI_12,
     angle,
     brute_force_double,
     coordinate_enumeration_optimum,
+    reference_cosine_matrix,
+    reference_normalize_columns,
+    reference_solution,
+    reference_solve_orthogonal_centroids,
+    reference_transpose_solution,
 )
 
 LARGE_K_RATIO = 1.0 / SIN_SQ_PI_12
@@ -253,6 +259,7 @@ def _outcome(fn, *args):
 def test_large_k_steps_match_pair_loop_reference(case):
     centroids, q = case
     cos = _cosine_matrix(centroids)
+    assert cos.tobytes() == reference_cosine_matrix(centroids).tobytes()
     assert _outcome(weight_reduction, cos, q) == _outcome(
         _reference_weight_reduction, centroids, q)
     # Reduced weights, then the unreduced ones, which may raise.
@@ -310,6 +317,49 @@ def test_grouping_error_matches_reference(angles, message):
     expected = (GroupingError, message)
     assert _outcome(_reference_group_centroids, centroids, q) == expected
     assert _outcome(group_centroids, _cosine_matrix(centroids), q) == expected
+
+
+# (centroids, q_reduced, sigma, a) where two groups tie on the score of a
+# coordinate: the smaller group index wins it.
+SOLVER_TIES = [
+    (np.array([[1.0], [1.0]]), np.array([1.0, 1.0]), np.array([1, 0]),
+     [[1.0, 0.0]]),
+    # 2 * 0.5^2 == 0.5 * 1^2, with the groups either way round.
+    (np.array([[0.5], [1.0]]), np.array([2.0, 0.5]), np.array([0, 1]),
+     [[0.5, 0.0]]),
+    (np.array([[0.5], [1.0]]), np.array([2.0, 0.5]), np.array([1, 0]),
+     [[1.0, 0.0]]),
+    # An all-zero coordinate, then a tie.
+    (np.array([[0.0, 1.0], [-0.0, 1.0]]), np.array([1.0, 1.0]),
+     np.array([0, 1]), [[0.0, 0.0], [1.0, 0.0]]),
+]
+
+
+@st.composite
+def solver_cases(draw):
+    """(centroids, q_reduced, sigma) with any group labels."""
+    centroids, q = draw(centroid_sets())
+    k = len(q)
+    sigma = np.array(draw(st.lists(st.integers(0, k - 1), min_size=k,
+                                   max_size=k)), dtype=np.int64)
+    return centroids, q, sigma
+
+
+@settings(max_examples=300, deadline=None)
+@given(solver_cases())
+@example(SOLVER_TIES[0][:3])
+@example(SOLVER_TIES[1][:3])
+@example(SOLVER_TIES[2][:3])
+@example(SOLVER_TIES[3][:3])
+def test_solver_matches_reference(case):
+    got = solve_orthogonal_centroids(*case)
+    want = reference_solve_orthogonal_centroids(*case)
+    assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("centroids, q, sigma, expected", SOLVER_TIES)
+def test_solver_ties_go_to_smallest_group(centroids, q, sigma, expected):
+    assert solve_orthogonal_centroids(centroids, q, sigma).tolist() == expected
 
 
 def test_solver_one_group_is_weighted_mean():
@@ -406,6 +456,38 @@ def test_large_k_transposes_wide_input():
     assert sol.w.n == 6
     assert non_orthogonality(sol.w.materialize()) == 0.0
     assert non_orthogonality(sol.a.T) == 0.0
+
+
+def _reference_large_k(M):
+    """factorize_double_large_k through the reference copies of its steps."""
+    M = check_nonneg(M)
+    m, n = M.shape
+    if 0 < m < n:
+        return reference_transpose_solution(M, _reference_large_k(M.T))
+    pts = reference_normalize_columns(M)
+    cos = reference_cosine_matrix(pts.points)
+    qp = weight_reduction(cos, pts.weights)
+    sigma = group_centroids(cos, qp)
+    a = reference_solve_orthogonal_centroids(pts.points, qp, sigma)
+    return reference_solution(M, a, sigma, _theta_against(M, a, sigma))
+
+
+def _solution_bytes(fn, M):
+    try:
+        sol = fn(M)
+    except GroupingError as exc:
+        return type(exc), str(exc)
+    return (sol.a.shape, sol.a.tobytes(), sol.w.k, sol.w.group.tobytes(),
+            sol.w.theta.tobytes(), np.float64(sol.objective).tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonneg_matrices())
+@example(np.eye(3)[:2])  # m < n: the transposed path
+@np.errstate(all="ignore")  # squares of 1e308 overflow in both
+def test_large_k_matches_reference_steps(M):
+    assert (_solution_bytes(factorize_double_large_k, M)
+            == _solution_bytes(_reference_large_k, M))
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])

@@ -15,7 +15,13 @@ from onmf.kmeans import (
     weighted_kmeans,
 )
 from onmf.synth import gen_planted_single
-from oracles import brute_force_kmeans
+from oracles import (
+    brute_force_kmeans,
+    reference_kmeanspp_seed,
+    reference_lloyd,
+    reference_weighted_kmeans,
+    reference_weighted_means,
+)
 
 
 def pset(points, weights):
@@ -262,6 +268,42 @@ def test_gemm_kernel_matches_exact_kernel(case):
             == as_bytes(exact_lloyd(pts, centroids, config)))
 
 
+def garbage(shape):
+    """A work buffer full of NaN, so a result that read its old contents
+    would show them."""
+    return np.full(shape, np.nan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases(), st.integers(1, 14), st.integers(0, 2**16))
+@example((np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),  # a zero point
+          np.array([0.0, 1.0, 1.0]), np.zeros((2, 2))), 5, 0)
+@example((np.array([[1.0, -0.0], [1.0, -0.0], [0.0, 1.0]]),  # duplicates
+          np.ones(3), np.array([[1.0, 0.0]])), 4, 3)
+@np.errstate(all="ignore")  # the 1e+-150 cases overflow and underflow
+def test_kmeans_buffers_match_reference(case, k, seed):
+    # Seeding, Lloyd and the restart loop, with and without work buffers,
+    # against the copies that allocate every temporary; k may exceed n.
+    points, weights, centroids = case
+    pts = WeightedPointSet(points=points, weights=weights)
+    n, m = points.shape
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = reference_kmeanspp_seed(pts, k, ref_rng).tobytes()
+    assert kmeanspp_seed(pts, k, rng, work=garbage((n, m))).tobytes() == want
+    assert rng.random() == ref_rng.random()  # the same draws were taken
+    assert kmeanspp_seed(pts, k, np.random.default_rng(seed)).tobytes() == want
+
+    config = KMeansConfig(max_iters=5)
+    want = as_bytes(reference_lloyd(pts, centroids, config))
+    assert as_bytes(lloyd(pts, centroids, config, work=garbage((n, m)),
+                          dist=garbage((n, len(centroids))))) == want
+    assert as_bytes(lloyd(pts, centroids, config)) == want
+
+    config = KMeansConfig(restarts=3, max_iters=5, seed=seed)
+    assert (as_bytes(weighted_kmeans(pts, k, config))
+            == as_bytes(reference_weighted_kmeans(pts, k, config)))
+
+
 def test_gemm_kernel_near_tie_falls_back_to_exact():
     # The point is 2e-8 from the second centroid and 3e-8 from the first,
     # but the expanded form cancels ||x||^2 = 100 against the rest and
@@ -331,10 +373,18 @@ def mean_cases(draw):
           np.array([0, 1]), np.ones((3, 1))))
 @np.errstate(all="ignore")  # the 1e+-150 cases overflow and underflow
 def test_weighted_means_matches_per_label_loop(case):
+    # Also against the copy that gathers into fresh arrays, and with a
+    # gather buffer shaped like points.
     points, weights, labels, out = case
     expected_out = out.copy()
     expected = _reference_weighted_means(points, weights, labels, expected_out)
-    totals = _weighted_means(points, weights, labels, out)
-    assert (totals.dtype, totals.tobytes()) == (expected.dtype,
-                                                expected.tobytes())
-    assert out.tobytes() == expected_out.tobytes()
+    copy_out = out.copy()
+    copied = reference_weighted_means(points, weights, labels, copy_out)
+    assert copied.tobytes() == expected.tobytes()
+    assert copy_out.tobytes() == expected_out.tobytes()
+    for work in (None, garbage(points.shape)):
+        got_out = out.copy()
+        totals = _weighted_means(points, weights, labels, got_out, work)
+        assert (totals.dtype, totals.tobytes()) == (expected.dtype,
+                                                    expected.tobytes())
+        assert got_out.tobytes() == expected_out.tobytes()

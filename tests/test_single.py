@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onmf.core import frobenius_norm_sq, normalize_columns
 from onmf.double import factorize_double, factorize_double_large_k
@@ -7,7 +8,13 @@ from onmf.kmeans import KMeansConfig, weighted_kmeans
 from onmf.metrics import non_orthogonality
 from onmf.single import _solution, _theta_against, factorize_single
 from onmf.synth import gen_planted_double, gen_planted_single
-from oracles import brute_force_kmeans, brute_force_single, rank_one_fit
+from conftest import NONNEG_CELLS, nonneg_matrices
+from oracles import (
+    brute_force_kmeans,
+    brute_force_single,
+    rank_one_fit,
+    reference_solution,
+)
 
 
 def test_exactly_factorizable():
@@ -140,3 +147,33 @@ def test_objective_matches_dense_product():
         ]
     for M, sol in cases:
         assert sol.objective == frobenius_norm_sq(M - sol.a @ sol.w.materialize())
+
+
+@st.composite
+def solution_cases(draw):
+    """(M, a, group, theta): M in any layout, a in C or Fortran order."""
+    M = draw(nonneg_matrices())
+    m, n = M.shape
+    k = draw(st.integers(1, 4))
+    rows = st.lists(NONNEG_CELLS, min_size=k, max_size=k)
+    a = np.array(draw(st.lists(rows, min_size=m, max_size=m)),
+                 dtype=np.float64).reshape(m, k)
+    if draw(st.booleans()):
+        a = np.asfortranarray(a)
+    group = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                   max_size=n)), dtype=np.int64)
+    theta = np.array(draw(st.lists(NONNEG_CELLS, min_size=n, max_size=n)),
+                     dtype=np.float64)
+    return M, a, group, theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(solution_cases())
+@np.errstate(all="ignore")  # products with 1e308 overflow in both
+def test_solution_matches_reference(case):
+    got, want = _solution(*case), reference_solution(*case)
+    assert got.a is want.a
+    assert got.w.group.tobytes() == want.w.group.tobytes()
+    assert got.w.theta.tobytes() == want.w.theta.tobytes()
+    assert (np.float64(got.objective).tobytes()
+            == np.float64(want.objective).tobytes())
