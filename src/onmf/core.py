@@ -132,10 +132,13 @@ def _csv_lines(path, skip_first: bool = False):
     blank and skipped ones included, so messages can name ``path:lineno``.
     """
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line and not (skip_first and lineno == 1):
-                yield lineno, line.split(",")
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line and not (skip_first and lineno == 1):
+                    yield lineno, line.split(",")
+        except UnicodeDecodeError as exc:  # decoded in chunks: line unknown
+            raise ValueError(f"{path}: not ASCII text") from exc
 
 
 def read_matrix(path, header: bool = False) -> np.ndarray:

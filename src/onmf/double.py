@@ -20,13 +20,8 @@ from onmf.core import (
     check_nonneg,
     normalize_columns,
 )
-from onmf.kmeans import (
-    KMeansConfig,
-    KMeansSolution,
-    _weighted_means,
-    weighted_kmeans,
-)
-from onmf.single import OnmfSolution, _solution, _theta_against
+from onmf.kmeans import KMeansConfig, KMeansSolution, _weighted_means
+from onmf.single import OnmfSolution, _cluster, _solution, _theta_against
 
 
 class GroupingError(RuntimeError):
@@ -199,13 +194,7 @@ def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
 
 def factorize_double(M, k: int, config: KMeansConfig | None = None) -> OnmfSolution:
     """Factorize with both factors orthogonal, for arbitrary inner dimension."""
-    M = check_nonneg(M)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if config is None:
-        config = KMeansConfig()
-    pts = normalize_columns(M)
-    sol = weighted_kmeans(pts, k, config)
+    M, pts, sol = _cluster(M, k, config)
     centroids, q = centroid_weights(pts, sol)
     return _finish(M, centroids, q, sol.assignment)
 

@@ -178,23 +178,22 @@ def _sq_dists(points: np.ndarray, c: np.ndarray,
     return np.sum(diff, axis=1)
 
 
-def kmeanspp_seed(pts: WeightedPointSet, k: int, rng: np.random.Generator,
-                  *, work: np.ndarray | None = None) -> np.ndarray:
+def kmeanspp_seed(pts: WeightedPointSet, k: int,
+                  rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding on a weighted point set.
 
     The first centroid is sampled with probability proportional to the point
     weight, later ones proportional to weight times squared distance to the
     nearest chosen centroid. With zero total remaining probability the
     leftover centroids are the zero vector (they can never lower the cost of
-    any point, so the convention is harmless). work is an optional (n, m)
-    float64 buffer for the distance terms.
+    any point, so the convention is harmless).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n, m = pts.points.shape
-    centroids = np.zeros((k, m))
+    centroids = np.zeros((k, pts.points.shape[1]))
     if pts.total_weight() == 0:
         return centroids
+    work = np.empty(pts.points.shape)
     first = _sample_index(pts.weights, rng)
     centroids[0] = pts.points[first]
     d2 = _sq_dists(pts.points, centroids[0], work)
@@ -209,9 +208,8 @@ def kmeanspp_seed(pts: WeightedPointSet, k: int, rng: np.random.Generator,
     return centroids
 
 
-def lloyd(pts: WeightedPointSet, centroids: np.ndarray, config: KMeansConfig,
-          *, work: np.ndarray | None = None,
-          dist: np.ndarray | None = None) -> KMeansSolution:
+def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
+          config: KMeansConfig) -> KMeansSolution:
     """Weighted Lloyd iterations from the given initial centroids.
 
     Alternates nearest-centroid assignment and weighted-mean recentering
@@ -220,10 +218,11 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray, config: KMeansConfig,
     Assignment is a GEMM plus an exact recomputation of the points it cannot
     certify (see _nearest): each point goes to the centroid at the smallest
     exact squared distance, ties to the smallest index, and a point on a
-    centroid is at distance exactly zero. work (n, m) and dist (n, k) are
-    optional float64 work buffers; without them each step allocates its own.
+    centroid is at distance exactly zero.
     """
     centroids = np.array(centroids, dtype=np.float64)
+    work = np.empty(pts.points.shape)
+    dist = np.empty((len(pts), len(centroids)))
     norms_sq = np.einsum("nm,nm->n", pts.points, pts.points)
     assignment = _nearest(pts.points, norms_sq, centroids, dist)
     prev_cost = _weighted_cost(pts, centroids, assignment, work)
@@ -241,17 +240,12 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray, config: KMeansConfig,
 
 def weighted_kmeans(pts: WeightedPointSet, k: int,
                     config: KMeansConfig) -> KMeansSolution:
-    """Best-of-restarts k-means++ plus Lloyd; deterministic given the seed.
-
-    One (n, m) and one (n, k) work buffer serve every restart.
-    """
-    work = np.empty(pts.points.shape)
-    dist = np.empty((len(pts), k))
+    """Best-of-restarts k-means++ plus Lloyd; deterministic given the seed."""
     best: KMeansSolution | None = None
     for t in range(config.restarts):
         rng = np.random.default_rng(config.seed + t)
-        seeds = kmeanspp_seed(pts, k, rng, work=work)
-        sol = lloyd(pts, seeds, config, work=work, dist=dist)
+        seeds = kmeanspp_seed(pts, k, rng)
+        sol = lloyd(pts, seeds, config)
         if best is None or sol.cost < best.cost:
             best = sol
     assert best is not None

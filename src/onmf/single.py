@@ -54,15 +54,22 @@ def _solution(M: np.ndarray, a: np.ndarray, group: np.ndarray,
     return OnmfSolution(a=a, w=w, objective=float(np.sum(residual)))
 
 
-def factorize_single(M, k: int, config: KMeansConfig | None = None) -> OnmfSolution:
-    """Factorize with orthogonal rows of W via weighted k-means."""
+def _cluster(M, k: int, config: KMeansConfig | None):
+    """Check M and k, then weighted k-means on the normalized columns.
+
+    Returns (M as a checked float64 matrix, the point set, the solution);
+    config defaults to KMeansConfig().
+    """
     M = check_nonneg(M)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if config is None:
-        config = KMeansConfig()
     pts = normalize_columns(M)
-    sol = weighted_kmeans(pts, k, config)
+    return M, pts, weighted_kmeans(pts, k, config or KMeansConfig())
+
+
+def factorize_single(M, k: int, config: KMeansConfig | None = None) -> OnmfSolution:
+    """Factorize with orthogonal rows of W via weighted k-means."""
+    M, _, sol = _cluster(M, k, config)
     a = np.maximum(sol.centroids.T, 0.0)  # (m, k), clamp is a no-op on our data
     return _solution(M, a, sol.assignment,
                      _theta_against(M, a, sol.assignment))

@@ -199,6 +199,13 @@ def test_bcc_malformed_line(tmp_path):
     assert ":2:" in res.stderr
 
 
+def test_bcc_non_ascii_edge_list(tmp_path):
+    (tmp_path / "edges.csv").write_bytes("0,0,+\n0,1,\u2212\n".encode("utf-8"))
+    res = run_cli(["bcc", "--edges", "edges.csv"], cwd=tmp_path)
+    assert res.returncode == 1
+    assert "edges.csv: not ASCII text" in res.stderr
+
+
 @pytest.mark.parametrize("text, message", [
     ("0,0,+\n\n0,1,?\n", ":3: malformed edge line"),
     ("\n0,0,+\n\n0,0,-\n", ":4: duplicate edge"),

@@ -200,11 +200,12 @@ def test_csv_parse(tmp_path):
     ("\n\n1,2\n\n3,inf\n", False, ":5: non-finite value"),
     ("\n", False, ": empty matrix"),
     ("a,b\n", True, ": empty matrix"),
+    ("1,2\n3,\u00e9\n", False, ": not ASCII text"),  # no line number
 ])
 def test_csv_error_line_numbers(tmp_path, text, header, message):
     # Line numbers count blank lines and the header.
     path = tmp_path / "m.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as exc:
         read_matrix(path, header=header)
     assert str(exc.value) == f"{path}{message}"

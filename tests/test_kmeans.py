@@ -8,6 +8,7 @@ from onmf.kmeans import (
     KMeansSolution,
     _distances_sq,
     _nearest,
+    _sq_dists,
     _weighted_cost,
     _weighted_means,
     kmeanspp_seed,
@@ -282,26 +283,53 @@ def garbage(shape):
           np.ones(3), np.array([[1.0, 0.0]])), 4, 3)
 @np.errstate(all="ignore")  # the 1e+-150 cases overflow and underflow
 def test_kmeans_buffers_match_reference(case, k, seed):
-    # Seeding, Lloyd and the restart loop, with and without work buffers,
+    # Seeding, Lloyd and the restart loop, which reuse their work arrays,
     # against the copies that allocate every temporary; k may exceed n.
     points, weights, centroids = case
     pts = WeightedPointSet(points=points, weights=weights)
-    n, m = points.shape
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want = reference_kmeanspp_seed(pts, k, ref_rng).tobytes()
-    assert kmeanspp_seed(pts, k, rng, work=garbage((n, m))).tobytes() == want
+    assert kmeanspp_seed(pts, k, rng).tobytes() == want
     assert rng.random() == ref_rng.random()  # the same draws were taken
-    assert kmeanspp_seed(pts, k, np.random.default_rng(seed)).tobytes() == want
 
     config = KMeansConfig(max_iters=5)
     want = as_bytes(reference_lloyd(pts, centroids, config))
-    assert as_bytes(lloyd(pts, centroids, config, work=garbage((n, m)),
-                          dist=garbage((n, len(centroids))))) == want
     assert as_bytes(lloyd(pts, centroids, config)) == want
 
     config = KMeansConfig(restarts=3, max_iters=5, seed=seed)
     assert (as_bytes(weighted_kmeans(pts, k, config))
             == as_bytes(reference_weighted_kmeans(pts, k, config)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+@np.errstate(all="ignore")  # the 1e+-150 cases overflow and underflow
+def test_kernel_helpers_never_read_stale_buffers(case):
+    # A NaN-filled buffer gives the same bytes as a fresh array would. NaN
+    # rows of _nearest's distances go to its exact recomputation, so it also
+    # gets distinct finite values, which a stale read would turn into a
+    # certified wrong answer.
+    points, weights, centroids = case
+    norms_sq = np.einsum("nm,nm->n", points, points)
+    assignment = _nearest(points, norms_sq, centroids)
+    shape = (len(points), len(centroids))
+    for dist in (garbage(shape), np.arange(float(np.prod(shape))).reshape(shape)):
+        assert (_nearest(points, norms_sq, centroids, dist).tobytes()
+                == assignment.tobytes())
+    pts = WeightedPointSet(points=points, weights=weights)
+    want = np.float64(_weighted_cost(pts, centroids, assignment)).tobytes()
+    assert np.float64(_weighted_cost(pts, centroids, assignment, garbage(
+        points.shape))).tobytes() == want
+    for c in centroids:
+        want = np.sum((points - c) ** 2, axis=1).tobytes()
+        assert _sq_dists(points, c, garbage(points.shape)).tobytes() == want
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_weighted_kmeans_rejects_bad_k(k):
+    pts = pset([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        weighted_kmeans(pts, k, KMeansConfig())
 
 
 def test_gemm_kernel_near_tie_falls_back_to_exact():
