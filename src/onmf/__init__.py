@@ -19,7 +19,6 @@ from onmf.double import (
 from onmf.bcc import BipartiteLabeling, Clustering, bcc_cluster, disagreements
 from onmf.metrics import (
     non_orthogonality,
-    planted_stat,
     reconstruction_error,
     recovery_error,
     rsfe,
@@ -41,7 +40,6 @@ __all__ = [
     "gen_planted_double",
     "gen_planted_single",
     "non_orthogonality",
-    "planted_stat",
     "read_matrix",
     "reconstruction_error",
     "recovery_error",

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from onmf.bcc import BipartiteLabeling, bcc_cluster
-from onmf.core import _csv_lines, read_matrix, write_matrix
+from onmf.core import _csv_lines, open_output, read_matrix, write_matrix
 from onmf.double import (
     GroupingError,
     factorize_double,
@@ -100,7 +100,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     write_matrix(inst.w_truth, os.path.join(out, "Wtruth.csv"))
     meta = {"m": args.m, "n": args.n, "k": args.k,
             "noise_level": args.noise, "seed": args.seed, "mode": args.mode}
-    with open(os.path.join(out, "meta.json"), "w", encoding="ascii") as fh:
+    with open_output(os.path.join(out, "meta.json")) as fh:
         json.dump(meta, fh, sort_keys=True)
         fh.write("\n")
     return 0
@@ -181,7 +181,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
+        with open_output(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -221,7 +221,7 @@ def cmd_bcc(args: argparse.Namespace) -> int:
     g = _read_edge_list(args.edges, args.complete)
     clustering, count = bcc_cluster(g)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
+        with open_output(args.out) as fh:
             fh.write("side,index,cluster\n")
             for i, cid in enumerate(clustering.left):
                 fh.write(f"u,{i},{int(cid)}\n")

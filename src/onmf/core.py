@@ -7,7 +7,10 @@ column) lives here as well since every algorithm in the package produces it.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +27,9 @@ def as_matrix(data) -> np.ndarray:
     M = np.asarray(data, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={M.ndim}")
-    if not np.all(np.isfinite(M)):
+    # NaN propagates through min and max, so two reductions see every
+    # non-finite entry without a mask the size of M.
+    if M.size and not (math.isfinite(M.min()) and math.isfinite(M.max())):
         raise ValueError("matrix contains non-finite entries")
     return M
 
@@ -32,7 +37,7 @@ def as_matrix(data) -> np.ndarray:
 def check_nonneg(M: np.ndarray) -> np.ndarray:
     """Validate non-negativity; returns the input for chaining."""
     M = as_matrix(M)
-    if (M < 0).any():
+    if M.size and M.min() < 0:
         raise ValueError("matrix has negative entries")
     return M
 
@@ -114,10 +119,55 @@ class CompactW:
         return W
 
 
+@contextlib.contextmanager
+def open_output(path):
+    """Open an ASCII text output that replaces path's file when the block ends.
+
+    Symlinks are followed. The text goes to a new hidden sibling,
+    ``.<name>.<hex>.tmp``, which takes the old file's permission bits; then
+    the old file is unlinked and the sibling renamed into its place. If the
+    block raises, the sibling is deleted and the old file is left as it was.
+    Renaming over a file, like truncating it, can make the filesystem flush
+    it (ext4 does, unless mounted with noauto_da_alloc), which costs tens of
+    milliseconds; unlinking it first does not.
+
+    A target that exists but is not a regular file (a device, a FIFO, a
+    directory) or has other hard links is written in place, and so is any
+    target whose sibling cannot be created: there open() raises as it would
+    have without the sibling, naming path.
+    """
+    target = os.path.realpath(path)
+    try:
+        old = os.stat(target)
+    except OSError:
+        old = None
+    fh = None
+    if old is None or (stat.S_ISREG(old.st_mode) and old.st_nlink == 1):
+        head, name = os.path.split(target)
+        tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+        with contextlib.suppress(OSError):
+            fh = open(tmp, "x", encoding="ascii")
+    if fh is None:
+        with open(path, "w", encoding="ascii") as fh:
+            yield fh
+        return
+    try:
+        with fh:
+            yield fh
+        if old is not None:
+            os.chmod(tmp, stat.S_IMODE(old.st_mode))
+            os.unlink(target)
+        os.rename(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def write_matrix(M, path) -> None:
     """Write a matrix as CSV with exact (round-trip) decimal values."""
     M = as_matrix(M)
-    with open(path, "w", encoding="ascii") as fh:
+    with open_output(path) as fh:
         # repr() of a float is the shortest string that round-trips exactly.
         # One row at a time, so no list of all the entries is ever built.
         for row in M:

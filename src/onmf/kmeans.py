@@ -213,8 +213,8 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
     """Weighted Lloyd iterations from the given initial centroids.
 
     Alternates nearest-centroid assignment and weighted-mean recentering
-    until the relative cost improvement drops below config.rel_tol or
-    config.max_iters is reached. The cost never increases (up to rounding).
+    until the assignment stops changing, the relative cost improvement drops
+    below config.rel_tol or config.max_iters is reached. The cost never increases (up to rounding).
     Assignment is a GEMM plus an exact recomputation of the points it cannot
     certify (see _nearest): each point goes to the centroid at the smallest
     exact squared distance, ties to the smallest index, and a point on a
@@ -228,9 +228,13 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
     prev_cost = _weighted_cost(pts, centroids, assignment, work)
     for _ in range(config.max_iters):
         _weighted_means(pts.points, pts.weights, assignment, centroids, work)
+        prev_assignment = assignment
         assignment = _nearest(pts.points, norms_sq, centroids, dist)
         cost = _weighted_cost(pts, centroids, assignment, work)
-        if prev_cost - cost <= config.rel_tol * prev_cost:
+        # An unchanged assignment is a fixed point: every later iteration
+        # would recompute these centroids, this assignment and this cost.
+        if (np.array_equal(assignment, prev_assignment)
+                or prev_cost - cost <= config.rel_tol * prev_cost):
             prev_cost = cost
             break
         prev_cost = cost

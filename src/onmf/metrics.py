@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from onmf.core import as_matrix
@@ -57,15 +55,3 @@ def rsfe(M, A, W) -> float:
         raise ValueError("rsfe undefined for the zero matrix")
     return float(np.sum((M - A @ W) ** 2)) / denom
 
-
-def planted_stat(m: int, n: int, noise_level: float) -> tuple[float, float]:
-    """Mean and standard deviation of the planted squared reconstruction gap.
-
-    The squared Frobenius distance between a planted instance and its
-    observation has mean 2mn and standard deviation sqrt(20mn), both times
-    the noise level squared.
-    """
-    if m < 0 or n < 0 or noise_level < 0:
-        raise ValueError("arguments must be non-negative")
-    s2 = noise_level**2
-    return 2.0 * m * n * s2, math.sqrt(20.0 * m * n) * s2

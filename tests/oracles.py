@@ -6,9 +6,10 @@ solution epilogue, so a ratio test compares like with like. The angle helpers
 and the large-k constant state the paper's guarantees directly.
 
 The reference_* functions are verbatim copies of library steps as they were
-before they wrote into reused buffers: each allocates its temporaries afresh.
-The differential tests require the library's outputs to equal theirs byte
-for byte.
+before they wrote into reused buffers, dropped a mask or stopped early: each
+allocates its temporaries afresh. The differential tests require the
+library's outputs to equal theirs byte for byte. planted_stat states the
+planted noise statistics the synthetic tests check.
 """
 
 from __future__ import annotations
@@ -315,6 +316,37 @@ def reference_normalize_columns(M) -> WeightedPointSet:
     points = (M / safe).T.copy()
     points[norms == 0] = 0.0
     return WeightedPointSet(points=points, weights=weights)
+
+
+def planted_stat(m: int, n: int, noise_level: float) -> tuple[float, float]:
+    """Mean and standard deviation of the planted squared reconstruction gap.
+
+    The squared Frobenius distance between a planted instance and its
+    observation has mean 2mn and standard deviation sqrt(20mn), both times
+    the noise level squared.
+    """
+    if m < 0 or n < 0 or noise_level < 0:
+        raise ValueError("arguments must be non-negative")
+    s2 = noise_level**2
+    return 2.0 * m * n * s2, math.sqrt(20.0 * m * n) * s2
+
+
+def reference_as_matrix(data) -> np.ndarray:
+    """core.as_matrix with a bool mask of every entry's finiteness."""
+    M = np.asarray(data, dtype=np.float64)
+    if M.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={M.ndim}")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix contains non-finite entries")
+    return M
+
+
+def reference_check_nonneg(M: np.ndarray) -> np.ndarray:
+    """core.check_nonneg with a bool mask of every entry's sign."""
+    M = reference_as_matrix(M)
+    if (M < 0).any():
+        raise ValueError("matrix has negative entries")
+    return M
 
 
 def reference_write_matrix(M, path) -> None:

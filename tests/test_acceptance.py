@@ -19,7 +19,7 @@ from onmf.double import (
     solve_orthogonal_centroids,
 )
 from onmf.kmeans import KMeansConfig, weighted_kmeans
-from onmf.metrics import non_orthogonality, planted_stat
+from onmf.metrics import non_orthogonality
 from onmf.single import factorize_single
 from onmf.synth import gen_planted_single
 from oracles import (
@@ -29,6 +29,7 @@ from oracles import (
     brute_force_kmeans,
     brute_force_single,
     coordinate_enumeration_optimum,
+    planted_stat,
 )
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,9 @@ import onmf.cli
 from conftest import run_cli
 from onmf.core import read_matrix, write_matrix
 from onmf.double import GroupingError
+from onmf.kmeans import KMeansConfig
+from onmf.single import factorize_single
+from oracles import reference_write_matrix
 
 
 def test_generate_writes_instance(tmp_path):
@@ -88,6 +93,64 @@ def test_factorize_single(tmp_path):
     A = read_matrix(tmp_path / "A.csv")
     W = read_matrix(tmp_path / "W.csv")
     assert np.allclose(A @ W, [[2.0, 0.0], [0.0, 3.0]])
+
+
+def test_factorize_replaces_outputs(tmp_path, monkeypatch):
+    # A second run into the same paths renames new files into place rather
+    # than truncating the old ones; /dev/null is written, and kept, as the
+    # device it is.
+    monkeypatch.chdir(tmp_path)
+    M = np.random.default_rng(4).random((5, 8))
+    write_matrix(M, "M.csv")
+    argv = ["factorize", "--input", "M.csv", "--k", "2", "--out-a", "A.csv",
+            "--out-w", "/dev/null"]
+    assert onmf.cli.main(argv) == 0
+    ino = os.stat("A.csv").st_ino
+    assert onmf.cli.main(argv) == 0
+    assert os.stat("A.csv").st_ino != ino
+    reference_write_matrix(factorize_single(M, 2, KMeansConfig()).a, "want")
+    assert (tmp_path / "A.csv").read_bytes() == (tmp_path / "want").read_bytes()
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+    assert sorted(os.listdir()) == ["A.csv", "M.csv", "want"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--m", "3", "--n", "4", "--k", "2", "--noise", "0.1",
+     "--out-dir", "out"],
+    ["sweep", "--m", "3", "--n", "4", "--k", "2", "--noise-grid", "0.1",
+     "--trials", "1", "--restarts", "1", "--out", "out/sweep.csv"],
+    ["bcc", "--edges", "edges.csv", "--out", "out/c.csv"],
+], ids=lambda argv: argv[0])
+def test_rerun_replaces_every_output(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "edges.csv").write_text("0,0,+\n0,1,-\n1,0,-\n1,1,+\n")
+    assert onmf.cli.main(argv) == 0
+    first = {p.name: (p.stat().st_ino, p.read_bytes())
+             for p in (tmp_path / "out").iterdir()}
+    assert onmf.cli.main(argv) == 0
+    second = {p.name: (p.stat().st_ino, p.read_bytes())
+              for p in (tmp_path / "out").iterdir()}
+    assert first.keys() == second.keys()
+    for name, (ino, data) in first.items():
+        new_ino, new_data = second[name]
+        assert new_ino != ino and new_data == data
+
+
+@pytest.mark.parametrize("out, message", [
+    ("missing/A.csv", "[Errno 2] No such file or directory: 'missing/A.csv'"),
+    ("adir", "[Errno 21] Is a directory: 'adir'"),
+])
+def test_unwritable_output_is_a_cli_error(out, message, tmp_path,
+                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    write_matrix(np.eye(2), "M.csv")
+    code = onmf.cli.main(["factorize", "--input", "M.csv", "--out-a", out])
+    assert code == 1
+    assert capsys.readouterr().err == f"onmf: error: {message}\n"
+    assert sorted(os.listdir()) == ["M.csv", "adir"]
+    assert os.listdir("adir") == []
 
 
 def test_factorize_large_k_ignores_k(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -11,8 +13,11 @@ from onmf.core import (
     COS_NARROW,
     COS_WIDE,
     CompactW,
+    as_matrix,
+    check_nonneg,
     frobenius_norm_sq,
     normalize_columns,
+    open_output,
     read_matrix,
     write_matrix,
 )
@@ -20,6 +25,8 @@ from conftest import nonneg_matrices
 from oracles import (
     SIN_SQ_PI_12,
     angle,
+    reference_as_matrix,
+    reference_check_nonneg,
     reference_normalize_columns,
     reference_write_matrix,
 )
@@ -61,6 +68,28 @@ def test_normalize_columns_matches_reference(M):
     assert got.points.shape == want.points.shape
     assert got.points.tobytes() == want.points.tobytes()
     assert got.weights.tobytes() == want.weights.tobytes()
+
+
+def outcome(check, M):
+    try:
+        return check(M).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                       max_side=4),
+              elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324,
+                                        1e308, np.nan, np.inf, -np.inf])))
+@example(np.zeros((0, 0)))
+@example(np.array([[-0.0, np.nan]]))
+@example(np.array([[-np.inf, np.inf]]))
+def test_input_checks_match_mask_forms(M):
+    # The min/max reductions accept and reject what the bool masks did,
+    # with the same message.
+    assert outcome(as_matrix, M) == outcome(reference_as_matrix, M)
+    assert outcome(check_nonneg, M) == outcome(reference_check_nonneg, M)
 
 
 def test_weights_partition_squared_norm():
@@ -154,8 +183,10 @@ def test_write_matrix_matches_reference_bytes(tmp_path, M):
 
 
 def test_write_matrix_streams_rows(tmp_path):
-    # Rows one at a time: the peak is the finiteness check's bool mask,
-    # M.nbytes / 8. A list of all 400,000 entries takes about 13 MB.
+    # Rows one at a time, and no mask: the peak is one row's floats, their
+    # reprs and the joined line, about 220 KB here. A bool mask of M would
+    # add M.nbytes / 8 = 400 KB, and a list of all 400,000 entries about
+    # 13 MB.
     M = np.random.default_rng(7).random((200, 2000))
     tracemalloc.start()
     try:
@@ -163,7 +194,92 @@ def test_write_matrix_streams_rows(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < M.nbytes / 4
+    assert peak < M.nbytes / 10
+
+
+def test_rewrite_replaces_the_file(tmp_path):
+    # A rewrite is a new file renamed into place, not a truncation of the
+    # old one, and it keeps the old file's permission bits.
+    M = np.random.default_rng(8).random((5, 7))
+    path, want = tmp_path / "m.csv", tmp_path / "want.csv"
+    write_matrix(np.eye(3), path)
+    path.chmod(0o640)
+    old = path.stat()
+    write_matrix(M, path)
+    reference_write_matrix(M, want)
+    new = path.stat()
+    assert new.st_ino != old.st_ino
+    assert stat.S_IMODE(new.st_mode) == 0o640
+    assert path.read_bytes() == want.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "want.csv"]
+
+
+def test_rewrite_unlinks_before_renaming(tmp_path, monkeypatch):
+    # Renaming over the old file can make ext4 flush it, as truncating it
+    # does; renaming onto a free name does not.
+    rename = os.rename
+    seen = []
+
+    def checked(src, dst):
+        seen.append(os.path.lexists(dst))
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", checked)
+    path = tmp_path / "m.csv"
+    write_matrix(np.eye(2), path)
+    write_matrix(np.ones((2, 2)), path)
+    assert seen == [False, False]
+    assert np.array_equal(read_matrix(path), np.ones((2, 2)))
+
+
+def test_failed_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "m.csv"
+    write_matrix(np.eye(2), path)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with open_output(path) as fh:
+            fh.write("1.0,")
+            raise RuntimeError("mid-write")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+
+def test_output_through_a_symlink(tmp_path):
+    # The link stays a link, and the file it names gets the new bytes, also
+    # when it does not exist yet.
+    (tmp_path / "data").mkdir()
+    target, link = tmp_path / "data" / "m.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    for M in (np.eye(2), np.ones((2, 3))):
+        write_matrix(M, link)
+        assert link.is_symlink()
+        assert np.array_equal(read_matrix(target), M)
+    assert [p.name for p in (tmp_path / "data").iterdir()] == ["m.csv"]
+
+
+def test_hard_linked_output_is_written_in_place(tmp_path):
+    path, other = tmp_path / "m.csv", tmp_path / "other.csv"
+    write_matrix(np.eye(2), path)
+    os.link(path, other)
+    ino = path.stat().st_ino
+    write_matrix(np.ones((1, 3)), path)
+    assert path.stat().st_ino == other.stat().st_ino == ino
+    assert other.read_bytes() == b"1.0,1.0,1.0\n"
+
+
+def test_fifo_output_is_written_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # With a reader open, opening the FIFO for writing does not block, and
+    # the few bytes fit in the pipe's buffer.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_matrix(np.eye(2), fifo)
+        assert os.read(reader, 1024) == b"1.0,0.0\n0.0,1.0\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 def test_csv_parse(tmp_path):
@@ -224,7 +340,7 @@ PUBLIC_NAMES = [
     "KMeansConfig", "OnmfSolution", "PlantedInstance", "bcc_cluster",
     "disagreements", "factorize_double", "factorize_double_large_k",
     "factorize_single", "gen_planted_double", "gen_planted_single",
-    "non_orthogonality", "planted_stat", "read_matrix", "reconstruction_error",
+    "non_orthogonality", "read_matrix", "reconstruction_error",
     "recovery_error", "rsfe", "write_matrix",
 ]
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import onmf.kmeans
 from onmf.core import WeightedPointSet, normalize_columns
 from onmf.kmeans import (
     KMeansConfig,
@@ -299,6 +300,45 @@ def test_kmeans_buffers_match_reference(case, k, seed):
     config = KMeansConfig(restarts=3, max_iters=5, seed=seed)
     assert (as_bytes(weighted_kmeans(pts, k, config))
             == as_bytes(reference_weighted_kmeans(pts, k, config)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases(), st.integers(1, 20), st.integers(1, 8),
+       st.integers(0, 2**16))
+@np.errstate(all="ignore")  # the 1e+-150 cases overflow and underflow
+def test_lloyd_early_exit_matches_reference(case, max_iters, k, seed):
+    # rel_tol=0 stops only on a cost that did not fall, so the stop on an
+    # unchanged assignment comes first, and must give the same bytes.
+    points, weights, centroids = case
+    pts = WeightedPointSet(points=points, weights=weights)
+    config = KMeansConfig(max_iters=max_iters, rel_tol=0.0)
+    assert (as_bytes(lloyd(pts, centroids, config))
+            == as_bytes(reference_lloyd(pts, centroids, config)))
+    config = KMeansConfig(restarts=2, max_iters=max_iters, rel_tol=0.0,
+                          seed=seed)
+    assert (as_bytes(weighted_kmeans(pts, k, config))
+            == as_bytes(reference_weighted_kmeans(pts, k, config)))
+
+
+def test_lloyd_stops_when_the_assignment_repeats(monkeypatch):
+    # Two tight pairs, seeded one centroid per pair: the first assignment
+    # is final. The recentered step repeats it and stops, where the cost
+    # test alone would take one more step to see the cost stand still.
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _nearest(*args)
+
+    monkeypatch.setattr(onmf.kmeans, "_nearest", counted)
+    pts = pset([[1.0, 0.0], [0.99, 0.01], [0.0, 1.0], [0.01, 0.99]],
+               [1.0, 2.0, 1.0, 2.0])
+    config = KMeansConfig(max_iters=100, rel_tol=0.0)
+    sol = lloyd(pts, pts.points[[0, 2]], config)
+    assert sol.assignment.tolist() == [0, 0, 1, 1]
+    assert len(calls) == 2  # the first assignment, then one iteration
+    assert (as_bytes(sol)
+            == as_bytes(reference_lloyd(pts, pts.points[[0, 2]], config)))
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,11 +4,11 @@ import pytest
 from onmf.core import CompactW
 from onmf.metrics import (
     non_orthogonality,
-    planted_stat,
     reconstruction_error,
     recovery_error,
     rsfe,
 )
+from oracles import planted_stat
 
 
 def test_recovery_error_examples():

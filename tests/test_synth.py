@@ -6,9 +6,9 @@ import pytest
 
 from onmf.core import frobenius_norm_sq, normalize_columns
 from onmf.kmeans import KMeansConfig, kmeanspp_seed, weighted_kmeans
-from onmf.metrics import planted_stat
 from onmf.single import factorize_single
 from onmf.synth import _exp, gen_planted_double, gen_planted_single
+from oracles import planted_stat
 
 
 class FixedUniform:
