@@ -11,6 +11,7 @@ import contextlib
 import math
 import os
 import stat
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,28 +183,76 @@ def _csv_lines(path, skip_first: bool = False):
     blank and skipped ones included, so messages can name ``path:lineno``.
     """
     with open(path, "r", encoding="ascii") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line and not (skip_first and lineno == 1):
-                    yield lineno, line.split(",")
-        except UnicodeDecodeError as exc:  # decoded in chunks: line unknown
-            raise ValueError(f"{path}: not ASCII text") from exc
+        yield from _split_lines(fh, path, skip_first)
+
+
+def _split_lines(fh, path, skip_first: bool):
+    """_csv_lines on an open text file, from where it stands."""
+    try:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line and not (skip_first and lineno == 1):
+                yield lineno, line.split(",")
+    except UnicodeDecodeError as exc:  # decoded in chunks: line unknown
+        raise ValueError(f"{path}: not ASCII text") from exc
 
 
 def read_matrix(path, header: bool = False) -> np.ndarray:
-    """Read a CSV matrix; rejects ragged rows and non-numeric cells."""
-    rows: list[list[float]] = []
-    for lineno, cells in _csv_lines(path, skip_first=header):
-        try:
-            values = [float(c) for c in cells]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"{path}:{lineno}: non-finite value")
-        if rows and len(values) != len(rows[0]):
-            raise ValueError(f"{path}:{lineno}: ragged row")
-        rows.append(values)
+    """Read a CSV matrix; rejects ragged rows and non-numeric cells.
+
+    numpy's loadtxt parses a regular file in bulk. Its cell parser is the
+    one float() uses, less float()'s underscores; but it strips a cell of
+    all the whitespace str.strip() removes, which in ASCII also takes the
+    separators 0x1c-0x1f, so lines holding those are kept from it. It thus
+    accepts no cell that float() rejects and reads the same value from
+    every cell both accept; it skips empty lines, and a line of only
+    whitespace makes it fail. So a non-empty, all-finite result is the line
+    reader's. On a parse failure or an empty or non-finite result the line
+    reader reads the file again from the start: it raises with the exact
+    message naming path:line, or accepts what loadtxt did not (such as 1_0).
+    A pipe or device cannot be read twice, so it goes to the line reader
+    alone.
+
+    The file is opened here and handed to loadtxt open: given a path,
+    loadtxt would also fetch URLs and read compressed files.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            try:
+                with warnings.catch_warnings():
+                    # An empty input warns "input contained no data"; it is
+                    # rejected below anyway.
+                    warnings.simplefilter("ignore", UserWarning)
+                    M = np.loadtxt(_lines_without_separators(fh),
+                                   delimiter=",", comments=None,
+                                   dtype=np.float64, ndmin=2,
+                                   skiprows=int(header))
+                if M.size:
+                    return as_matrix(M)  # raises on a non-finite entry
+            except ValueError:  # the line reader reports the exact error
+                pass
+            fh.seek(0)
+        rows: list[list[float]] = []
+        for lineno, cells in _split_lines(fh, path, header):
+            try:
+                values = [float(c) for c in cells]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{path}:{lineno}: non-finite value")
+            if rows and len(values) != len(rows[0]):
+                raise ValueError(f"{path}:{lineno}: ragged row")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: empty matrix")
     return np.array(rows, dtype=np.float64)
+
+
+def _lines_without_separators(fh):
+    """The lines of fh; ValueError at one holding a separator 0x1c-0x1f."""
+    for line in fh:
+        if any(c in line for c in "\x1c\x1d\x1e\x1f"):
+            raise ValueError("separator character")
+        yield line
+
+

@@ -17,7 +17,6 @@ from onmf.core import (
     COS_NARROW,
     COS_WIDE,
     WeightedPointSet,
-    check_nonneg,
     normalize_columns,
 )
 from onmf.kmeans import KMeansConfig, KMeansSolution, _weighted_means
@@ -207,13 +206,18 @@ def factorize_double_large_k(M) -> OnmfSolution:
     symmetric under transposition) and transposes the result back. With no
     rows (m = 0) nothing is transposed and the inner dimension is n.
     """
-    M = check_nonneg(M)
-    m, n = M.shape
-    if 0 < m < n:
-        sol_t = factorize_double_large_k(M.T)
-        return _transpose_solution(M, sol_t)
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim == 2 and 0 < M.shape[0] < M.shape[1]:
+        return _transpose_solution(M, _large_k(M.T))
+    return _large_k(M)
+
+
+def _large_k(M: np.ndarray) -> OnmfSolution:
+    """factorize_double_large_k without the transpose. normalize_columns
+    makes the one check of M; the unit columns are freed on return, before
+    the caller transposes the solution."""
     pts = normalize_columns(M)
-    return _finish(M, pts.points, pts.weights, np.arange(n))
+    return _finish(M, pts.points, pts.weights, np.arange(len(pts)))
 
 
 def _transpose_solution(M: np.ndarray, sol_t: OnmfSolution) -> OnmfSolution:

@@ -10,6 +10,12 @@ from one matrix product, then recomputes exactly (per coordinate, so zero
 distances stay exactly zero) only the points whose two nearest centroids
 lie within a proven rounding margin. Its assignment is therefore the argmin
 of the exact distances, ties to the smallest index included.
+
+k-means++ seeding uses the same certificate. Each new centroid's expanded
+distances come from one matrix-vector product, and only the points that
+cannot be proven farther from it than from their nearest chosen centroid are
+recomputed with the exact kernel. The distances that weight the draws, and
+so the seeds, are those of the exact kernel.
 """
 
 from __future__ import annotations
@@ -48,6 +54,29 @@ def _distances_sq(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("nkm,nkm->nk", diff, diff)
 
 
+def _margin(norms_sq: np.ndarray, c_norm_sq: float, m: int) -> np.ndarray:
+    """Per-point bound on |expanded - exact| squared distance, m coordinates.
+
+    norms_sq holds ||x||^2 for each point and c_norm_sq is the largest
+    ||c||^2 of the centroids compared. Let S = ||x||^2 + ||c||^2,
+    u = eps / 2 and G_m = m u / (1 - m u). Against the true squared distance
+    D, the expanded form g = fl(fl(||x||^2 - 2 fl(x.c)) + ||c||^2) errs by at
+    most G_m S (the two norms) + 2 G_m S / 2 (the dot product, as
+    sum |x_l c_l| <= S / 2) + 2u S + 3u S (the two additions), and the exact
+    kernel (subtract, square, sum) errs by at most G_{m+2} D <= 2 G_{m+2} S.
+    So |g - exact| <= (4m + 9) u S + O(u^2) < 2 (m + 4) eps S. Products that
+    underflow add at most 2.5 m smallest subnormals; the 4 (m + 4) of them
+    below also cover the rounding of the margin itself. A NaN or inf norm
+    gives a NaN or inf margin, which certifies nothing.
+    """
+    f = np.finfo(np.float64)
+    margin = norms_sq + c_norm_sq  # the one (n,) array a call allocates
+    margin *= 2 * f.eps
+    margin += 4 * f.smallest_subnormal
+    margin *= m + 4
+    return margin
+
+
 def _nearest(points: np.ndarray, norms_sq: np.ndarray,
              centroids: np.ndarray,
              dist: np.ndarray | None = None) -> np.ndarray:
@@ -57,19 +86,11 @@ def _nearest(points: np.ndarray, norms_sq: np.ndarray,
     expanded distances into it, so a call allocates no (n, k) array, and
     its contents are overwritten. Without it the call allocates one.
 
-    norms_sq holds ||x||^2 for each point. Let S = ||x||^2 + ||c||^2,
-    u = eps / 2 and G_m = m u / (1 - m u). Against the true squared distance
-    D, the expanded form g = fl(fl(||x||^2 - 2 fl(x.c)) + ||c||^2) errs by at
-    most G_m S (the two norms) + 2 G_m S / 2 (the dot product, as
-    sum |x_l c_l| <= S / 2) + 2u S + 3u S (the two additions), and the exact
-    kernel errs by at most G_{m+2} D <= 2 G_{m+2} S. So |g - exact| <=
-    (4m + 9) u S + O(u^2) < 2 (m + 4) eps S, taken below with the largest
-    ||c||^2. Products that underflow add at most 2.5 m smallest subnormals;
-    the 4 (m + 4) of them below also cover the rounding of the margin. A
-    point whose best and second-best g differ by more than twice its margin
-    has the same strict argmin under the exact kernel. The rest, NaN and inf
-    rows included (the test is ~(gap > 2 margin)), are recomputed exactly a
-    few rows at a time, so the temporary stays about n k floats.
+    norms_sq holds ||x||^2 for each point. A point whose best and
+    second-best expanded distances differ by more than twice its _margin
+    has the same strict argmin under the exact kernel. The rest, NaN and
+    inf rows included (the test is ~(gap > 2 margin)), are recomputed
+    exactly a few rows at a time, so the temporary stays about n k floats.
     """
     n, m = points.shape
     c_norms_sq = np.einsum("km,km->k", centroids, centroids)
@@ -82,9 +103,7 @@ def _nearest(points: np.ndarray, norms_sq: np.ndarray,
     best = g[rows, assignment]
     g[rows, assignment] = np.inf
     gap = g.min(axis=1) - best
-    f = np.finfo(np.float64)
-    margin = (m + 4) * (2 * f.eps * (norms_sq + c_norms_sq.max())
-                        + 4 * f.smallest_subnormal)
+    margin = _margin(norms_sq, c_norms_sq.max(), m)
     unsure = np.flatnonzero(~(gap > 2 * margin))
     step = max(1, n // max(m, 1))
     for lo in range(0, len(unsure), step):
@@ -178,6 +197,28 @@ def _sq_dists(points: np.ndarray, c: np.ndarray,
     return np.sum(diff, axis=1)
 
 
+def _maybe_nearer(points: np.ndarray, norms_sq: np.ndarray, c: np.ndarray,
+                  c_norm_sq: float, d2: np.ndarray) -> np.ndarray:
+    """Indices of the points whose exact squared distance to c may be at
+    most d2; every other point is proven farther from c.
+
+    norms_sq holds ||x||^2 for each point and c_norm_sq is ||c||^2. The
+    expanded distance g = ||x||^2 - 2 x.c + ||c||^2 comes from one gemv.
+    Where g - margin > d2 + margin (see _margin), the exact distance is
+    above d2. A point that passes has d2 < g <= about 2 S, so the second
+    margin also covers the rounding of the two sides. NaN and inf rows never
+    pass.
+    """
+    g = points @ c
+    g *= -2.0
+    g += norms_sq
+    g += c_norm_sq
+    margin = _margin(norms_sq, c_norm_sq, points.shape[1])
+    g -= margin
+    margin += d2
+    return np.flatnonzero(~(g > margin))
+
+
 def kmeanspp_seed(pts: WeightedPointSet, k: int,
                   rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding on a weighted point set.
@@ -187,6 +228,13 @@ def kmeanspp_seed(pts: WeightedPointSet, k: int,
     nearest chosen centroid. With zero total remaining probability the
     leftover centroids are the zero vector (they can never lower the cost of
     any point, so the convention is harmless).
+
+    The squared distances d2 to the nearest chosen centroid are exact
+    (_sq_dists). For each later centroid only the points _maybe_nearer
+    returns are gathered into the leading rows of the work array and
+    recomputed with the same kernel; the rest keep d2. So d2, and with it
+    every draw and centroid, has the bits of
+    np.minimum(d2, _sq_dists(points, c)) over all points.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -197,6 +245,7 @@ def kmeanspp_seed(pts: WeightedPointSet, k: int,
     first = _sample_index(pts.weights, rng)
     centroids[0] = pts.points[first]
     d2 = _sq_dists(pts.points, centroids[0], work)
+    norms_sq = np.einsum("nm,nm->n", pts.points, pts.points)
     for j in range(1, k):
         probs = pts.weights * d2
         total = float(probs.sum())
@@ -204,7 +253,10 @@ def kmeanspp_seed(pts: WeightedPointSet, k: int,
             break  # every point already sits on a centroid
         idx = _sample_index(probs, rng)
         centroids[j] = pts.points[idx]
-        np.minimum(d2, _sq_dists(pts.points, centroids[j], work), out=d2)
+        c = centroids[j]
+        rows = _maybe_nearer(pts.points, norms_sq, c, norms_sq[idx], d2)
+        diff = _gather(pts.points, rows, work)
+        d2[rows] = np.minimum(d2[rows], _sq_dists(diff, c, diff))
     return centroids
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from onmf.core import CompactW, check_nonneg, normalize_columns
+from onmf.core import CompactW, normalize_columns
 from onmf.kmeans import KMeansConfig, weighted_kmeans
 
 
@@ -60,10 +60,10 @@ def _cluster(M, k: int, config: KMeansConfig | None):
     Returns (M as a checked float64 matrix, the point set, the solution);
     config defaults to KMeansConfig().
     """
-    M = check_nonneg(M)
+    M = np.asarray(M, dtype=np.float64)
+    pts = normalize_columns(M)  # the one check of M
     if k < 1:
         raise ValueError("k must be >= 1")
-    pts = normalize_columns(M)
     return M, pts, weighted_kmeans(pts, k, config or KMeansConfig())
 
 

@@ -6,9 +6,10 @@ solution epilogue, so a ratio test compares like with like. The angle helpers
 and the large-k constant state the paper's guarantees directly.
 
 The reference_* functions are verbatim copies of library steps as they were
-before they wrote into reused buffers, dropped a mask or stopped early: each
-allocates its temporaries afresh. The differential tests require the
-library's outputs to equal theirs byte for byte. planted_stat states the
+before they wrote into reused buffers, dropped a mask, stopped early or took
+a certified fast path: each allocates its temporaries afresh and takes the
+slow path. The differential tests require the library's outputs to equal
+theirs byte for byte. planted_stat states the
 planted noise statistics the synthetic tests check.
 """
 
@@ -22,6 +23,7 @@ import numpy as np
 from onmf.bcc import BipartiteLabeling, Clustering, disagreements
 from onmf.core import (
     CompactW,
+    _csv_lines,
     WeightedPointSet,
     as_matrix,
     check_nonneg,
@@ -356,6 +358,24 @@ def reference_write_matrix(M, path) -> None:
         # repr() of a float is the shortest string that round-trips exactly.
         for row in M.tolist():
             fh.write(",".join(map(repr, row)) + "\n")
+
+
+def reference_read_matrix(path, header: bool = False) -> np.ndarray:
+    """core.read_matrix as the line reader alone, one float() per cell."""
+    rows: list[list[float]] = []
+    for lineno, cells in _csv_lines(path, skip_first=header):
+        try:
+            values = [float(c) for c in cells]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{path}:{lineno}: non-finite value")
+        if rows and len(values) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: ragged row")
+        rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: empty matrix")
+    return np.array(rows, dtype=np.float64)
 
 
 def reference_weighted_cost(pts: WeightedPointSet, centroids: np.ndarray,

@@ -1,7 +1,12 @@
+import contextlib
+import gzip
 import math
 import os
 import stat
+import threading
 import tracemalloc
+import urllib.request
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +33,7 @@ from oracles import (
     reference_as_matrix,
     reference_check_nonneg,
     reference_normalize_columns,
+    reference_read_matrix,
     reference_write_matrix,
 )
 
@@ -325,6 +331,168 @@ def test_csv_error_line_numbers(tmp_path, text, header, message):
     with pytest.raises(ValueError) as exc:
         read_matrix(path, header=header)
     assert str(exc.value) == f"{path}{message}"
+
+
+def read_outcome(read, path, header):
+    """(array dtype, shape and bytes) or (exception type, message) of a read,
+    and the warnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            M = read(path, header=header)
+            outcome = (M.dtype, M.shape, M.tobytes())
+        except Exception as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, [str(w.message) for w in caught]
+
+
+def assert_reads_like_reference(path, header):
+    got, caught = read_outcome(read_matrix, path, header)
+    want, _ = read_outcome(reference_read_matrix, path, header)
+    assert got == want
+    assert caught == []
+
+
+# Cells float() and loadtxt both read, cells only float() reads (1_0),
+# non-finite ones, and cells neither reads.
+CSV_CELLS = [
+    "1", "-0.0", "2.5e-3", "1e-400", "5e-324", "1.7976931348623157e308",
+    " 3 ", "\t4\t", "+.5", "1_0", "nan", "-inf", "Infinity", "1e999",
+    '"1"', "", "1#x", "x", "0x10", "1 2", "\x00", "\x0b7\x0c", "\x1c8",
+]
+
+
+@st.composite
+def csv_files(draw):
+    """Bytes of a CSV file. Half are well formed: rows of finite values and
+    empty lines. The rest mix in the cells above, ragged rows,
+    whitespace-only lines and now and then a non-ASCII byte. Either kind
+    uses all three line ends."""
+    width = draw(st.integers(1, 4))
+    valid = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    if draw(st.booleans()):
+        row = st.lists(valid, min_size=width, max_size=width).map(",".join)
+        line = row | row | row | st.just("")
+    else:
+        cell = valid | st.sampled_from(CSV_CELLS)
+        row = st.lists(cell, min_size=width, max_size=width).map(",".join)
+        ragged = st.lists(cell, min_size=1, max_size=5).map(",".join)
+        line = row | row | ragged | st.sampled_from(["", "  ", "\t", "a,b"])
+    lines = draw(st.lists(line, max_size=6))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    data = "".join(a + b for a, b in zip(lines, ends)).encode("ascii")
+    if data and draw(st.booleans()) and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from([b"\xe9", b"\xff"]))
+        data = data[:at] + byte + data[at:]
+    return data
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=csv_files(), header=st.booleans())
+def test_read_matrix_matches_line_reader(tmp_path, data, header):
+    # The bulk parse and its fallback against the line reader alone: the
+    # same bytes, or the same exception with the same message.
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    assert_reads_like_reference(path, header)
+
+
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("data", [
+    b"1_0,2\n3,4\n",  # float() reads 1_0, loadtxt does not
+    b" 1 ,\t2\t\r\n3 , 4\r\n",
+    b"\n1,2\n\n3,4\n\n",
+    b"  \n1,2\n\t\n3,4\n",
+    b'"1",2\n', b"1,2,\n", b"1,,2\n",
+    b"1,nan\n", b"inf,1\n", b"1e999\n",
+    b"1#x\n", b"1,2,3\n", b"1\n2\n3\n",
+    b"0,\x1c8\n", b"\x1f8,1\n", b"8\x1d,1\n",  # stripped by loadtxt only
+    b"", b"1,2\n3,\xc3\xa9\n", b"\xff\n1\n",
+], ids=lambda data: repr(data)[2:-1])
+def test_read_matrix_fixed_cases(tmp_path, data, header):
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    assert_reads_like_reference(path, header)
+
+
+@pytest.mark.parametrize("header", [False, True])
+def test_read_matrix_missing_file(tmp_path, header):
+    assert_reads_like_reference(tmp_path / "missing.csv", header)
+    with pytest.raises(FileNotFoundError):
+        read_matrix(tmp_path / "missing.csv", header=header)
+
+
+def test_read_matrix_ignores_compressed_siblings(tmp_path):
+    # A missing m.csv stays missing with m.csv.gz beside it.
+    path = tmp_path / "m.csv"
+    with gzip.open(tmp_path / "m.csv.gz", "wb") as fh:
+        fh.write(b"1,2\n")
+    with pytest.raises(FileNotFoundError):
+        read_matrix(path)
+
+
+def test_read_matrix_does_not_decompress(tmp_path):
+    path = tmp_path / "m.csv.gz"
+    with gzip.open(path, "wb") as fh:
+        fh.write(b"1,2\n")
+    assert_reads_like_reference(path, False)
+    with pytest.raises(ValueError, match=": not ASCII text$"):
+        read_matrix(path)
+
+
+def test_read_matrix_does_not_fetch_urls(tmp_path, monkeypatch):
+    # A URL is a (missing) local path: nothing is fetched or saved.
+    def urlopen(*args, **kwargs):
+        raise AssertionError("read_matrix opened a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError):
+        read_matrix("http://localhost/m.csv")
+    assert os.listdir(tmp_path) == []
+
+
+def read_fifo_outcome(read, fifo, data, header):
+    """read_outcome of reading data through a FIFO fed by a thread. A read
+    that opens the FIFO a second time would wait for a writer for ever, so
+    it runs in a thread too and fails the test after a timeout."""
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
+            fh.write(data)
+
+    outcome = []
+    threads = [
+        threading.Thread(target=feed, daemon=True),
+        threading.Thread(target=lambda: outcome.append(
+            read_outcome(read, fifo, header)), daemon=True),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert outcome, "the read did not finish"
+    return outcome[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("data", [
+    b"1_0,2\n3,4\n",
+    b"1,2\n 1_0 ,x\n",
+    b"1,2\n  \n3,4\n",
+    b"1.5,2.5\n" * 40000 + b"1_0,3\n",  # more than one read buffer
+], ids=["underscore", "bad-cell", "blank-line", "large"])
+def test_read_matrix_from_fifo(tmp_path, data, header):
+    # A pipe is read once, by the line reader.
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got, caught = read_fifo_outcome(read_matrix, fifo, data, header)
+    want, _ = read_fifo_outcome(reference_read_matrix, fifo, data, header)
+    assert got == want
+    assert caught == []
 
 
 def test_angle_band_constants():

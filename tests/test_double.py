@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import onmf.core
+import onmf.double
+import onmf.single
 from onmf.core import COS_NARROW, COS_WIDE, check_nonneg, normalize_columns
 from onmf.double import (
     GroupingError,
@@ -18,7 +21,7 @@ from onmf.double import (
 )
 from onmf.kmeans import KMeansConfig, KMeansSolution, weighted_kmeans
 from onmf.metrics import non_orthogonality
-from onmf.single import _theta_against
+from onmf.single import _theta_against, factorize_single
 from onmf.synth import gen_planted_double
 from conftest import nonneg_matrices, planted_labels
 from oracles import (
@@ -526,3 +529,50 @@ def test_brute_force_double_frozen_reference():
 def test_brute_force_double_too_large():
     with pytest.raises(ValueError):
         brute_force_double(np.ones((6, 3)), 2)
+
+
+@pytest.mark.parametrize("factorize, shape", [
+    (lambda M: factorize_single(M, 2), (4, 6)),
+    (lambda M: factorize_double(M, 2), (4, 6)),
+    (factorize_double_large_k, (4, 6)),  # transposed
+    (factorize_double_large_k, (6, 4)),
+    (factorize_double_large_k, (5, 5)),
+], ids=["single", "double", "large-k-wide", "large-k-tall", "large-k-square"])
+def test_each_entry_point_checks_once(monkeypatch, factorize, shape):
+    calls = []
+
+    def counted(M):
+        calls.append(np.shape(M))
+        return check_nonneg(M)
+
+    for module in (onmf.core, onmf.single, onmf.double):
+        if hasattr(module, "check_nonneg"):
+            monkeypatch.setattr(module, "check_nonneg", counted)
+    factorize(np.random.default_rng(0).random(shape))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("factorize", [factorize_single, factorize_double])
+@pytest.mark.parametrize("M, k, message", [
+    ([[1.0, -1.0]], 0, "matrix has negative entries"),
+    ([[1.0, float("nan")]], 0, "matrix contains non-finite entries"),
+    ([1.0, 2.0], 0, "expected a 2-D matrix, got ndim=1"),
+    ([[1.0, 2.0]], 0, "k must be >= 1"),
+])
+def test_input_errors_keep_their_precedence(factorize, M, k, message):
+    # A bad matrix is reported before a bad k.
+    with pytest.raises(ValueError) as exc:
+        factorize(M, k)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("M, message", [
+    ([[1.0, -1.0, 0.0]], "matrix has negative entries"),  # transposed
+    ([[1.0], [float("inf")]], "matrix contains non-finite entries"),
+    ([1.0, 2.0], "expected a 2-D matrix, got ndim=1"),
+    (np.ones((1, 1, 1)), "expected a 2-D matrix, got ndim=3"),
+])
+def test_large_k_input_errors(M, message):
+    with pytest.raises(ValueError) as exc:
+        factorize_double_large_k(M)
+    assert str(exc.value) == message

@@ -8,6 +8,7 @@ from onmf.kmeans import (
     KMeansConfig,
     KMeansSolution,
     _distances_sq,
+    _gather,
     _nearest,
     _sq_dists,
     _weighted_cost,
@@ -363,6 +364,80 @@ def test_kernel_helpers_never_read_stale_buffers(case):
     for c in centroids:
         want = np.sum((points - c) ** 2, axis=1).tobytes()
         assert _sq_dists(points, c, garbage(points.shape)).tobytes() == want
+
+
+@st.composite
+def seeding_cases(draw):
+    """(points, weights) that stress the seeding's filter: normalized
+    columns of a matrix whose columns repeat after rounding, with about 30%
+    zero columns, or repeated and then scaled by 1e-150, so the squared
+    distances sit near the subnormal range."""
+    kind = draw(st.sampled_from(["rounded", "zeros", "tiny"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    m = int(rng.integers(1, 40))
+    distinct = int(rng.integers(1, 8))
+    n = int(rng.integers(1, 60))
+    M = rng.random((m, distinct)).round(1)[:, rng.integers(0, distinct, n)]
+    if kind == "zeros":
+        M[:, rng.random(n) < 0.3] = 0.0
+    pts = normalize_columns(M)
+    if kind == "tiny":
+        pts = WeightedPointSet(points=pts.points * 1e-150,
+                               weights=pts.weights)
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeding_cases(), st.integers(1, 12), st.integers(0, 2**16))
+@np.errstate(all="ignore")  # the 1e-150 points' squares underflow
+def test_seeding_filter_matches_reference(pts, k, seed):
+    # k often exceeds the distinct points, which stops the draws early.
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = reference_kmeanspp_seed(pts, k, ref_rng).tobytes()
+    assert kmeanspp_seed(pts, k, rng).tobytes() == want
+    assert rng.random() == ref_rng.random()
+
+
+def test_seeding_recomputes_few_rows_exactly(monkeypatch):
+    # Every exact recomputation goes through _gather. A filter that
+    # certified nothing would gather all n rows for each of k - 1 centroids;
+    # here about an eighth of them are gathered, mostly the points that the
+    # new centroid is nearer to, whose exact distances d2 must take.
+    gathered = []
+
+    def counted(points, idx, work):
+        gathered.append(len(idx))
+        return _gather(points, idx, work)
+
+    monkeypatch.setattr(onmf.kmeans, "_gather", counted)
+    n, k = 2000, 20
+    pts = normalize_columns(
+        gen_planted_single(100, n, k, 0.5, 3).m_observed)
+    for seed in range(3):
+        gathered.clear()
+        rng, ref_rng = (np.random.default_rng(seed),
+                        np.random.default_rng(seed))
+        assert (kmeanspp_seed(pts, k, rng).tobytes()
+                == reference_kmeanspp_seed(pts, k, ref_rng).tobytes())
+        assert 0 < sum(gathered) < n * (k - 1) / 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 3, 7, 8, 9, 15, 16, 64, 100, 127, 128, 129, 130,
+                        200, 256, 257, 300]) | st.integers(1, 300),
+       st.integers(1, 40), st.integers(0, 2**16))
+def test_row_subset_sums_match_full_sums(m, n, seed):
+    # np.sum over axis 1 adds each row alone, so the sums of rows gathered
+    # into the leading rows of a work array equal those rows of the sum of
+    # the whole array. The seeding's exact recomputation relies on it, as
+    # _nearest's relies on the same property of einsum. Mixed magnitudes
+    # make the order of addition show.
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-8, 9, (n, m))
+    idx = rng.integers(0, n, int(rng.integers(1, n + 1)))
+    full = np.sum(points, axis=1)
+    rows = _gather(points, idx, garbage(points.shape))
+    assert np.sum(rows, axis=1).tobytes() == full[idx].tobytes()
 
 
 @pytest.mark.parametrize("k", [0, -1])
