@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from onmf.core import frobenius_norm_sq
-from onmf.double import factorize_double_large_k
+from onmf.double import _large_k
 
 
 @dataclass(frozen=True)
@@ -22,10 +22,17 @@ class BipartiteLabeling:
     """Complete bipartite graph with +/- edge labels.
 
     labels[i, j] is True when the edge between left vertex i and right
-    vertex j is labeled "+".
-    """
+    vertex j is labeled "+". Any 2-D 0/1 array is stored as bool (a bool
+    array as it is, not copied)."""
 
     labels: np.ndarray  # (m, n) booleans
+
+    def __post_init__(self) -> None:
+        labels = np.asarray(self.labels)
+        if labels.ndim != 2 or (labels.dtype != bool
+                                and not np.isin(labels, (0, 1)).all()):
+            raise ValueError("labels must be a 2-D array of 0/1 values")
+        object.__setattr__(self, "labels", labels.astype(bool, copy=False))
 
     @property
     def m(self) -> int:
@@ -70,7 +77,8 @@ def round_block(Mblk, a, w) -> tuple[np.ndarray, np.ndarray]:
     pos = np.flatnonzero(w > 0)
     if pos.size == 0:
         return a_hat, w_hat
-    dists = [frobenius_norm_sq(Mblk[:, i] / w[i] - a) for i in pos]
+    with np.errstate(over="ignore"):  # a tiny w[i] gives an inf distance
+        dists = [frobenius_norm_sq(Mblk[:, i] / w[i] - a) for i in pos]
     i_star = int(pos[int(np.argmin(dists))])  # argmin ties -> smallest index
     a_hat = Mblk[:, i_star].copy()
     support = a_hat > 0
@@ -109,19 +117,18 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
     Returns the clustering and its exact disagreement count.
     """
     M = g.to_matrix()
-    sol = factorize_double_large_k(M)
-    a, w = sol.a, sol.w
+    a, group, theta = _large_k(M)  # the factors alone: no objective
     left = np.zeros(g.m, dtype=np.int64)
     right = np.zeros(g.n, dtype=np.int64)
-    live = w.theta > 0
+    live = theta > 0
     next_id = 1
-    for s in np.unique(w.group[live]):  # ascending: ids follow block order
+    for s in np.unique(group[live]):  # ascending: ids follow block order
         rows = np.flatnonzero(a[:, s] > 0)
         if rows.size == 0:
             continue
-        cols = np.flatnonzero(live & (w.group == s))
+        cols = np.flatnonzero(live & (group == s))
         a_hat, w_hat = round_block(M[np.ix_(rows, cols)], a[rows, s],
-                                   w.theta[cols])
+                                   theta[cols])
         rset = rows[a_hat > 0]
         cset = cols[w_hat > 0]
         if rset.size == 0 or cset.size == 0:

@@ -22,6 +22,12 @@ import numpy as np
 COS_NARROW = math.sqrt(3.0) / 2.0
 COS_WIDE = 0.5
 
+# The largest squared Frobenius norm normalize_columns accepts. The points
+# the algorithms compare have norm at most 1, so a squared distance between
+# two of them is at most 4, and below this limit a weight times such a
+# distance, or a sum of those products, stays finite.
+MAX_TOTAL_WEIGHT = float(np.finfo(np.float64).max) / 4
+
 
 def as_matrix(data) -> np.ndarray:
     """Coerce to a 2-D float64 array and check that all entries are finite."""
@@ -72,11 +78,17 @@ class WeightedPointSet:
 def normalize_columns(M) -> WeightedPointSet:
     """Split a non-negative matrix into unit columns and squared-norm weights.
 
-    A zero column maps to the zero point with weight zero.
+    A zero column maps to the zero point with weight zero. A matrix whose
+    squared Frobenius norm (the total weight) exceeds MAX_TOTAL_WEIGHT is
+    rejected with a ValueError, before the unit columns are allocated.
     """
     M = check_nonneg(M)
-    norms = np.linalg.norm(M, axis=0)
-    weights = norms**2
+    with np.errstate(over="ignore"):  # an overflow ends in the ValueError
+        norms = np.linalg.norm(M, axis=0)
+        weights = norms**2
+        if weights.sum() > MAX_TOTAL_WEIGHT:
+            raise ValueError("matrix too large: squared Frobenius norm "
+                             f"exceeds {MAX_TOTAL_WEIGHT!r}")
     safe = np.where(norms > 0, norms, 1.0)
     # The quotient goes straight into the C-ordered (n, m) result, with no
     # (m, n) intermediate.

@@ -177,8 +177,8 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
 
 
 def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
-            phi: np.ndarray) -> OnmfSolution:
-    """Steps 2-3 on prepared centroids/weights, then scale fitting.
+            phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steps 2-3 and the scale fit; returns the factors (a, group, theta).
 
     Reduction and grouping share one cosine matrix, freed before the solve.
     """
@@ -188,14 +188,14 @@ def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
     del cos
     a = solve_orthogonal_centroids(centroids, qp, sigma)
     group = sigma[phi]
-    return _solution(M, a, group, _theta_against(M, a, group))
+    return a, group, _theta_against(M, a, group)
 
 
 def factorize_double(M, k: int, config: KMeansConfig | None = None) -> OnmfSolution:
     """Factorize with both factors orthogonal, for arbitrary inner dimension."""
     M, pts, sol = _cluster(M, k, config)
     centroids, q = centroid_weights(pts, sol)
-    return _finish(M, centroids, q, sol.assignment)
+    return _solution(M, *_finish(M, centroids, q, sol.assignment))
 
 
 def factorize_double_large_k(M) -> OnmfSolution:
@@ -207,29 +207,21 @@ def factorize_double_large_k(M) -> OnmfSolution:
     rows (m = 0) nothing is transposed and the inner dimension is n.
     """
     M = np.asarray(M, dtype=np.float64)
+    return _solution(M, *_large_k(M))
+
+
+def _large_k(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factors (a, group, theta) of factorize_double_large_k, no objective.
+
+    normalize_columns makes the one check of M. When 0 < m < n this solves
+    M^T ~ A2 @ W2, freeing its unit columns on return, and converts it to
+    M ~ W2^T @ A2^T: A2's columns have disjoint supports, so A2^T has at
+    most one non-zero per column."""
     if M.ndim == 2 and 0 < M.shape[0] < M.shape[1]:
-        return _transpose_solution(M, _large_k(M.T))
-    return _large_k(M)
-
-
-def _large_k(M: np.ndarray) -> OnmfSolution:
-    """factorize_double_large_k without the transpose. normalize_columns
-    makes the one check of M; the unit columns are freed on return, before
-    the caller transposes the solution."""
+        a2, group2, theta2 = _large_k(M.T)  # a2 is (n, k)
+        group = np.argmax(a2 > 0, axis=1)  # an all-zero row: group 0
+        a = np.zeros((len(group2), a2.shape[1]))  # W2^T
+        a[np.arange(len(group2)), group2] = theta2
+        return a, group, a2[np.arange(len(group)), group]
     pts = normalize_columns(M)
     return _finish(M, pts.points, pts.weights, np.arange(len(pts)))
-
-
-def _transpose_solution(M: np.ndarray, sol_t: OnmfSolution) -> OnmfSolution:
-    """Convert a factorization of M^T into one of M.
-
-    If M^T ~ A2 @ W2 then M ~ W2^T @ A2^T. The columns of A2 have disjoint
-    supports, so A2^T has at most one non-zero per column and converts to the
-    compact form directly.
-    """
-    a2, w2 = sol_t.a, sol_t.w  # a2 is (n, k)
-    group = np.argmax(a2 > 0, axis=1)  # rows without a non-zero get group 0
-    theta = a2[np.arange(a2.shape[0]), group]
-    a = np.zeros((w2.n, w2.k))  # W2^T, entry (i, group2[i]) = theta2[i]
-    a[np.arange(w2.n), w2.group] = w2.theta
-    return _solution(M, a, group, theta)

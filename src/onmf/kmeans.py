@@ -266,7 +266,8 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
 
     Alternates nearest-centroid assignment and weighted-mean recentering
     until the assignment stops changing, the relative cost improvement drops
-    below config.rel_tol or config.max_iters is reached. The cost never increases (up to rounding).
+    below config.rel_tol or config.max_iters is reached. The cost never
+    increases (up to rounding).
     Assignment is a GEMM plus an exact recomputation of the points it cannot
     certify (see _nearest): each point goes to the centroid at the smallest
     exact squared distance, ties to the smallest index, and a point on a

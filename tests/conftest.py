@@ -41,14 +41,19 @@ NONNEG_CELLS = (st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-310, 1e308])
                 | st.floats(0.0, 4.0))
 
 
+# normalize_columns' message for a matrix whose squared Frobenius norm
+# exceeds core.MAX_TOTAL_WEIGHT, a quarter of the largest float64.
+TOO_LARGE = ("matrix too large: squared Frobenius norm exceeds "
+             "4.4942328371557893e+307")
+
+
 @st.composite
-def nonneg_matrices(draw, max_side=6):
-    """Non-negative matrices, up to max_side on each side and possibly
-    empty, with duplicated and zero columns, in C, Fortran or strided
-    layout."""
-    m = draw(st.integers(0, max_side))
-    n = draw(st.integers(0, max_side))
-    rows = st.lists(NONNEG_CELLS, min_size=n, max_size=n)
+def nonneg_matrices(draw, max_side=6, min_side=0, cells=NONNEG_CELLS):
+    """Non-negative matrices of `cells`, min_side to max_side on each side,
+    with duplicated and zero columns, in C, Fortran or strided layout."""
+    m = draw(st.integers(min_side, max_side))
+    n = draw(st.integers(min_side, max_side))
+    rows = st.lists(cells, min_size=n, max_size=n)
     M = np.array(draw(st.lists(rows, min_size=m, max_size=m)),
                  dtype=np.float64).reshape(m, n)
     if n:

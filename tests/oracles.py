@@ -518,7 +518,8 @@ def reference_solution(M: np.ndarray, a: np.ndarray, group: np.ndarray,
 
 def reference_transpose_solution(M: np.ndarray,
                                  sol_t: OnmfSolution) -> OnmfSolution:
-    """double._transpose_solution through the materialized W of sol_t."""
+    """The wide branch of double._large_k, as double._transpose_solution
+    once was: through the materialized W and the objective of sol_t."""
     a2 = sol_t.a  # (n, k)
     group = np.argmax(a2 > 0, axis=1)  # rows without a non-zero get group 0
     theta = a2[np.arange(a2.shape[0]), group]

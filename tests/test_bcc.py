@@ -117,6 +117,31 @@ def test_disagreements_rejects_mismatched_sides():
                                     right=np.ones(4, dtype=int)))
 
 
+def test_labeling_checks_its_labels():
+    # A 2 once passed as "+": disagreements counted 2 for this perfect
+    # clustering, and bcc_cluster failed in round_block.
+    for bad in ([[2, 0], [0, 2]], [[0.5]], [[np.nan]], [1, 0],
+                np.ones((1, 1, 1))):
+        with pytest.raises(ValueError,
+                           match="labels must be a 2-D array of 0/1 values"):
+            BipartiteLabeling(np.array(bad))
+    labels = np.eye(3, dtype=bool)
+    assert BipartiteLabeling(labels).labels is labels
+    # 0/1 labels of any dtype are stored as bool and keep their results.
+    planted = planted_labels(40, 90, 4, 0.2, 2)
+    want = bcc_cluster(BipartiteLabeling(planted))
+    for dtype in (np.int64, np.uint8, np.float64):
+        g = BipartiteLabeling(planted.astype(dtype))
+        assert g.labels.dtype == bool
+        clustering, count = bcc_cluster(g)
+        assert count == want[1]
+        assert np.array_equal(clustering.left, want[0].left)
+        assert np.array_equal(clustering.right, want[0].right)
+    ints = BipartiteLabeling(np.array([[1, 0], [0, 1]]))
+    assert disagreements(ints, Clustering(np.array([1, 2]),
+                                          np.array([1, 2]))) == 0
+
+
 def test_bcc_identity():
     clustering, count = bcc_cluster(labeling(np.eye(2)))
     assert count == 0

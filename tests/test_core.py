@@ -17,6 +17,7 @@ import onmf
 from onmf.core import (
     COS_NARROW,
     COS_WIDE,
+    MAX_TOTAL_WEIGHT,
     CompactW,
     as_matrix,
     check_nonneg,
@@ -26,7 +27,7 @@ from onmf.core import (
     read_matrix,
     write_matrix,
 )
-from conftest import nonneg_matrices
+from conftest import TOO_LARGE, nonneg_matrices
 from oracles import (
     SIN_SQ_PI_12,
     angle,
@@ -69,11 +70,32 @@ def test_normalize_rejects_negative():
 @example(np.zeros((3, 0)))
 @np.errstate(all="ignore")  # squares of 1e308 overflow in both
 def test_normalize_columns_matches_reference(M):
-    got, want = normalize_columns(M), reference_normalize_columns(M)
+    want = reference_normalize_columns(M)
+    if want.total_weight() > MAX_TOTAL_WEIGHT:
+        with pytest.raises(ValueError) as exc:
+            normalize_columns(M)
+        assert str(exc.value) == TOO_LARGE
+        return
+    got = normalize_columns(M)
     assert got.points.flags.c_contiguous
     assert got.points.shape == want.points.shape
     assert got.points.tobytes() == want.points.tobytes()
     assert got.weights.tobytes() == want.weights.tobytes()
+
+
+def test_normalize_columns_rejects_too_large():
+    # Cells of 1e200 are finite, but their squares are not.
+    with pytest.raises(ValueError) as exc:
+        normalize_columns(np.full((3, 3), 1e200))
+    assert str(exc.value) == TOO_LARGE
+    assert MAX_TOTAL_WEIGHT == np.finfo(np.float64).max / 4
+    # One cell whose square is just below the limit is accepted; two are
+    # not.
+    edge = math.sqrt(MAX_TOTAL_WEIGHT)
+    assert normalize_columns([[edge]]).total_weight() <= MAX_TOTAL_WEIGHT
+    with pytest.raises(ValueError) as exc:
+        normalize_columns([[edge, edge]])
+    assert str(exc.value) == TOO_LARGE
 
 
 def outcome(check, M):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 import onmf.core
 import onmf.double
 import onmf.single
-from onmf.core import COS_NARROW, COS_WIDE, check_nonneg, normalize_columns
+from onmf.bcc import BipartiteLabeling, bcc_cluster
+from onmf.core import (
+    COS_NARROW,
+    COS_WIDE,
+    MAX_TOTAL_WEIGHT,
+    check_nonneg,
+    normalize_columns,
+)
 from onmf.double import (
     GroupingError,
     _cosine_matrix,
@@ -21,9 +29,9 @@ from onmf.double import (
 )
 from onmf.kmeans import KMeansConfig, KMeansSolution, weighted_kmeans
 from onmf.metrics import non_orthogonality
-from onmf.single import _theta_against, factorize_single
+from onmf.single import _solution, _theta_against, factorize_single
 from onmf.synth import gen_planted_double
-from conftest import nonneg_matrices, planted_labels
+from conftest import NONNEG_CELLS, TOO_LARGE, nonneg_matrices, planted_labels
 from oracles import (
     SIN_SQ_PI_12,
     angle,
@@ -468,6 +476,8 @@ def _reference_large_k(M):
     if 0 < m < n:
         return reference_transpose_solution(M, _reference_large_k(M.T))
     pts = reference_normalize_columns(M)
+    if pts.total_weight() > MAX_TOTAL_WEIGHT:
+        raise ValueError(TOO_LARGE)
     cos = reference_cosine_matrix(pts.points)
     qp = weight_reduction(cos, pts.weights)
     sigma = group_centroids(cos, qp)
@@ -478,7 +488,7 @@ def _reference_large_k(M):
 def _solution_bytes(fn, M):
     try:
         sol = fn(M)
-    except GroupingError as exc:
+    except (GroupingError, ValueError) as exc:
         return type(exc), str(exc)
     return (sol.a.shape, sol.a.tobytes(), sol.w.k, sol.w.group.tobytes(),
             sol.w.theta.tobytes(), np.float64(sol.objective).tobytes())
@@ -550,6 +560,66 @@ def test_each_entry_point_checks_once(monkeypatch, factorize, shape):
             monkeypatch.setattr(module, "check_nonneg", counted)
     factorize(np.random.default_rng(0).random(shape))
     assert len(calls) == 1
+
+
+def _bcc(M):
+    return bcc_cluster(BipartiteLabeling(M > 0.5))
+
+
+@pytest.mark.parametrize("run, shape, expected", [
+    (lambda M: factorize_single(M, 2), (4, 6), 1),
+    (lambda M: factorize_double(M, 2), (4, 6), 1),
+    (factorize_double_large_k, (4, 6), 1),  # transposed
+    (factorize_double_large_k, (6, 4), 1),
+    (factorize_double_large_k, (5, 5), 1),
+    (_bcc, (4, 6), 0),  # transposed
+    (_bcc, (6, 4), 0),
+], ids=["single", "double", "large-k-wide", "large-k-tall", "large-k-square",
+        "bcc-wide", "bcc-tall"])
+def test_each_entry_point_builds_one_solution(monkeypatch, run, shape,
+                                              expected):
+    # Each factorization packages its factors, with their objective, once;
+    # bcc_cluster rounds the factors and needs no objective.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return _solution(*args)
+
+    for module in (onmf.single, onmf.double):
+        monkeypatch.setattr(module, "_solution", counted)
+    run(np.random.default_rng(0).random(shape))
+    assert len(calls) == expected
+
+
+# Finite cells whose squares overflow (1e200, 1e308) or nearly do (3e153,
+# 1e154), among the ordinary and subnormal ones.
+HUGE_CELLS = (st.sampled_from([3e153, 1e154, 1e200, 1e308])
+              | st.floats(0.0, 1e308) | NONNEG_CELLS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonneg_matrices(max_side=5, cells=HUGE_CELLS), st.integers(1, 3))
+@example(np.full((3, 3), 1e200), 2)
+@example(np.full((2, 2), 1e154), 1)
+def test_entry_points_reject_or_stay_finite(M, k):
+    # No np.errstate: any numpy warning fails the test. Each entry point
+    # either rejects a matrix too large to normalize or returns finite
+    # factors and a finite objective.
+    config = KMeansConfig(restarts=2, seed=0)
+    for factorize in (lambda M: factorize_single(M, k, config),
+                      lambda M: factorize_double(M, k, config),
+                      factorize_double_large_k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                sol = factorize(M)
+            except ValueError as exc:
+                assert str(exc) == TOO_LARGE
+                continue
+        assert np.isfinite(sol.a).all()
+        assert np.isfinite(sol.w.theta).all()
+        assert math.isfinite(sol.objective)
 
 
 @pytest.mark.parametrize("factorize", [factorize_single, factorize_double])
