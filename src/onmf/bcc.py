@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from onmf.core import frobenius_norm_sq
+from onmf.core import BLOCK_ENTRIES
 from onmf.double import _large_k
 
 
@@ -77,8 +77,18 @@ def round_block(Mblk, a, w) -> tuple[np.ndarray, np.ndarray]:
     pos = np.flatnonzero(w > 0)
     if pos.size == 0:
         return a_hat, w_hat
-    with np.errstate(over="ignore"):  # a tiny w[i] gives an inf distance
-        dists = [frobenius_norm_sq(Mblk[:, i] / w[i] - a) for i in pos]
+    # Squared distances of the rescaled columns to a, BLOCK_ENTRIES at a
+    # time. Each is its own contiguous row, so np.sum over axis 1 adds it
+    # just as np.sum adds the column alone.
+    dists = np.empty(pos.size)
+    step = max(1, BLOCK_ENTRIES // max(m, 1))
+    for lo in range(0, pos.size, step):
+        cols = pos[lo:lo + step]
+        with np.errstate(over="ignore"):  # a tiny w[i] gives an inf distance
+            diff = Mblk.T[cols] / w[cols, None]
+            diff -= a
+            diff *= diff
+            dists[lo:lo + step] = np.sum(diff, axis=1)
     i_star = int(pos[int(np.argmin(dists))])  # argmin ties -> smallest index
     a_hat = Mblk[:, i_star].copy()
     support = a_hat > 0
@@ -120,13 +130,25 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
     a, group, theta = _large_k(M)  # the factors alone: no objective
     left = np.zeros(g.m, dtype=np.int64)
     right = np.zeros(g.n, dtype=np.int64)
-    live = theta > 0
+    # Each block's rows and live columns as one slice of an index array
+    # sorted stably by block: rows by the one column of a where they are
+    # positive (the columns of a have disjoint supports); a row with no
+    # positive entry is in no block.
+    owner = (np.argmax(a, axis=1) if a.shape[1]
+             else np.zeros(g.m, dtype=np.int64))
+    rows_by = np.flatnonzero(np.max(a, axis=1, initial=0.0) > 0)
+    rows_by = rows_by[np.argsort(owner[rows_by], kind="stable")]
+    cols_by = np.flatnonzero(theta > 0)
+    cols_by = cols_by[np.argsort(group[cols_by], kind="stable")]
+    blocks = np.arange(a.shape[1] + 1)
+    row_bounds = np.searchsorted(owner[rows_by], blocks).tolist()
+    col_bounds = np.searchsorted(group[cols_by], blocks).tolist()
     next_id = 1
-    for s in np.unique(group[live]):  # ascending: ids follow block order
-        rows = np.flatnonzero(a[:, s] > 0)
+    for s in np.unique(group[cols_by]).tolist():  # ids follow block order
+        rows = rows_by[row_bounds[s]:row_bounds[s + 1]]
         if rows.size == 0:
             continue
-        cols = np.flatnonzero(live & (group == s))
+        cols = cols_by[col_bounds[s]:col_bounds[s + 1]]
         a_hat, w_hat = round_block(M[np.ix_(rows, cols)], a[rows, s],
                                    theta[cols])
         rset = rows[a_hat > 0]

@@ -28,6 +28,11 @@ COS_WIDE = 0.5
 # distance, or a sum of those products, stays finite.
 MAX_TOTAL_WEIGHT = float(np.finfo(np.float64).max) / 4
 
+# The most entries of a row-block temporary: the large-k steps work through
+# their k x k and k x m arrays this many entries at a time, so a temporary
+# stays near 256 KB whatever k is.
+BLOCK_ENTRIES = 1 << 15
+
 
 def as_matrix(data) -> np.ndarray:
     """Coerce to a 2-D float64 array and check that all entries are finite."""

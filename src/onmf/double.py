@@ -7,18 +7,17 @@ components of the small-angle graph followed by an exact coordinate-wise
 solve for the orthogonal group representatives (step 3). A large-k variant
 skips k-means entirely, treating every normalized column as its own
 centroid, transposing first when that orientation is cheaper.
+
+Steps 2 and 3 decide on the exact angles of the centroids, as floats: a
+float filter on their Gram matrix certifies almost every pair, and the few
+it cannot are recomputed in integer arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from onmf.core import (
-    COS_NARROW,
-    COS_WIDE,
-    WeightedPointSet,
-    normalize_columns,
-)
+from onmf.core import BLOCK_ENTRIES, WeightedPointSet, normalize_columns
 from onmf.kmeans import KMeansConfig, KMeansSolution, _weighted_means
 from onmf.single import OnmfSolution, _cluster, _solution, _theta_against
 
@@ -26,8 +25,8 @@ from onmf.single import OnmfSolution, _cluster, _solution, _theta_against
 class GroupingError(RuntimeError):
     """The grouped centroids violate the angle separation guarantees.
 
-    Can only happen through floating-point boundary effects on the inclusive
-    band test; raised instead of silently mis-grouping.
+    No step raises it: with exact angle tests the separation is a theorem
+    (see group_centroids). It stays a public name for callers that catch it.
     """
 
 
@@ -44,103 +43,223 @@ def centroid_weights(pts: WeightedPointSet,
     return centroids, q
 
 
-def _cosine_matrix(centroids: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(centroids, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = centroids / safe[:, None]
-    cos = unit @ unit.T
-    del unit
-    return np.clip(cos, 0.0, 1.0, out=cos)
+# Rows whose computed squared norm lies outside [2^-400, 2^400] have all
+# their pairs decided exactly: between these limits nothing in the filter
+# overflows and underflow adds a negligible error (see _cos_sq_edges).
+_NORM_SQ_RANGE = (2.0**-400, 2.0**400)
 
 
-def weight_reduction(cos: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _cos_sq_edges(m: int) -> np.ndarray:
+    """Filter edges (1 - t, 1 + t, 3 - t, 3 + t) / 4 for rows of m entries.
+
+    The filter estimates cos^2 of rows x, y by r = fl(fl(fl(G^2) / N_x) / N_y)
+    from G = gram[x, y] and N = the Gram diagonal. Each is a sum of m
+    products, so with u = eps / 2 and g_m = m u / (1 - m u), in any order of
+    summation, |G - x.y| <= g_m sum |x_l y_l| <= g_m |x||y| and
+    |N_x - |x|^2| <= g_m |x|^2. Hence G^2 / (|x|^2 |y|^2) is within
+    2 g_m + g_m^2 of cos^2 <= 1, and the two norms and the three roundings
+    of r scale it by a factor within 2 g_m + 3u + O(u^2) of 1, so
+    |r - cos^2| <= 4 g_m + 3u + O(u^2) < (4m + 3) u (1 + 1e-9) for any
+    m below 2^40. The edges use t = 16 (m + 1) eps = 32 (m + 1) u, so t / 4
+    is at least twice that bound, which also covers the rounding of the
+    edges and the subnormal results: for squared norms in _NORM_SQ_RANGE
+    they add less than (m + 3) 2^-600 to |r - cos^2|, and nothing overflows.
+    Then r <= e0 proves cos^2 < 1/4, e1 < r <= e2 proves 1/4 < cos^2 < 3/4
+    and r > e3 proves cos^2 > 3/4; any other r decides nothing.
+    """
+    t = 16 * (m + 1) * np.finfo(np.float64).eps
+    return np.array([1 - t, 1 + t, 3 - t, 3 + t]) / 4
+
+
+def _exact_row(row: np.ndarray) -> tuple[dict[int, int], int]:
+    """The row scaled by a power of two to integers: {index: value} over its
+    non-zero entries, and the sum of their squares."""
+    idx = np.flatnonzero(row)
+    ratios = [v.as_integer_ratio() for v in row[idx].tolist()]
+    # Each denominator is a power of two; scale to the largest.
+    bits = max((den.bit_length() for _, den in ratios), default=1)
+    ints = {i: num << (bits - den.bit_length())
+            for i, (num, den) in zip(idx.tolist(), ratios)}
+    return ints, sum(v * v for v in ints.values())
+
+
+def _exact_angle(x: tuple[dict[int, int], int],
+                 y: tuple[dict[int, int], int]) -> tuple[bool, bool]:
+    """(angle in [pi/6, pi/3], angle below pi/6) for two _exact_row rows.
+
+    With d = x.y and N the squared norms, both scaled by the same powers of
+    two, the band is d > 0 and N_x N_y <= 4 d^2 <= 3 N_x N_y, and "below
+    pi/6" is d > 0 and 4 d^2 > 3 N_x N_y. A zero row is in neither.
+    """
+    (a, na), (b, nb) = x, y
+    if len(a) > len(b):
+        a, b = b, a
+    dot = sum(v * b[i] for i, v in a.items() if i in b)
+    if dot <= 0:
+        return False, False
+    four, prod = 4 * dot * dot, na * nb
+    return prod <= four <= 3 * prod, four > 3 * prod
+
+
+def angle_pairs(centroids: np.ndarray, gram: np.ndarray
+                ) -> tuple[tuple[np.ndarray, np.ndarray],
+                           tuple[np.ndarray, np.ndarray]]:
+    """The pairs (j1, j2), j1 < j2, of centroids whose exact angle is in
+    [pi/6, pi/3] (band) and below pi/6 (near), each as two index arrays in
+    row-major order.
+
+    centroids are finite and non-negative, and gram is centroids @
+    centroids.T. The walk takes gram in row blocks of at most BLOCK_ENTRIES
+    entries, so it builds no k x k mask. The float filter of _cos_sq_edges
+    decides every pair it can; the rest, and every pair of a row outside
+    _NORM_SQ_RANGE, are decided by _exact_angle. A zero row is in no pair.
+    """
+    k, m = centroids.shape
+    norms_sq = gram.diagonal()
+    nonzero = np.max(centroids, axis=1, initial=0.0) > 0
+    lo_n, hi_n = _NORM_SQ_RANGE
+    odd = nonzero & ~((norms_sq >= lo_n) & (norms_sq <= hi_n))
+    any_zero, any_odd = not nonzero.all(), odd.any()
+    e0, e1, e2, e3 = _cos_sq_edges(m)
+    exact_rows: dict[int, tuple[dict[int, int], int]] = {}
+    band: tuple[list, list] = ([], [])
+    near: tuple[list, list] = ([], [])
+    step = max(1, BLOCK_ENTRIES // max(k, 1))
+    buf = np.empty(min(step, k) * k)
+    for lo in range(0, k, step):
+        hi = min(lo + step, k)
+        # r[t, c] estimates cos^2 of centroids lo + t and lo + c.
+        r = np.square(gram[lo:hi, lo:],
+                      out=buf[:(hi - lo) * (k - lo)].reshape(hi - lo, -1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r /= norms_sq[lo:hi, None]
+            r /= norms_sq[lo:]
+        if any_zero:  # 0/0 for a zero row: never a pair
+            r[~nonzero[lo:hi]] = 0.0
+            r[:, ~nonzero[lo:]] = 0.0
+        if any_odd:  # undecided: goes to the exact test
+            r[odd[lo:hi]] = 0.25
+            r[:, odd[lo:]] = 0.25
+        r[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = 0.0  # j2 <= j1
+        in_band = r > e1
+        in_band &= r <= e2
+        unsure = r > e0
+        unsure &= r <= e3
+        unsure ^= in_band  # (e0, e1] or (e2, e3]
+        found = [np.flatnonzero(in_band), np.flatnonzero(r > e3)]
+        unsure = np.flatnonzero(unsure).tolist()
+        del in_band
+        if unsure:
+            exact: tuple[list, list] = ([], [])
+            width = k - lo
+            for f in unsure:
+                j1, j2 = lo + f // width, lo + f % width
+                for j in (j1, j2):
+                    if j not in exact_rows:
+                        exact_rows[j] = _exact_row(centroids[j])
+                for hits, hit in zip(exact, _exact_angle(exact_rows[j1],
+                                                         exact_rows[j2])):
+                    if hit:
+                        hits.append(f)
+            found = [np.union1d(flat, np.array(hits, dtype=np.int64))
+                     for flat, hits in zip(found, exact)]
+        for pairs, flat in zip((band, near), found):
+            if flat.size:
+                t, c = np.divmod(flat, k - lo)
+                pairs[0].append(t + lo)
+                pairs[1].append(c + lo)
+    return _joined(band), _joined(near)
+
+
+def _joined(pairs: tuple[list, list]) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(np.concatenate(p) if p else np.zeros(0, dtype=np.int64)
+                 for p in pairs)
+
+
+def weight_reduction(band: tuple[np.ndarray, np.ndarray],
+                     q: np.ndarray) -> np.ndarray:
     """Zero out paired weights of centroids with angle in [pi/6, pi/3].
 
-    `cos` is the centroids' k x k cosine matrix. Single lexicographic pass
-    over pairs (j1, j2) with j1 < j2; each hit decreases both weights by
-    their minimum, sending at least one to zero. One pass suffices because
-    weights never increase. Band membership is an inclusive cosine test in
-    [cos(pi/3), cos(pi/6)].
+    band holds the pairs (j1, j2), j1 < j2, whose exact angle is in the
+    band, in lexicographic order (angle_pairs). Single pass over them; each
+    pair of positive weights decreases both by their minimum, sending at
+    least one to zero. One pass suffices because weights never increase.
     """
-    qp = np.array(q, dtype=np.float64)
-    in_band = (COS_WIDE <= cos) & (cos <= COS_NARROW)
-    for j1, j2 in zip(*np.nonzero(np.triu(in_band, 1))):  # row-major = lexicographic
-        if qp[j1] <= 0 or qp[j2] <= 0:
-            continue
-        d = min(qp[j1], qp[j2])
-        qp[j1] -= d
-        qp[j2] -= d
-    return qp
+    qp = np.array(q, dtype=np.float64).tolist()  # Python floats index faster
+    # The pairs go through as Python ints a few thousand at a time, so
+    # their lists stay near 300 KB however many pairs there are.
+    step = BLOCK_ENTRIES // 8
+    for lo in range(0, len(band[0]), step):
+        for j1, j2 in zip(band[0][lo:lo + step].tolist(),
+                          band[1][lo:lo + step].tolist()):
+            if qp[j1] <= 0 or qp[j2] <= 0:
+                continue
+            d = min(qp[j1], qp[j2])
+            qp[j1] -= d
+            qp[j2] -= d
+    return np.array(qp, dtype=np.float64)
 
 
-def group_centroids(cos: np.ndarray, q_reduced: np.ndarray) -> np.ndarray:
+def group_centroids(near: tuple[np.ndarray, np.ndarray],
+                    q_reduced: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Group the surviving centroids by connected small-angle components.
 
-    `cos` is the centroids' k x k cosine matrix. Positive-weight centroids
-    are joined when their angle is below pi/6 (cosine above cos(pi/6)); the
-    connected components of that graph are the groups, numbered in order of
-    their smallest member. The components come from min-label propagation
-    along the graph's edges: every centroid ends labeled with the smallest
-    member of its component, and np.unique numbers those labels in ascending
-    order. A verification pass asserts the separation the weight reduction
-    guarantees: within a group all angles below pi/6, across groups all
-    above pi/3. Zero-weight centroids join the group of the angularly
-    nearest positive-weight centroid (ties toward the smallest index); with
-    no positive-weight centroid at all everything maps to group 0.
+    near holds the pairs of centroids whose exact angle is below pi/6
+    (angle_pairs), and gram the centroids' Gram matrix. Positive-weight
+    centroids are joined along the near pairs between them; the connected
+    components of that graph are the groups, numbered in order of their
+    smallest member.
+
+    After weight_reduction no two positive centroids have an angle in
+    [pi/6, pi/3], so within a group every angle is below pi/6 and across
+    groups every angle is above pi/3: along a path of angles below pi/6 the
+    first and third centroids are less than pi/3 apart (the triangle
+    inequality of angles), hence less than pi/6, and by induction so are
+    the ends. Two centroids in different groups are not near, so with the
+    band empty they are more than pi/3 apart.
+
+    A zero-weight centroid i joins the group of the positive centroid j
+    with the largest gram[i, j] / sqrt(gram[j, j]) (the nearest in angle,
+    up to rounding), ties toward the smallest index, so a zero centroid goes
+    to the first positive one; with no positive-weight centroid at all
+    everything maps to group 0.
     """
-    sigma = np.zeros(len(q_reduced), dtype=np.int64)
+    k = len(q_reduced)
+    sigma = np.zeros(k, dtype=np.int64)
     is_positive = q_reduced > 0
     positive = np.flatnonzero(is_positive)
     if positive.size == 0:
         return sigma
-    # With every centroid positive the submatrix is cos itself: no copy.
-    sub = (cos if positive.size == len(q_reduced)
-           else cos[np.ix_(positive, positive)])
-    # Mirror the upper triangle so the graph stays symmetric even where the
-    # matmul rounded cos[i, j] and cos[j, i] differently.
-    near = np.triu(sub > COS_NARROW, 1)
-    near |= near.T
+    src, dst = near
+    keep = is_positive[src] & is_positive[dst]
+    src, dst = src[keep], dst[keep]
 
     # Connected components by min-label propagation: each step takes the
     # smallest label among a node and its neighbours, then replaces every
     # label by the label of the node it names. Labels never rise, never
     # exceed their node's index and stay inside the component, so the fixed
     # point labels each node with its component's smallest member.
-    src, dst = np.nonzero(near)
-    labels = np.arange(positive.size)
+    labels = np.arange(k)
     while True:
         prev = labels.copy()
         np.minimum.at(labels, src, prev[dst])
+        np.minimum.at(labels, dst, prev[src])
         labels = labels[labels]
         if np.array_equal(labels, prev):
             break
-    comp = np.unique(labels, return_inverse=True)[1]
-    sigma[positive] = comp
+    sigma[positive] = np.unique(labels[positive], return_inverse=True)[1]
 
-    # Verification: the post-reduction angle structure must hold. Within a
-    # group the angles are reached through chains of small ones whose total
-    # stays below pi/3, so with the band empty the direct angle is below
-    # pi/6. The first violating pair in lexicographic order is reported.
-    same = comp[:, None] == comp[None, :]
-    bad = np.triu(np.where(same, ~(sub > COS_NARROW), ~(sub < COS_WIDE)), 1)
-    if bad.any():
-        a_idx, b_idx = np.argwhere(bad)[0]
-        j1, j2 = int(positive[a_idx]), int(positive[b_idx])
-        if same[a_idx, b_idx]:
-            raise GroupingError(
-                f"within-group angle too large for centroids {j1},{j2}")
-        raise GroupingError(
-            f"cross-group angle too small for centroids {j1},{j2}")
-
-    # Extend to zero-weight centroids by the nearest positive one. A centroid
-    # of zero norm has a zero diagonal cosine and goes to positive[0]; its
-    # cosines are all 0 unless the norm merely underflowed, so the override
-    # is needed only then. (A norm that overflows also leaves a zero row,
-    # whose argmax is already 0.)
+    # Extend to zero-weight centroids, in row blocks of the Gram matrix. A
+    # positive centroid of zero norm scores 0 against every centroid.
     zero = np.flatnonzero(~is_positive)
-    nearest = np.argmax(cos[np.ix_(zero, positive)], axis=1)
-    nearest[np.diagonal(cos)[zero] == 0] = 0
-    sigma[zero] = sigma[positive[nearest]]
+    scale = np.sqrt(gram.diagonal()[positive])
+    scale[scale == 0] = 1.0
+    step = max(1, BLOCK_ENTRIES // positive.size)
+    for lo in range(0, zero.size, step):
+        rows = zero[lo:lo + step]
+        scores = gram[np.ix_(rows, positive)]
+        scores /= scale
+        sigma[rows] = sigma[positive[np.argmax(scores, axis=1)]]
     return sigma
 
 
@@ -155,7 +274,8 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
     group index; it receives the group mean, all others zero.
 
     Returns an (m, k) matrix whose column s is the representative of group s
-    (columns for absent groups stay zero).
+    (columns for absent groups stay zero). The group means are freed before
+    it is allocated.
     """
     k, m = centroids.shape
     n_groups = int(sigma.max()) + 1 if k else 0
@@ -164,15 +284,22 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
                             np.where(q_reduced > 0, sigma, -1), mu)
     if n_groups == 0 or not (qstar > 0).any():
         return np.zeros((m, k))
-    # (m, n_groups) and C-ordered, so the row-wise argmax reads it in place
-    # rather than through a transposed copy.
-    scores = np.multiply(mu.T, mu.T, order="C")
-    scores *= qstar
-    winners = np.argmax(scores, axis=1)  # argmax takes the smallest index on ties
-    del scores
-    a = np.zeros((m, k))
+    # The scores of a chunk of coordinates, (coordinates, n_groups) and
+    # C-ordered, so the row-wise argmax reads them in place.
+    winners = np.empty(m, dtype=np.int64)
+    step = max(1, BLOCK_ENTRIES // n_groups)
+    buf = np.empty((min(step, m), n_groups))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        scores = np.multiply(mu.T[lo:hi], mu.T[lo:hi], out=buf[:hi - lo])
+        scores *= qstar
+        # argmax takes the smallest index on ties
+        winners[lo:hi] = np.argmax(scores, axis=1)
     cols = np.arange(m)
-    a[cols, winners] = mu[winners, cols]
+    values = mu[winners, cols]
+    del mu
+    a = np.zeros((m, k))
+    a[cols, winners] = values
     return a
 
 
@@ -180,12 +307,15 @@ def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
             phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steps 2-3 and the scale fit; returns the factors (a, group, theta).
 
-    Reduction and grouping share one cosine matrix, freed before the solve.
+    Reduction and grouping share one Gram matrix, freed before the solve.
+    Every centroid row has norm at most 1 (a unit column, or a weighted
+    mean of unit points), so no entry of it overflows.
     """
-    cos = _cosine_matrix(centroids)
-    qp = weight_reduction(cos, q)
-    sigma = group_centroids(cos, qp)
-    del cos
+    gram = centroids @ centroids.T
+    band, near = angle_pairs(centroids, gram)
+    qp = weight_reduction(band, q)
+    sigma = group_centroids(near, qp, gram)
+    del gram, band, near
     a = solve_orthogonal_centroids(centroids, qp, sigma)
     group = sigma[phi]
     return a, group, _theta_against(M, a, group)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from onmf.core import WeightedPointSet
+from onmf.core import BLOCK_ENTRIES, WeightedPointSet
 
 
 @dataclass
@@ -138,7 +138,9 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
     +0.0, so it gives +0.0 where w * x is -0.0, and (w * x + 0.0) / w
     reproduces it bit for bit; likewise a one-element sum of -0.0 is +0.0.
     The rows of each gather go into the leading rows of work, an optional
-    buffer shaped like points, or into a new array without it.
+    buffer shaped like points. Without it the single points go through a
+    new buffer of at most BLOCK_ENTRIES entries (one row at least), a chunk
+    at a time: the operations are elementwise, so the bits are the same.
     """
     k = out.shape[0]
     order = np.argsort(labels, kind="stable")
@@ -153,12 +155,18 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
         w = weights[idx] + 0.0
         totals[single] = w
         pos = w > 0
-        w = w[pos, None]
-        rows = _gather(points, idx[pos], work)  # (w * x + 0.0) / w in place
-        rows *= w
-        rows += 0.0
-        rows /= w
-        out[single[pos]] = rows
+        idx, single, w = idx[pos], single[pos], w[pos, None]
+        m = points.shape[1]
+        buf = work if work is not None else np.empty(
+            (max(1, min(len(idx), BLOCK_ENTRIES // max(m, 1))), m))
+        step = len(buf)
+        for lo in range(0, len(idx), step):
+            hi = lo + step
+            rows = _gather(points, idx[lo:hi], buf)  # (w * x + 0.0) / w
+            rows *= w[lo:hi]
+            rows += 0.0
+            rows /= w[lo:hi]
+            out[single[lo:hi]] = rows
 
     bounds = bounds.tolist()  # Python ints slice faster
     for j in np.flatnonzero(counts > 1).tolist():

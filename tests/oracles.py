@@ -9,19 +9,25 @@ The reference_* functions are verbatim copies of library steps as they were
 before they wrote into reused buffers, dropped a mask, stopped early or took
 a certified fast path: each allocates its temporaries afresh and takes the
 slow path. The differential tests require the library's outputs to equal
-theirs byte for byte. planted_stat states the
-planted noise statistics the synthetic tests check.
+theirs byte for byte; the float angle tests of reference_weight_reduction
+and reference_group_centroids only where no pair is near an edge of the
+band. exact_cos_sq and angle_separation_violations state the exact angle
+tests and the grouping guarantee in rational arithmetic. planted_stat
+states the planted noise statistics the synthetic tests check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from onmf.bcc import BipartiteLabeling, Clustering, disagreements
 from onmf.core import (
+    COS_NARROW,
+    COS_WIDE,
     CompactW,
     _csv_lines,
     WeightedPointSet,
@@ -29,6 +35,7 @@ from onmf.core import (
     check_nonneg,
     frobenius_norm_sq,
 )
+from onmf.double import GroupingError
 from onmf.kmeans import (
     KMeansConfig,
     KMeansSolution,
@@ -482,11 +489,144 @@ def reference_weighted_kmeans(pts: WeightedPointSet, k: int,
 
 
 def reference_cosine_matrix(centroids: np.ndarray) -> np.ndarray:
-    """double._cosine_matrix with the unit rows alive through a clip copy."""
+    """The cosine matrix double._finish once decided angles on, with the unit
+    rows alive through a clip copy."""
     norms = np.linalg.norm(centroids, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     unit = centroids / safe[:, None]
     return np.clip(unit @ unit.T, 0.0, 1.0)
+
+
+def reference_weight_reduction(cos: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """double.weight_reduction as it was, on the rounded cosines of
+    reference_cosine_matrix: an inclusive test in [cos(pi/3), cos(pi/6)]."""
+    qp = np.array(q, dtype=np.float64)
+    in_band = (COS_WIDE <= cos) & (cos <= COS_NARROW)
+    for j1, j2 in zip(*np.nonzero(np.triu(in_band, 1))):  # row-major = lexicographic
+        if qp[j1] <= 0 or qp[j2] <= 0:
+            continue
+        d = min(qp[j1], qp[j2])
+        qp[j1] -= d
+        qp[j2] -= d
+    return qp
+
+
+def reference_group_centroids(cos: np.ndarray,
+                              q_reduced: np.ndarray) -> np.ndarray:
+    """double.group_centroids as it was, on the rounded cosines, with its
+    verification pass and the GroupingError that rounding could raise."""
+    sigma = np.zeros(len(q_reduced), dtype=np.int64)
+    is_positive = q_reduced > 0
+    positive = np.flatnonzero(is_positive)
+    if positive.size == 0:
+        return sigma
+    # With every centroid positive the submatrix is cos itself: no copy.
+    sub = (cos if positive.size == len(q_reduced)
+           else cos[np.ix_(positive, positive)])
+    # Mirror the upper triangle so the graph stays symmetric even where the
+    # matmul rounded cos[i, j] and cos[j, i] differently.
+    near = np.triu(sub > COS_NARROW, 1)
+    near |= near.T
+
+    src, dst = np.nonzero(near)
+    labels = np.arange(positive.size)
+    while True:
+        prev = labels.copy()
+        np.minimum.at(labels, src, prev[dst])
+        labels = labels[labels]
+        if np.array_equal(labels, prev):
+            break
+    comp = np.unique(labels, return_inverse=True)[1]
+    sigma[positive] = comp
+
+    same = comp[:, None] == comp[None, :]
+    bad = np.triu(np.where(same, ~(sub > COS_NARROW), ~(sub < COS_WIDE)), 1)
+    if bad.any():
+        a_idx, b_idx = np.argwhere(bad)[0]
+        j1, j2 = int(positive[a_idx]), int(positive[b_idx])
+        if same[a_idx, b_idx]:
+            raise GroupingError(
+                f"within-group angle too large for centroids {j1},{j2}")
+        raise GroupingError(
+            f"cross-group angle too small for centroids {j1},{j2}")
+
+    zero = np.flatnonzero(~is_positive)
+    nearest = np.argmax(cos[np.ix_(zero, positive)], axis=1)
+    nearest[np.diagonal(cos)[zero] == 0] = 0
+    sigma[zero] = sigma[positive[nearest]]
+    return sigma
+
+
+def exact_cos_sq(x, y) -> Fraction | None:
+    """The exact squared cosine of two float vectors as a Fraction: 0 when
+    the angle is pi/2 or more, None when either vector is zero."""
+    x = [Fraction(v) for v in np.asarray(x, dtype=np.float64).tolist()]
+    y = [Fraction(v) for v in np.asarray(y, dtype=np.float64).tolist()]
+    nx = sum(v * v for v in x)
+    ny = sum(v * v for v in y)
+    if nx == 0 or ny == 0:
+        return None
+    dot = sum(a * b for a, b in zip(x, y))
+    return dot * dot / (nx * ny) if dot > 0 else Fraction(0)
+
+
+def in_band(cos_sq: Fraction | None) -> bool:
+    """Exact angle in [pi/6, pi/3], from exact_cos_sq."""
+    return cos_sq is not None and Fraction(1, 4) <= cos_sq <= Fraction(3, 4)
+
+
+def is_near(cos_sq: Fraction | None) -> bool:
+    """Exact angle below pi/6, from exact_cos_sq."""
+    return cos_sq is not None and cos_sq > Fraction(3, 4)
+
+
+def angle_separation_violations(centroids: np.ndarray, q_reduced: np.ndarray,
+                                sigma: np.ndarray) -> list[tuple[int, int]]:
+    """The pairs of positive-weight non-zero centroids, in lexicographic
+    order, that break the separation grouping guarantees: within a group
+    every exact angle is below pi/6, across groups every one is above pi/3.
+    A zero centroid of positive weight must be alone in its group."""
+    positive = np.flatnonzero(np.asarray(q_reduced) > 0).tolist()
+    bad = []
+    for j1, j2 in itertools.combinations(positive, 2):
+        c2 = exact_cos_sq(centroids[j1], centroids[j2])
+        same = sigma[j1] == sigma[j2]
+        if c2 is None:
+            ok = not same
+        else:
+            ok = c2 > Fraction(3, 4) if same else c2 < Fraction(1, 4)
+        if not ok:
+            bad.append((j1, j2))
+    return bad
+
+
+def reference_round_block(Mblk, a, w) -> tuple[np.ndarray, np.ndarray]:
+    """bcc.round_block with one frobenius_norm_sq call per column."""
+    Mblk = np.asarray(Mblk, dtype=np.float64)
+    if not np.isin(Mblk, (0.0, 1.0)).all():
+        raise ValueError("block matrix must be binary")
+    a = np.asarray(a, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    if (a < 0).any() or (w < 0).any():
+        raise ValueError("a and w must be non-negative")
+    m, n = Mblk.shape
+    a_hat = np.zeros(m)
+    w_hat = np.zeros(n)
+    pos = np.flatnonzero(w > 0)
+    if pos.size == 0:
+        return a_hat, w_hat
+    with np.errstate(over="ignore"):  # a tiny w[i] gives an inf distance
+        dists = [frobenius_norm_sq(Mblk[:, i] / w[i] - a) for i in pos]
+    i_star = int(pos[int(np.argmin(dists))])  # argmin ties -> smallest index
+    a_hat = Mblk[:, i_star].copy()
+    support = a_hat > 0
+    size = int(support.sum())
+    if size == 0:
+        w_hat[pos] = 1.0
+        return a_hat, w_hat
+    overlap = np.count_nonzero((Mblk[:, pos] > 0) & support[:, None], axis=0)
+    w_hat[pos[2 * overlap >= size]] = 1.0
+    return a_hat, w_hat
 
 
 def reference_solve_orthogonal_centroids(centroids: np.ndarray,

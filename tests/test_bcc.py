@@ -13,7 +13,7 @@ from onmf.bcc import (
 )
 from conftest import planted_labels
 from onmf.core import frobenius_norm_sq
-from oracles import brute_force_bcc
+from oracles import brute_force_bcc, reference_round_block
 
 
 def labeling(rows):
@@ -81,6 +81,44 @@ def test_round_block_bound_on_random_triples():
             for i in np.flatnonzero(w > 0):
                 overlap = int(np.count_nonzero((Mblk[:, i] > 0) & support))
                 assert w_hat[i] == (2 * overlap >= support.sum())
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_round_block_matches_column_loop(seed):
+    # Mixed magnitudes make the order of addition show, tiny weights give
+    # infinite distances, duplicated columns tie, and the larger blocks take
+    # several chunks of rows.
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 300)), int(rng.integers(1, 400))
+    Mblk = (rng.random((m, n)) < 0.5).astype(float)
+    Mblk[:, n // 2:] = Mblk[:, :n - n // 2]
+    a = rng.random(m) * 10.0 ** rng.integers(-8, 9, m) * (rng.random(m) < 0.8)
+    w = (rng.random(n) * 10.0 ** rng.integers(-320, 9, n)
+         * (rng.random(n) < 0.8))
+    got = round_block(Mblk, a, w)
+    want = reference_round_block(Mblk, a, w)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_round_block_ties_follow_the_column_loop(seed):
+    # Every column permutes one base column within classes of rows where a
+    # is constant, so all distances are equal in exact arithmetic and the
+    # rounding of each sum, hence its order of addition, picks the column.
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(20, 300)), int(rng.integers(2, 60))
+    classes = rng.integers(0, 4, m)
+    a = (rng.random(4) * 10.0 ** rng.integers(-4, 5, 4))[classes]
+    base = (rng.random(m) < 0.5).astype(float)
+    Mblk = np.repeat(base[:, None], n, axis=1)
+    for c in range(4):
+        idx = np.flatnonzero(classes == c)
+        for j in range(n):
+            Mblk[idx, j] = base[rng.permutation(idx)]
+    w = np.full(n, 0.5)
+    got = round_block(Mblk, a, w)
+    want = reference_round_block(Mblk, a, w)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
 def test_disagreements_perfect_blocks():
@@ -227,10 +265,12 @@ def test_bcc_frozen_outputs(make, digest):
 
 @pytest.mark.parametrize("m, n", [(600, 600), (400, 600)])
 def test_bcc_peak_memory(m, n):
-    # The large-k finish holds at most four k x k float64 arrays at once
-    # (for m <= n, the input, the unit columns, the cosine matrix and one
-    # working array), so with k = min(m, n) the peak stays below 4.5 m x n
-    # float64s. Six such arrays were once alive at the same time.
+    # The large-k finish holds at most three k x k float64 arrays at once
+    # (for m <= n, the input, the unit columns, and the Gram matrix or the
+    # group means of the solve), plus row blocks of bounded size, so with
+    # k = min(m, n) the peak stays below 3.5 m x n float64s. Six such
+    # arrays were once alive at the same time, and four until the Gram
+    # matrix replaced the cosine matrix.
     g = BipartiteLabeling(labels=planted_labels(m, n, 12, 0.2, 5))
     tracemalloc.start()
     try:
@@ -238,4 +278,4 @@ def test_bcc_peak_memory(m, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * 8 * m * n
+    assert peak <= 3.5 * 8 * m * n

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import onmf.core
 import onmf.double
+import onmf.kmeans
 import onmf.single
 from onmf.bcc import BipartiteLabeling, bcc_cluster
 from onmf.core import (
@@ -19,7 +21,7 @@ from onmf.core import (
 )
 from onmf.double import (
     GroupingError,
-    _cosine_matrix,
+    angle_pairs,
     centroid_weights,
     factorize_double,
     factorize_double_large_k,
@@ -35,13 +37,19 @@ from conftest import NONNEG_CELLS, TOO_LARGE, nonneg_matrices, planted_labels
 from oracles import (
     SIN_SQ_PI_12,
     angle,
+    angle_separation_violations,
     brute_force_double,
     coordinate_enumeration_optimum,
+    exact_cos_sq,
+    in_band,
+    is_near,
     reference_cosine_matrix,
+    reference_group_centroids,
     reference_normalize_columns,
     reference_solution,
     reference_solve_orthogonal_centroids,
     reference_transpose_solution,
+    reference_weight_reduction,
 )
 
 LARGE_K_RATIO = 1.0 / SIN_SQ_PI_12
@@ -74,22 +82,30 @@ def test_centroid_weights_recentred_norm_at_most_one():
                 assert np.linalg.norm(centroids[j]) > 0
 
 
+def _steps(centroids, q):
+    """Weight reduction and grouping as double._finish runs them."""
+    gram = centroids @ centroids.T
+    band, near = angle_pairs(centroids, gram)
+    qp = weight_reduction(band, q)
+    return qp, group_centroids(near, qp, gram)
+
+
 def test_weight_reduction_orthogonal_pair_untouched():
     centroids = np.array([[1.0, 0.0], [0.0, 1.0]])
     q = np.array([3.0, 5.0])
-    assert np.array_equal(weight_reduction(_cosine_matrix(centroids), q), q)
+    assert np.array_equal(_steps(centroids, q)[0], q)
 
 
 def test_weight_reduction_in_band_pair():
     centroids = np.array([[1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)]])
-    qp = weight_reduction(_cosine_matrix(centroids), np.array([3.0, 5.0]))
+    qp, _ = _steps(centroids, np.array([3.0, 5.0]))
     assert np.allclose(qp, [0.0, 2.0])
 
 
 def test_weight_reduction_identical_centroids_untouched():
     centroids = np.array([[1.0, 0.0], [1.0, 0.0]])
     q = np.array([2.0, 2.0])
-    assert np.array_equal(weight_reduction(_cosine_matrix(centroids), q), q)
+    assert np.array_equal(_steps(centroids, q)[0], q)
 
 
 def test_weight_reduction_band_emptiness():
@@ -98,17 +114,16 @@ def test_weight_reduction_band_emptiness():
         k = int(rng.integers(2, 6))
         centroids = rng.random((k, 3)) + 1e-6
         q = rng.random(k)
-        qp = weight_reduction(_cosine_matrix(centroids), q)
+        qp, _ = _steps(centroids, q)
         assert (qp >= 0).all() and (qp <= q + 1e-15).all()
         for j1, j2 in itertools.combinations(range(k), 2):
             if qp[j1] > 0 and qp[j2] > 0:
-                c = math.cos(angle(centroids[j1], centroids[j2]))
-                assert not (COS_WIDE <= c <= COS_NARROW)
+                assert not in_band(exact_cos_sq(centroids[j1], centroids[j2]))
 
 
 def test_grouping_single_positive_centroid():
     centroids = np.array([[1.0, 0.0], [0.0, 1.0]])
-    sigma = group_centroids(_cosine_matrix(centroids), np.array([1.0, 0.0]))
+    _, sigma = _steps(centroids, np.array([1.0, 0.0]))
     assert sigma[0] == 0
     assert sigma[1] == 0  # zero-weight joins the nearest positive group
 
@@ -119,15 +134,14 @@ def test_grouping_two_groups():
         [0.0, 1.0],
         unit([1.0, 0.05]),
     ])
-    sigma = group_centroids(_cosine_matrix(centroids),
-                            np.array([1.0, 1.0, 1.0]))
+    _, sigma = _steps(centroids, np.array([1.0, 1.0, 1.0]))
     assert sigma[0] == sigma[2]
     assert sigma[1] != sigma[0]
 
 
 def test_grouping_all_equal():
     centroids = np.tile(unit([1.0, 2.0]), (4, 1))
-    sigma = group_centroids(_cosine_matrix(centroids), np.ones(4))
+    _, sigma = _steps(centroids, np.ones(4))
     assert (sigma == 0).all()
 
 
@@ -136,9 +150,7 @@ def test_grouping_transitivity_on_random_reduced_inputs():
     for _ in range(30):
         k = int(rng.integers(2, 6))
         centroids = rng.random((k, 4)) + 1e-6
-        cos = _cosine_matrix(centroids)
-        qp = weight_reduction(cos, rng.random(k))
-        sigma = group_centroids(cos, qp)
+        qp, sigma = _steps(centroids, rng.random(k))
         pos = np.flatnonzero(qp > 0)
         for j1, j2 in itertools.combinations(pos, 2):
             a = angle(centroids[j1], centroids[j2])
@@ -148,38 +160,35 @@ def test_grouping_transitivity_on_random_reduced_inputs():
                 assert a > math.pi / 3 - 1e-12
 
 
-# The pair-loop forms of weight_reduction and group_centroids that the array
-# forms replaced, kept as the reference for the differential tests below.
+# Pair-loop forms of weight_reduction and group_centroids with exact angle
+# tests in rational arithmetic: the reference for the tests below. The
+# zero-weight extension is the library's float rule, on the same Gram matrix.
 
 
-def _reference_weight_reduction(centroids: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _exact_weight_reduction(centroids: np.ndarray, q: np.ndarray) -> np.ndarray:
     k = len(q)
-    cos = _cosine_matrix(centroids)
     qp = np.array(q, dtype=np.float64)
     for j1 in range(k):
-        if qp[j1] <= 0:
-            continue
         for j2 in range(j1 + 1, k):
             if qp[j2] <= 0 or qp[j1] <= 0:
                 continue
-            if COS_WIDE <= cos[j1, j2] <= COS_NARROW:
+            if in_band(exact_cos_sq(centroids[j1], centroids[j2])):
                 d = min(qp[j1], qp[j2])
                 qp[j1] -= d
                 qp[j2] -= d
     return qp
 
 
-def _reference_group_centroids(centroids: np.ndarray,
-                               q_reduced: np.ndarray) -> np.ndarray:
+def _exact_group_centroids(centroids: np.ndarray,
+                           q_reduced: np.ndarray) -> np.ndarray:
     k = len(q_reduced)
     sigma = np.zeros(k, dtype=np.int64)
-    positive = np.flatnonzero(q_reduced > 0)
-    if positive.size == 0:
+    positive = np.flatnonzero(q_reduced > 0).tolist()
+    if not positive:
         return sigma
-    cos = _cosine_matrix(centroids)
 
     # Union-find over the positive-weight centroids.
-    parent = {int(j): int(j) for j in positive}
+    parent = {j: j for j in positive}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -187,46 +196,31 @@ def _reference_group_centroids(centroids: np.ndarray,
             x = parent[x]
         return x
 
-    for a_idx in range(positive.size):
-        for b_idx in range(a_idx + 1, positive.size):
-            j1, j2 = int(positive[a_idx]), int(positive[b_idx])
-            if cos[j1, j2] > COS_NARROW:
-                ra, rb = find(j1), find(j2)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+    for j1, j2 in itertools.combinations(positive, 2):
+        if is_near(exact_cos_sq(centroids[j1], centroids[j2])):
+            ra, rb = find(j1), find(j2)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
 
     group_of_root: dict[int, int] = {}
     for j in positive:
-        root = find(int(j))
+        root = find(j)
         if root not in group_of_root:
             group_of_root[root] = len(group_of_root)
         sigma[j] = group_of_root[root]
 
-    # Verification pass: the post-reduction angle structure must hold.
-    for a_idx in range(positive.size):
-        for b_idx in range(a_idx + 1, positive.size):
-            j1, j2 = int(positive[a_idx]), int(positive[b_idx])
-            c = cos[j1, j2]
-            if sigma[j1] == sigma[j2]:
-                if not c > COS_NARROW:
-                    # Reachable through a chain of small angles whose total
-                    # stays below pi/3, yet the direct angle must then be
-                    # below pi/6 since the band is empty.
-                    raise GroupingError(
-                        f"within-group angle too large for centroids {j1},{j2}")
-            elif not c < COS_WIDE:
-                raise GroupingError(
-                    f"cross-group angle too small for centroids {j1},{j2}")
-
-    # Extend to zero-weight centroids by the nearest positive one.
-    zero_norm = np.linalg.norm(centroids, axis=1) == 0
+    # Extend to zero-weight centroids: the largest gram[j, p] / |p|, the
+    # first one on ties.
+    gram = centroids @ centroids.T
     for j in range(k):
         if q_reduced[j] > 0:
             continue
-        if zero_norm[j]:
-            nearest = int(positive[0])
-        else:
-            nearest = int(positive[np.argmax(cos[j, positive])])
+        best, nearest = None, positive[0]
+        for p in positive:
+            norm = np.sqrt(gram[p, p])
+            score = gram[j, p] / (norm if norm > 0 else 1.0)
+            if best is None or score > best:
+                best, nearest = score, p
         sigma[j] = sigma[nearest]
     return sigma
 
@@ -255,28 +249,124 @@ def centroid_sets(draw):
     return centroids, q
 
 
-def _outcome(fn, *args):
-    try:
-        out = fn(*args)
-    except GroupingError as exc:
-        return type(exc), str(exc)
-    return out.dtype, out.shape, out.tobytes()
+def _overlapping_unit_columns(c1, c2, overlap, rows=None):
+    """Two unit 0/1 columns, as rows, with c1 and c2 ones sharing overlap."""
+    rows = rows or c1 + c2
+    x = np.zeros(rows)
+    y = np.zeros(rows)
+    x[:c1] = 1.0
+    y[c1 - overlap:c1 - overlap + c2] = 1.0
+    return normalize_columns(np.array([x, y]).T).points
+
+
+# Exact ties at cos = 1/2 (4 overlap^2 = c1 c2) and cos = sqrt(3)/2
+# (4 overlap^2 = 3 c1 c2): both are in the band, so neither pair is near.
+EXACT_TIES = ([(c, c, c // 2) for c in range(2, 121, 2)]
+              + [(2, 8, 2), (6, 24, 6), (3, 4, 3), (6, 8, 6), (27, 36, 27)])
+
+
+def _rows_at(*angles):
+    return np.array([[math.cos(t), math.sin(t)] for t in angles])
+
+
+def _assert_steps_match_exact_reference(centroids, q):
+    gram = centroids @ centroids.T
+    band, near = angle_pairs(centroids, gram)
+    reduced = weight_reduction(band, q)
+    assert reduced.tobytes() == _exact_weight_reduction(centroids, q).tobytes()
+    # Reduced weights, then the unreduced ones.
+    for weights in (reduced, q):
+        assert (group_centroids(near, weights, gram).tobytes()
+                == _exact_group_centroids(centroids, weights).tobytes())
+    return reduced
 
 
 @settings(max_examples=400, deadline=None)
 @given(centroid_sets())
 @example((np.array([[0.0], [1e-200], [0.0], [1.0]]),  # 1e-200: norm underflows
           np.array([0.0, 0.0, 1.0, 1.0])))
+@example((np.array([[1e-200, 0.0], [1e-200, 1e-200], [1.0, 0.0]]),
+          np.array([1.0, 1.0, 1.0])))
+@example((_overlapping_unit_columns(60, 60, 30), np.array([1.0, 1.0])))
+@example((_overlapping_unit_columns(3, 4, 3), np.array([1.0, 2.0])))
+@example((_rows_at(0.0, math.pi / 6, math.pi / 3), np.ones(3)))
+@example((_rows_at(math.pi / 3, 0.0, math.pi / 6), np.array([1.0, 0.0, 2.0])))
 def test_large_k_steps_match_pair_loop_reference(case):
+    _assert_steps_match_exact_reference(*case)
+
+
+@pytest.mark.parametrize("c1, c2, overlap", EXACT_TIES)
+def test_exact_ties_are_in_the_band(c1, c2, overlap):
+    centroids = _overlapping_unit_columns(c1, c2, overlap)
+    band, near = angle_pairs(centroids, centroids @ centroids.T)
+    assert [b.tolist() for b in band] == [[0], [1]]
+    assert [b.tolist() for b in near] == [[], []]
+    _assert_steps_match_exact_reference(centroids, np.array([1.0, 1.0]))
+
+
+def test_rounded_band_edges_follow_the_exact_angles():
+    # The float rows at pi/6 and pi/3 are a rounding away from the edges;
+    # the exact angles of the floats decide, whichever side they fall on.
+    centroids = _rows_at(0.0, math.pi / 6, math.pi / 3, math.pi / 2)
+    band, near = angle_pairs(centroids, centroids @ centroids.T)
+    pairs = list(itertools.combinations(range(4), 2))
+    exact = [exact_cos_sq(centroids[i], centroids[j]) for i, j in pairs]
+    assert list(zip(*[b.tolist() for b in band])) == [
+        p for p, c2 in zip(pairs, exact) if in_band(c2)]
+    assert list(zip(*[b.tolist() for b in near])) == [
+        p for p, c2 in zip(pairs, exact) if is_near(c2)]
+
+
+# NONNEG_CELLS without the 1e308 that normalize_columns rejects.
+FINITE_CELLS = (st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-310])
+                | st.floats(0.0, 4.0))
+
+
+@st.composite
+def finish_inputs(draw):
+    """(centroids, q) as _finish receives them: the unit columns and
+    weights of a matrix, or the recentered k-means centroids."""
+    M = draw(nonneg_matrices(min_side=1, cells=FINITE_CELLS))
+    pts = normalize_columns(M)
+    if draw(st.booleans()):
+        return pts.points, pts.weights
+    k = draw(st.integers(1, 4))
+    sol = weighted_kmeans(pts, k, KMeansConfig(restarts=2, seed=0))
+    return centroid_weights(pts, sol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finish_inputs())
+@example((_overlapping_unit_columns(60, 60, 30), np.array([1.0, 1.0])))
+@example((_rows_at(0.0, 0.5, 1.0), np.ones(3)))
+@example((_rows_at(0.0, math.pi / 4), np.ones(2)))
+def test_groups_are_separated_by_exact_angles(case):
+    # The verification pass the grouping once ran, as an invariant: inside
+    # a group every angle is below pi/6, across groups above pi/3.
     centroids, q = case
-    cos = _cosine_matrix(centroids)
-    assert cos.tobytes() == reference_cosine_matrix(centroids).tobytes()
-    assert _outcome(weight_reduction, cos, q) == _outcome(
-        _reference_weight_reduction, centroids, q)
-    # Reduced weights, then the unreduced ones, which may raise.
-    for weights in (weight_reduction(cos, q), q):
-        assert _outcome(group_centroids, cos, weights) == _outcome(
-            _reference_group_centroids, centroids, weights)
+    qp, sigma = _steps(centroids, q)
+    assert angle_separation_violations(centroids, qp, sigma) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(centroid_sets())
+def test_float_reference_agrees_away_from_the_band_edges(case):
+    # The rounded cosines decide as the exact angles do wherever every
+    # cosine is farther than the filter margin from 1/2 and sqrt(3)/2 and
+    # every non-zero row has a squared norm the filter takes.
+    centroids, q = case
+    cos = reference_cosine_matrix(centroids)
+    tol = 16 * (centroids.shape[1] + 1) * np.finfo(np.float64).eps
+    norms_sq = np.einsum("km,km->k", centroids, centroids)
+    nonzero = centroids.any(axis=1)
+    if ((np.abs(cos - COS_WIDE) <= tol) | (np.abs(cos - COS_NARROW) <= tol)
+            ).any() or (nonzero & ~((norms_sq >= 2.0**-400)
+                                    & (norms_sq <= 2.0**400))).any():
+        return
+    qp, sigma = _steps(centroids, q)
+    assert qp.tobytes() == reference_weight_reduction(cos, q).tobytes()
+    assert (sigma.tobytes()
+            == reference_group_centroids(cos, qp).tobytes())
 
 
 def _duplicated_binary_columns(seed):
@@ -297,37 +387,83 @@ def _duplicated_binary_columns(seed):
     return np.array(cols).T[:, rng.permutation(len(cols))]
 
 
+def _count_exact_tests(monkeypatch):
+    calls = []
+    exact = onmf.double._exact_angle
+
+    def counted(x, y):
+        calls.append(1)
+        return exact(x, y)
+
+    monkeypatch.setattr(onmf.double, "_exact_angle", counted)
+    return calls
+
+
 @pytest.mark.parametrize("M, multi_member", [
     (planted_labels(600, 600, 12, 0.2, 1).astype(float), False),
     (gen_planted_double(300, 200, 20, 0.05, 3).m_observed, True),
     (_duplicated_binary_columns(4), True),
 ], ids=["bcc-600x600", "planted-300x200", "duplicated-0/1"])
-def test_large_k_steps_match_reference_at_benchmark_scale(M, multi_member):
+def test_large_k_steps_match_reference_at_benchmark_scale(monkeypatch, M,
+                                                          multi_member):
+    # No pair is near an edge of the band here, so the float reference
+    # decides every pair as the exact tests do.
+    calls = _count_exact_tests(monkeypatch)
     pts = normalize_columns(M)
     centroids, q = pts.points, pts.weights
-    cos = _cosine_matrix(centroids)
-    reduced = weight_reduction(cos, q)
-    assert _outcome(weight_reduction, cos, q) == _outcome(
-        _reference_weight_reduction, centroids, q)
-    for weights in (reduced, q):
-        assert _outcome(group_centroids, cos, weights) == _outcome(
-            _reference_group_centroids, centroids, weights)
+    cos = reference_cosine_matrix(centroids)
+    reduced, sigma = _steps(centroids, q)
+    assert calls == []
+    assert reduced.tobytes() == reference_weight_reduction(cos, q).tobytes()
+    assert sigma.tobytes() == reference_group_centroids(cos, reduced).tobytes()
     if multi_member:
         positive = reduced > 0
-        sigma = group_centroids(cos, reduced)
         assert np.unique(sigma[positive]).size < positive.sum()
+    if M.shape[0] < 100:
+        _assert_steps_match_exact_reference(centroids, q)
 
 
-@pytest.mark.parametrize("angles, message", [
-    ((0.0, math.pi / 4), "cross-group angle too small for centroids 0,1"),
-    ((0.0, 0.5, 1.0), "within-group angle too large for centroids 0,2"),
-])
-def test_grouping_error_matches_reference(angles, message):
-    centroids = np.array([[math.cos(t), math.sin(t)] for t in angles])
-    q = np.ones(len(angles))
-    expected = (GroupingError, message)
-    assert _outcome(_reference_group_centroids, centroids, q) == expected
-    assert _outcome(group_centroids, _cosine_matrix(centroids), q) == expected
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_no_pair_needs_the_exact_test_on_planted_labels(monkeypatch, seed):
+    calls = _count_exact_tests(monkeypatch)
+    centroids = normalize_columns(
+        planted_labels(600, 600, 12, 0.2, seed).astype(float)).points
+    angle_pairs(centroids, centroids @ centroids.T)
+    assert calls == []
+
+
+def test_angle_steps_hold_no_k_by_k_temporary(monkeypatch):
+    # With the Gram matrix given, the walk, the reduction and the grouping
+    # allocate blocks and pair lists, never a k x k mask or float array.
+    monkeypatch.setattr(onmf.double, "BLOCK_ENTRIES", 1 << 10)
+    pts = normalize_columns(planted_labels(600, 600, 12, 0.2, 5).astype(float))
+    centroids = pts.points
+    gram = centroids @ centroids.T
+    k = len(gram)
+    tracemalloc.start()
+    try:
+        band, near = angle_pairs(centroids, gram)
+        qp = weight_reduction(band, pts.weights)
+        group_centroids(near, qp, gram)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k * k // 4
+
+
+def test_solve_frees_the_group_means_before_the_result(monkeypatch):
+    # k singleton groups: the group means and the result are both k x m.
+    monkeypatch.setattr(onmf.double, "BLOCK_ENTRIES", 1 << 10)
+    monkeypatch.setattr(onmf.kmeans, "BLOCK_ENTRIES", 1 << 10)
+    k, m = 300, 200
+    centroids = np.random.default_rng(6).random((k, m))
+    tracemalloc.start()
+    try:
+        solve_orthogonal_centroids(centroids, np.ones(k), np.arange(k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * k * m
 
 
 # (centroids, q_reduced, sigma, a) where two groups tie on the score of a
@@ -470,7 +606,8 @@ def test_large_k_transposes_wide_input():
 
 
 def _reference_large_k(M):
-    """factorize_double_large_k through the reference copies of its steps."""
+    """factorize_double_large_k through the reference copies of its steps,
+    with the exact pair-loop weight reduction and grouping."""
     M = check_nonneg(M)
     m, n = M.shape
     if 0 < m < n:
@@ -478,9 +615,8 @@ def _reference_large_k(M):
     pts = reference_normalize_columns(M)
     if pts.total_weight() > MAX_TOTAL_WEIGHT:
         raise ValueError(TOO_LARGE)
-    cos = reference_cosine_matrix(pts.points)
-    qp = weight_reduction(cos, pts.weights)
-    sigma = group_centroids(cos, qp)
+    qp = _exact_weight_reduction(pts.points, pts.weights)
+    sigma = _exact_group_centroids(pts.points, qp)
     a = reference_solve_orthogonal_centroids(pts.points, qp, sigma)
     return reference_solution(M, a, sigma, _theta_against(M, a, sigma))
 
