@@ -348,6 +348,27 @@ def test_groups_are_separated_by_exact_angles(case):
     assert angle_separation_violations(centroids, qp, sigma) == []
 
 
+@pytest.mark.parametrize("angles, message", [
+    ((0.0, math.pi / 4), "cross-group angle too small for centroids 0,1"),
+    ((0.0, 0.5, 1.0), "within-group angle too large for centroids 0,2"),
+])
+def test_grouping_error_matches_reference(angles, message):
+    # The float reference still raises on weights that were never reduced;
+    # after weight reduction, as _finish runs the steps, it raises nothing
+    # and agrees with the grouping byte for byte.
+    centroids = _rows_at(*angles)
+    q = np.ones(len(angles))
+    cos = reference_cosine_matrix(centroids)
+    with pytest.raises(GroupingError) as err:
+        reference_group_centroids(cos, q)
+    assert str(err.value) == message
+    qp, sigma = _steps(centroids, q)
+    ref_qp = reference_weight_reduction(cos, q)
+    assert qp.tobytes() == ref_qp.tobytes()
+    assert sigma.tobytes() == reference_group_centroids(cos, ref_qp).tobytes()
+    assert angle_separation_violations(centroids, qp, sigma) == []
+
+
 @settings(max_examples=300, deadline=None)
 @given(centroid_sets())
 def test_float_reference_agrees_away_from_the_band_edges(case):
