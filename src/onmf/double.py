@@ -113,8 +113,10 @@ def angle_pairs(centroids: np.ndarray, gram: np.ndarray
     entries, so it builds no k x k mask. The float filter of _cos_sq_edges
     decides every pair it can; the rest, and every pair of a row outside
     _NORM_SQ_RANGE, are decided by _exact_angle. A zero row is in no pair.
+    The indices are int32 when k < 2^31, so a pair takes 8 bytes.
     """
     k, m = centroids.shape
+    index = np.int32 if k < 2**31 else np.int64
     norms_sq = gram.diagonal()
     nonzero = np.max(centroids, axis=1, initial=0.0) > 0
     lo_n, hi_n = _NORM_SQ_RANGE
@@ -166,13 +168,14 @@ def angle_pairs(centroids: np.ndarray, gram: np.ndarray
         for pairs, flat in zip((band, near), found):
             if flat.size:
                 t, c = np.divmod(flat, k - lo)
-                pairs[0].append(t + lo)
-                pairs[1].append(c + lo)
-    return _joined(band), _joined(near)
+                pairs[0].append((t + lo).astype(index))
+                pairs[1].append((c + lo).astype(index))
+    return _joined(band, index), _joined(near, index)
 
 
-def _joined(pairs: tuple[list, list]) -> tuple[np.ndarray, np.ndarray]:
-    return tuple(np.concatenate(p) if p else np.zeros(0, dtype=np.int64)
+def _joined(pairs: tuple[list, list],
+            index: type) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(np.concatenate(p) if p else np.zeros(0, dtype=index)
                  for p in pairs)
 
 
@@ -232,14 +235,15 @@ def group_centroids(near: tuple[np.ndarray, np.ndarray],
         return sigma
     src, dst = near
     keep = is_positive[src] & is_positive[dst]
-    src, dst = src[keep], dst[keep]
+    if not keep.all():
+        src, dst = src[keep], dst[keep]
 
     # Connected components by min-label propagation: each step takes the
     # smallest label among a node and its neighbours, then replaces every
     # label by the label of the node it names. Labels never rise, never
     # exceed their node's index and stay inside the component, so the fixed
     # point labels each node with its component's smallest member.
-    labels = np.arange(k)
+    labels = np.arange(k, dtype=src.dtype)
     while True:
         prev = labels.copy()
         np.minimum.at(labels, src, prev[dst])

@@ -11,6 +11,11 @@ distances stay exactly zero) only the points whose two nearest centroids
 lie within a proven rounding margin. Its assignment is therefore the argmin
 of the exact distances, ties to the smallest index included.
 
+Lloyd's recentering sorts the points by label once per iteration, so each
+cluster is one contiguous run of rows, and recomputes only the clusters
+whose members changed: a cluster with the same members has the same rows in
+the same order, so its mean would come out with the same bits.
+
 k-means++ seeding uses the same certificate. Each new centroid's expanded
 distances come from one matrix-vector product, and only the points that
 cannot be proven farther from it than from their nearest chosen centroid are
@@ -55,23 +60,34 @@ def _distances_sq(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _margin(norms_sq: np.ndarray, c_norm_sq: float, m: int) -> np.ndarray:
-    """Per-point bound on |expanded - exact| squared distance, m coordinates.
+    """Per-point bound on |expanded - exact| squared distance, m coordinates,
+    with room for the rounding of the comparison a caller makes with it.
 
     norms_sq holds ||x||^2 for each point and c_norm_sq is the largest
     ||c||^2 of the centroids compared. Let S = ||x||^2 + ||c||^2,
     u = eps / 2 and G_m = m u / (1 - m u). Against the true squared distance
-    D, the expanded form g = fl(fl(||x||^2 - 2 fl(x.c)) + ||c||^2) errs by at
-    most G_m S (the two norms) + 2 G_m S / 2 (the dot product, as
-    sum |x_l c_l| <= S / 2) + 2u S + 3u S (the two additions), and the exact
-    kernel (subtract, square, sum) errs by at most G_{m+2} D <= 2 G_{m+2} S.
-    So |g - exact| <= (4m + 9) u S + O(u^2) < 2 (m + 4) eps S. Products that
-    underflow add at most 2.5 m smallest subnormals; the 4 (m + 4) of them
-    below also cover the rounding of the margin itself. A NaN or inf norm
-    gives a NaN or inf margin, which certifies nothing.
+    D, the expanded form g = fl(fl(fl(x.(-2c)) + ||x||^2) + ||c||^2) errs by
+    at most G_m S (the two norms) + 2 G_m S / 2 (the dot product: scaling c
+    by -2 is exact, and sum |x_l c_l| <= S / 2) + 2u S + 3u S (the two
+    additions), and the exact kernel (subtract, square, sum) errs by at most
+    G_{m+2} D <= 2 G_{m+2} S. So |g - exact| <= (4m + 9) u S + O(u^2), and
+    the margin, 2 (m + 4) eps S = (4m + 16) u S, exceeds that by 7u S. That
+    covers one rounding of each side of a caller's comparison of sums of g,
+    d2 and margins (each side at most about 2 S): fl(best + 2 margin) in
+    _nearest, fl(g - margin) and fl(d2 + margin) in _maybe_nearer.
+
+    Products that underflow add at most 2m smallest subnormals (m / 2 each
+    in the dot product, the two norms and the squares of the exact kernel;
+    a sum or difference with a subnormal result is exact); the 4 (m + 4) of
+    them below also cover the rounding of the margin itself. The margin is
+    inf where 4 S overflows, and a NaN or inf norm gives a NaN or inf
+    margin; neither certifies anything. Everywhere else S <= max / 4, so
+    nothing in g, the exact kernel or the comparisons overflows.
     """
     f = np.finfo(np.float64)
     margin = norms_sq + c_norm_sq  # the one (n,) array a call allocates
-    margin *= 2 * f.eps
+    margin *= 4.0  # inf where S > max / 4; times eps / 2 it is 2 eps S
+    margin *= f.eps / 2
     margin += 4 * f.smallest_subnormal
     margin *= m + 4
     return margin
@@ -82,29 +98,35 @@ def _nearest(points: np.ndarray, norms_sq: np.ndarray,
              dist: np.ndarray | None = None) -> np.ndarray:
     """np.argmin(_distances_sq(points, centroids), axis=1), from a GEMM.
 
-    dist is an optional (n, k) float64 work buffer: the GEMM writes the
-    expanded distances into it, so a call allocates no (n, k) array, and
-    its contents are overwritten. Without it the call allocates one.
+    dist is an optional (k, n) float64 work buffer, a row per centroid: the
+    GEMM writes the expanded distances into it, so a call allocates no
+    (k, n) array, and its contents are overwritten. Without it the call
+    allocates one. In this layout every reduction over the centroids runs
+    along whole rows of points.
 
-    norms_sq holds ||x||^2 for each point. A point whose best and
-    second-best expanded distances differ by more than twice its _margin
-    has the same strict argmin under the exact kernel. The rest, NaN and
-    inf rows included (the test is ~(gap > 2 margin)), are recomputed
-    exactly a few rows at a time, so the temporary stays about n k floats.
+    norms_sq holds ||x||^2 for each point. A point is certified when exactly
+    one centroid's expanded distance is at most fl(best + 2 _margin), where
+    best is the smallest: that centroid then has the strictly smallest
+    exact distance. One product with a (2, k) tally of ones and indices
+    counts those centroids and sums their indices. The rest are recomputed
+    exactly a few rows at a time, so the temporary stays about n k floats:
+    exact ties, and NaN and inf rows, whose threshold is NaN (no centroid
+    counts) or inf (every centroid counts; with k = 1 there is nothing to
+    decide).
     """
     n, m = points.shape
+    k = len(centroids)
     c_norms_sq = np.einsum("km,km->k", centroids, centroids)
-    g = np.matmul(points, centroids.T, out=dist)
-    g *= -2.0
-    g += norms_sq[:, None]
-    g += c_norms_sq
-    assignment = np.argmin(g, axis=1)
-    rows = np.arange(n)
-    best = g[rows, assignment]
-    g[rows, assignment] = np.inf
-    gap = g.min(axis=1) - best
-    margin = _margin(norms_sq, c_norms_sq.max(), m)
-    unsure = np.flatnonzero(~(gap > 2 * margin))
+    g = np.matmul(centroids * -2.0, points.T, out=dist)
+    g += norms_sq
+    g += c_norms_sq[:, None]
+    limit = _margin(norms_sq, c_norms_sq.max(), m)
+    limit *= 2.0
+    limit += g.min(axis=0)
+    near = np.less_equal(g, limit, out=g)  # 1.0 within the limit, else 0.0
+    count, index_sum = np.array([np.ones(k), np.arange(k)]) @ near
+    assignment = index_sum.astype(np.intp)
+    unsure = np.flatnonzero(count != 1)
     step = max(1, n // max(m, 1))
     for lo in range(0, len(unsure), step):
         idx = unsure[lo:lo + step]
@@ -124,58 +146,73 @@ def _weighted_cost(pts: WeightedPointSet, centroids: np.ndarray,
 
 def _weighted_means(points: np.ndarray, weights: np.ndarray,
                     labels: np.ndarray, out: np.ndarray,
-                    work: np.ndarray | None = None) -> np.ndarray:
+                    work: np.ndarray | None = None,
+                    recompute: np.ndarray | None = None) -> np.ndarray:
     """Recenter each row j of out on the weighted mean of the points labeled j.
 
     Rows whose points carry no positive total weight (empty clusters
     included) keep their value; labels outside [0, len(out)), such as -1,
-    are ignored. Returns the total weight per row.
+    are ignored. Returns the total weight per row. recompute, an optional
+    boolean mask over the rows of out, limits this to the rows it marks:
+    every other row of out is left as it is and reports a total of 0.
 
     One stable sort of the labels turns each row's points into a segment in
-    index order. A segment of two or more points takes the gemv w @ P / total
-    on its rows, as a per-label mask would select them. The single points
-    are done in one array expression: the one-term BLAS product starts from
-    +0.0, so it gives +0.0 where w * x is -0.0, and (w * x + 0.0) / w
-    reproduces it bit for bit; likewise a one-element sum of -0.0 is +0.0.
-    The rows of each gather go into the leading rows of work, an optional
-    buffer shaped like points. Without it the single points go through a
-    new buffer of at most BLOCK_ENTRIES entries (one row at least), a chunk
-    at a time: the operations are elementwise, so the bits are the same.
+    index order. Given work, an array shaped like points, the points are
+    gathered into it in that order once and each segment is a view of its
+    rows; without it each segment is gathered on its own, so no array the
+    size of points is allocated. A segment of two or more points takes the
+    gemv w @ P / total on its rows, as a per-label mask would select them.
+    The single points are done in one array expression: the one-term BLAS
+    product starts from +0.0, so it gives +0.0 where w * x is -0.0, and
+    (w * x + 0.0) / w reproduces it bit for bit; likewise a one-element sum
+    of -0.0 is +0.0. They go through a buffer of at most BLOCK_ENTRIES
+    entries (one row at least), a chunk at a time: the operations are
+    elementwise, so the bits are the same.
     """
-    k = out.shape[0]
+    k, m = out.shape
     order = np.argsort(labels, kind="stable")
     # Label j's points are order[bounds[j]:bounds[j + 1]].
     bounds = np.searchsorted(labels[order], np.arange(k + 1))
     counts = np.diff(bounds)
     totals = np.zeros(k)
+    weights = weights[order]
+    if work is None:  # no array the size of points: gather each segment
+        src, index = points, order
+    else:  # one gather in sorted order: each segment is a view of work
+        src, index = _gather(points, order, work), None
+    single, multi = counts == 1, counts > 1
+    if recompute is not None:
+        single &= recompute
+        multi &= recompute
 
-    single = np.flatnonzero(counts == 1)
+    single = np.flatnonzero(single)
     if single.size:
-        idx = order[bounds[single]]
-        w = weights[idx] + 0.0
+        at = bounds[single]
+        w = weights[at] + 0.0
         totals[single] = w
         pos = w > 0
-        idx, single, w = idx[pos], single[pos], w[pos, None]
-        m = points.shape[1]
-        buf = work if work is not None else np.empty(
-            (max(1, min(len(idx), BLOCK_ENTRIES // max(m, 1))), m))
-        step = len(buf)
+        at, single, w = at[pos], single[pos], w[pos, None]
+        idx = at if index is None else index[at]
+        step = max(1, BLOCK_ENTRIES // max(m, 1))
+        buf = np.empty((min(len(idx), step), m))
         for lo in range(0, len(idx), step):
             hi = lo + step
-            rows = _gather(points, idx[lo:hi], buf)  # (w * x + 0.0) / w
+            rows = _gather(src, idx[lo:hi], buf)  # (w * x + 0.0) / w
             rows *= w[lo:hi]
             rows += 0.0
             rows /= w[lo:hi]
             out[single[lo:hi]] = rows
 
     bounds = bounds.tolist()  # Python ints slice faster
-    for j in np.flatnonzero(counts > 1).tolist():
-        idx = order[bounds[j]:bounds[j + 1]]
-        w = weights[idx]
+    for j in np.flatnonzero(multi).tolist():
+        lo, hi = bounds[j], bounds[j + 1]
+        w = weights[lo:hi]
         total = float(w.sum())
         totals[j] = total
         if total > 0:
-            out[j] = w @ _gather(points, idx, work) / total
+            rows = (src[lo:hi] if index is None
+                    else _gather(src, index[lo:hi], None))
+            out[j] = w @ rows / total
     return totals
 
 
@@ -279,26 +316,36 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
     Assignment is a GEMM plus an exact recomputation of the points it cannot
     certify (see _nearest): each point goes to the centroid at the smallest
     exact squared distance, ties to the smallest index, and a point on a
-    centroid is at distance exactly zero.
+    centroid is at distance exactly zero. After the first recentering, only
+    the centroids that lost or gained a point are recentered again.
     """
     centroids = np.array(centroids, dtype=np.float64)
+    k = len(centroids)
     work = np.empty(pts.points.shape)
-    dist = np.empty((len(pts), len(centroids)))
+    dist = np.empty((k, len(pts)))
     norms_sq = np.einsum("nm,nm->n", pts.points, pts.points)
     assignment = _nearest(pts.points, norms_sq, centroids, dist)
     prev_cost = _weighted_cost(pts, centroids, assignment, work)
+    recompute = None  # the seeds are not means: recenter every row
     for _ in range(config.max_iters):
-        _weighted_means(pts.points, pts.weights, assignment, centroids, work)
+        _weighted_means(pts.points, pts.weights, assignment, centroids, work,
+                        recompute)
         prev_assignment = assignment
         assignment = _nearest(pts.points, norms_sq, centroids, dist)
         cost = _weighted_cost(pts, centroids, assignment, work)
+        moved = assignment != prev_assignment
         # An unchanged assignment is a fixed point: every later iteration
         # would recompute these centroids, this assignment and this cost.
-        if (np.array_equal(assignment, prev_assignment)
+        if (not moved.any()
                 or prev_cost - cost <= config.rel_tol * prev_cost):
             prev_cost = cost
             break
         prev_cost = cost
+        # A centroid whose members stay has the same rows in the same order
+        # after the sort, so recentering it again would give the same bits.
+        recompute = np.zeros(k, dtype=bool)
+        recompute[prev_assignment[moved]] = True
+        recompute[assignment[moved]] = True
     return KMeansSolution(centroids=centroids, assignment=assignment,
                           cost=prev_cost)
 

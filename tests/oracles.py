@@ -39,7 +39,7 @@ from onmf.double import GroupingError
 from onmf.kmeans import (
     KMeansConfig,
     KMeansSolution,
-    _nearest,
+    _distances_sq,
     _sample_index,
     _weighted_cost,
     _weighted_means,
@@ -395,7 +395,8 @@ def reference_weighted_cost(pts: WeightedPointSet, centroids: np.ndarray,
 def reference_weighted_means(points: np.ndarray, weights: np.ndarray,
                              labels: np.ndarray,
                              out: np.ndarray) -> np.ndarray:
-    """kmeans._weighted_means with a fresh copy per gather of rows."""
+    """kmeans._weighted_means recomputing every row, with a fresh copy per
+    gather of rows."""
     k = out.shape[0]
     order = np.argsort(labels, kind="stable")
     # Label j's points are order[bounds[j]:bounds[j + 1]].
@@ -452,19 +453,16 @@ def reference_kmeanspp_seed(pts: WeightedPointSet, k: int,
 
 def reference_lloyd(pts: WeightedPointSet, centroids: np.ndarray,
                     config: KMeansConfig) -> KMeansSolution:
-    """kmeans.lloyd with fresh temporaries in every step.
-
-    _nearest called without its buffer is the GEMM kernel as it was, since
-    np.matmul with no out is the @ operator.
-    """
+    """kmeans.lloyd with fresh temporaries in every step, every centroid
+    recentered in every iteration, and each assignment the argmin of the
+    exact kernel, which the GEMM kernel's certificate must reproduce."""
     centroids = np.array(centroids, dtype=np.float64)
-    norms_sq = np.einsum("nm,nm->n", pts.points, pts.points)
-    assignment = _nearest(pts.points, norms_sq, centroids)
+    assignment = np.argmin(_distances_sq(pts.points, centroids), axis=1)
     prev_cost = reference_weighted_cost(pts, centroids, assignment)
     for _ in range(config.max_iters):
         reference_weighted_means(pts.points, pts.weights, assignment,
                                  centroids)
-        assignment = _nearest(pts.points, norms_sq, centroids)
+        assignment = np.argmin(_distances_sq(pts.points, centroids), axis=1)
         cost = reference_weighted_cost(pts, centroids, assignment)
         if prev_cost - cost <= config.rel_tol * prev_cost:
             prev_cost = cost

@@ -279,3 +279,20 @@ def test_bcc_peak_memory(m, n):
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * 8 * m * n
+
+
+def test_bcc_peak_memory_all_plus():
+    # Every pair of the 400 equal columns is near: 79,800 pairs, held as
+    # int32 (8 bytes a pair, half a k x k float64 array) and not copied by
+    # the grouping, whose centroids are all positive. The peak, 5.2 m x n
+    # float64s, is then the rounding of the one block. With int64 pairs
+    # and the grouping's copy it was 5.6.
+    m = n = 400
+    g = BipartiteLabeling(labels=np.ones((m, n), dtype=bool))
+    tracemalloc.start()
+    try:
+        bcc_cluster(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.4 * 8 * m * n

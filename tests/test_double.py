@@ -453,6 +453,14 @@ def test_no_pair_needs_the_exact_test_on_planted_labels(monkeypatch, seed):
     assert calls == []
 
 
+def test_angle_pairs_take_eight_bytes_a_pair():
+    # 100 equal columns: every one of the 4,950 pairs is near.
+    centroids = normalize_columns(np.ones((30, 100))).points
+    band, near = angle_pairs(centroids, centroids @ centroids.T)
+    assert [b.dtype for b in band + near] == [np.dtype(np.int32)] * 4
+    assert len(near[0]) == 100 * 99 // 2
+
+
 def test_angle_steps_hold_no_k_by_k_temporary(monkeypatch):
     # With the Gram matrix given, the walk, the reduction and the grouping
     # allocate blocks and pair lists, never a k x k mask or float array.

@@ -6,7 +6,6 @@ import onmf.kmeans
 from onmf.core import WeightedPointSet, normalize_columns
 from onmf.kmeans import (
     KMeansConfig,
-    KMeansSolution,
     _distances_sq,
     _gather,
     _nearest,
@@ -17,7 +16,7 @@ from onmf.kmeans import (
     lloyd,
     weighted_kmeans,
 )
-from onmf.synth import gen_planted_single
+from onmf.synth import gen_planted_double, gen_planted_single
 from oracles import (
     brute_force_kmeans,
     reference_kmeanspp_seed,
@@ -180,23 +179,6 @@ def test_center_of_mass_identity():
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
-def exact_lloyd(pts, centroids, config):
-    """lloyd as it was before the GEMM kernel: exact distances every step."""
-    centroids = np.array(centroids, dtype=np.float64)
-    assignment = np.argmin(_distances_sq(pts.points, centroids), axis=1)
-    prev_cost = _weighted_cost(pts, centroids, assignment)
-    for _ in range(config.max_iters):
-        _weighted_means(pts.points, pts.weights, assignment, centroids)
-        assignment = np.argmin(_distances_sq(pts.points, centroids), axis=1)
-        cost = _weighted_cost(pts, centroids, assignment)
-        if prev_cost - cost <= config.rel_tol * prev_cost:
-            prev_cost = cost
-            break
-        prev_cost = cost
-    return KMeansSolution(centroids=centroids, assignment=assignment,
-                          cost=prev_cost)
-
-
 def nearest(points, centroids):
     return _nearest(points, np.einsum("nm,nm->n", points, points), centroids)
 
@@ -268,7 +250,7 @@ def test_gemm_kernel_matches_exact_kernel(case):
     pts = WeightedPointSet(points=points, weights=weights)
     config = KMeansConfig(max_iters=5)
     assert (as_bytes(lloyd(pts, centroids, config))
-            == as_bytes(exact_lloyd(pts, centroids, config)))
+            == as_bytes(reference_lloyd(pts, centroids, config)))
 
 
 def garbage(shape):
@@ -353,7 +335,7 @@ def test_kernel_helpers_never_read_stale_buffers(case):
     points, weights, centroids = case
     norms_sq = np.einsum("nm,nm->n", points, points)
     assignment = _nearest(points, norms_sq, centroids)
-    shape = (len(points), len(centroids))
+    shape = (len(centroids), len(points))
     for dist in (garbage(shape), np.arange(float(np.prod(shape))).reshape(shape)):
         assert (_nearest(points, norms_sq, centroids, dist).tobytes()
                 == assignment.tobytes())
@@ -470,7 +452,7 @@ def test_gemm_kernel_on_planted_lloyd_runs():
         seeds = kmeanspp_seed(pts, 8, np.random.default_rng(seed))
         config = KMeansConfig(max_iters=20)
         assert (as_bytes(lloyd(pts, seeds, config))
-                == as_bytes(exact_lloyd(pts, seeds, config)))
+                == as_bytes(reference_lloyd(pts, seeds, config)))
 
 
 def _reference_weighted_means(points, weights, labels, out):
@@ -531,3 +513,139 @@ def test_weighted_means_matches_per_label_loop(case):
         assert (totals.dtype, totals.tobytes()) == (expected.dtype,
                                                     expected.tobytes())
         assert got_out.tobytes() == expected_out.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mean_cases(), st.data())
+@np.errstate(all="ignore")  # the 1e+-150 cases overflow and underflow
+def test_weighted_means_leaves_unmarked_rows_untouched(case, data):
+    # The rows recompute marks come out as a full recentering makes them;
+    # every other row keeps its NaN sentinel and reports a total of 0.
+    points, weights, labels, out = case
+    k = len(out)
+    recompute = np.array(data.draw(st.lists(st.booleans(), min_size=k,
+                                            max_size=k)), dtype=bool)
+    full = out.copy()
+    totals = _weighted_means(points, weights, labels, full)
+    for work in (None, garbage(points.shape)):
+        got = np.full(out.shape, np.nan)
+        got[recompute] = out[recompute]
+        got_totals = _weighted_means(points, weights, labels, got, work,
+                                     recompute)
+        assert got[recompute].tobytes() == full[recompute].tobytes()
+        assert (got[~recompute].tobytes()
+                == np.full(got[~recompute].shape, np.nan).tobytes())
+        assert (got_totals[recompute].tobytes()
+                == totals[recompute].tobytes())
+        assert not got_totals[~recompute].any()
+
+
+def test_lloyd_recenters_only_the_clusters_a_point_left_and_joined(
+        monkeypatch):
+    # The first recentering pulls the centroid at 4 to 5.03, so the point
+    # at 2.1 moves from cluster 1 to cluster 0 and nothing else moves: the
+    # second recentering redoes rows 0 and 1 and leaves row 2 as it is.
+    calls = []
+
+    def spied(points, weights, labels, out, work=None, recompute=None):
+        before = out.copy()
+        totals = _weighted_means(points, weights, labels, out, work,
+                                 recompute)
+        calls.append((recompute, before, out.copy()))
+        return totals
+
+    monkeypatch.setattr(onmf.kmeans, "_weighted_means", spied)
+    pts = pset([[0.0], [1.0], [2.1], [6.0], [7.0], [20.0], [21.0]],
+               np.ones(7))
+    seeds = np.array([[0.0], [4.0], [20.5]])
+    config = KMeansConfig(max_iters=100, rel_tol=0.0)
+    sol = lloyd(pts, seeds, config)
+    assert sol.assignment.tolist() == [0, 0, 0, 1, 1, 2, 2]
+    assert [c[0] is None for c in calls] == [True, False]
+    recompute, before, after = calls[1]
+    assert recompute.tolist() == [True, True, False]
+    assert (before != after).any(axis=1).tolist() == [True, True, False]
+    assert as_bytes(sol) == as_bytes(reference_lloyd(pts, seeds, config))
+
+
+@pytest.mark.parametrize("centroids, exact_rows", [
+    (np.array([[0.0, 0.0], [1.0, 0.0]]), [1, 2, 3]),
+    (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), [0, 1, 2, 3]),
+], ids=["distinct", "duplicated"])
+@np.errstate(all="ignore")  # the NaN and inf rows
+def test_gemm_kernel_leaves_nan_inf_and_ties_uncertified(
+        monkeypatch, centroids, exact_rows):
+    # A NaN row, an inf row and a point exactly between two centroids go to
+    # the exact kernel; so does a point whose nearest centroid is repeated.
+    recomputed = []
+
+    def recorded(points, centroids):
+        recomputed.append(points.copy())
+        return _distances_sq(points, centroids)
+
+    points = np.array([[0.1, 0.0], [np.nan, 0.0], [np.inf, 0.0],
+                       [0.5, 0.0], [0.9, 0.0]])
+    exact = np.argmin(_distances_sq(points, centroids), axis=1)
+    monkeypatch.setattr(onmf.kmeans, "_distances_sq", recorded)
+    assert nearest(points, centroids).tobytes() == exact.tobytes()
+    assert np.array_equal(np.vstack(recomputed), points[exact_rows],
+                          equal_nan=True)
+
+
+@st.composite
+def lloyd_cases(draw):
+    """(points set, initial centroids) for Lloyd's differential test.
+
+    m is mostly odd, so the sorted rows of a cluster start off 16-byte
+    boundaries; points repeat a few distinct rows, some with zero weight;
+    the initial centroids are copies of points (repeated ones leave
+    clusters empty), random spots, or random spots with some far away,
+    whose clusters stay empty; k reaches n + 3, so single-point clusters
+    are common.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    m = draw(st.sampled_from([1, 3, 5, 7, 9, 17, 2, 8]))
+    distinct = draw(st.integers(1, n))
+    rows = rng.random((distinct, m)).round(draw(st.sampled_from([1, 2, 17])))
+    points = rows[rng.integers(0, distinct, n)]
+    weights = rng.choice([0.0, 0.5, 1.0, 3.0], n)
+    if draw(st.booleans()):
+        weights = rng.random(n) * (rng.random(n) < 0.8)
+    k = draw(st.integers(1, n + 3))
+    source = draw(st.sampled_from(["points", "random", "far"]))
+    if source == "points":
+        centroids = points[rng.integers(0, n, k)]
+    else:
+        centroids = rng.random((k, m))
+        if source == "far":
+            centroids[rng.random(k) < 0.3] += 10.0
+    return WeightedPointSet(points=points, weights=weights), centroids
+
+
+@settings(max_examples=300, deadline=None)
+@given(lloyd_cases(), st.integers(1, 20), st.sampled_from([0.0, 1e-9]),
+       st.integers(0, 2**16))
+def test_lloyd_matches_reference_bytes(case, max_iters, rel_tol, seed):
+    # Lloyd recenters only the clusters whose members moved, from one sorted
+    # gather; the reference recenters every cluster from fresh copies and
+    # assigns with the exact kernel.
+    pts, centroids = case
+    config = KMeansConfig(max_iters=max_iters, rel_tol=rel_tol)
+    assert (as_bytes(lloyd(pts, centroids, config))
+            == as_bytes(reference_lloyd(pts, centroids, config)))
+    k = len(centroids)
+    config = KMeansConfig(restarts=2, max_iters=max_iters, rel_tol=rel_tol,
+                          seed=seed)
+    assert (as_bytes(weighted_kmeans(pts, k, config))
+            == as_bytes(reference_weighted_kmeans(pts, k, config)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_weighted_kmeans_matches_reference_at_sweep_shape(seed):
+    # The shape of a sweep --mode double trial: 50 x 500, k = 10.
+    pts = normalize_columns(gen_planted_double(50, 500, 10, 0.5, seed)
+                            .m_observed)
+    config = KMeansConfig(restarts=3, seed=seed)
+    assert (as_bytes(weighted_kmeans(pts, 10, config))
+            == as_bytes(reference_weighted_kmeans(pts, 10, config)))
