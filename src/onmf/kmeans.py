@@ -11,10 +11,10 @@ distances stay exactly zero) only the points whose two nearest centroids
 lie within a proven rounding margin. Its assignment is therefore the argmin
 of the exact distances, ties to the smallest index included.
 
-Lloyd's recentering sorts the points by label once per iteration, so each
-cluster is one contiguous run of rows, and recomputes only the clusters
-whose members changed: a cluster with the same members has the same rows in
-the same order, so its mean would come out with the same bits.
+Lloyd's recentering sorts the labels once per iteration and, after the
+first, recomputes only the clusters whose members changed: a cluster with
+the same members gathers the same rows in the same order, so its mean would
+come out with the same bits.
 
 k-means++ seeding uses the same certificate. Each new centroid's expanded
 distances come from one matrix-vector product, and only the points that
@@ -157,17 +157,16 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
     every other row of out is left as it is and reports a total of 0.
 
     One stable sort of the labels turns each row's points into a segment in
-    index order. Given work, an array shaped like points, the points are
-    gathered into it in that order once and each segment is a view of its
-    rows; without it each segment is gathered on its own, so no array the
-    size of points is allocated. A segment of two or more points takes the
-    gemv w @ P / total on its rows, as a per-label mask would select them.
-    The single points are done in one array expression: the one-term BLAS
-    product starts from +0.0, so it gives +0.0 where w * x is -0.0, and
-    (w * x + 0.0) / w reproduces it bit for bit; likewise a one-element sum
-    of -0.0 is +0.0. They go through a buffer of at most BLOCK_ENTRIES
-    entries (one row at least), a chunk at a time: the operations are
-    elementwise, so the bits are the same.
+    index order, and the weights are taken once in that order. A segment of
+    two or more points takes the gemv w @ P / total on its rows, as a
+    per-label mask would select them. The single points are done in one
+    array expression: the one-term BLAS product starts from +0.0, so it
+    gives +0.0 where w * x is -0.0, and (w * x + 0.0) / w reproduces it bit
+    for bit; likewise a one-element sum of -0.0 is +0.0. The rows of each
+    gather go into the leading rows of work, an optional buffer shaped like
+    points. Without it the single points go through a new buffer of at most
+    BLOCK_ENTRIES entries (one row at least), a chunk at a time: the
+    operations are elementwise, so the bits are the same.
     """
     k, m = out.shape
     order = np.argsort(labels, kind="stable")
@@ -176,10 +175,6 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
     counts = np.diff(bounds)
     totals = np.zeros(k)
     weights = weights[order]
-    if work is None:  # no array the size of points: gather each segment
-        src, index = points, order
-    else:  # one gather in sorted order: each segment is a view of work
-        src, index = _gather(points, order, work), None
     single, multi = counts == 1, counts > 1
     if recompute is not None:
         single &= recompute
@@ -191,13 +186,13 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
         w = weights[at] + 0.0
         totals[single] = w
         pos = w > 0
-        at, single, w = at[pos], single[pos], w[pos, None]
-        idx = at if index is None else index[at]
-        step = max(1, BLOCK_ENTRIES // max(m, 1))
-        buf = np.empty((min(len(idx), step), m))
+        idx, single, w = order[at[pos]], single[pos], w[pos, None]
+        buf = work if work is not None else np.empty(
+            (max(1, min(len(idx), BLOCK_ENTRIES // max(m, 1))), m))
+        step = len(buf)
         for lo in range(0, len(idx), step):
             hi = lo + step
-            rows = _gather(src, idx[lo:hi], buf)  # (w * x + 0.0) / w
+            rows = _gather(points, idx[lo:hi], buf)  # (w * x + 0.0) / w
             rows *= w[lo:hi]
             rows += 0.0
             rows /= w[lo:hi]
@@ -210,9 +205,7 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
         total = float(w.sum())
         totals[j] = total
         if total > 0:
-            rows = (src[lo:hi] if index is None
-                    else _gather(src, index[lo:hi], None))
-            out[j] = w @ rows / total
+            out[j] = w @ _gather(points, order[lo:hi], work) / total
     return totals
 
 
@@ -341,8 +334,8 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
             prev_cost = cost
             break
         prev_cost = cost
-        # A centroid whose members stay has the same rows in the same order
-        # after the sort, so recentering it again would give the same bits.
+        # A centroid whose members stay gathers the same rows in the same
+        # order, so recentering it again would give the same bits.
         recompute = np.zeros(k, dtype=bool)
         recompute[prev_assignment[moved]] = True
         recompute[assignment[moved]] = True

@@ -596,8 +596,8 @@ def test_gemm_kernel_leaves_nan_inf_and_ties_uncertified(
 def lloyd_cases(draw):
     """(points set, initial centroids) for Lloyd's differential test.
 
-    m is mostly odd, so the sorted rows of a cluster start off 16-byte
-    boundaries; points repeat a few distinct rows, some with zero weight;
+    m is mostly odd, so every other gathered row of a cluster starts off a
+    16-byte boundary; points repeat a few distinct rows, some with zero weight;
     the initial centroids are copies of points (repeated ones leave
     clusters empty), random spots, or random spots with some far away,
     whose clusters stay empty; k reaches n + 3, so single-point clusters
@@ -627,9 +627,9 @@ def lloyd_cases(draw):
 @given(lloyd_cases(), st.integers(1, 20), st.sampled_from([0.0, 1e-9]),
        st.integers(0, 2**16))
 def test_lloyd_matches_reference_bytes(case, max_iters, rel_tol, seed):
-    # Lloyd recenters only the clusters whose members moved, from one sorted
-    # gather; the reference recenters every cluster from fresh copies and
-    # assigns with the exact kernel.
+    # Lloyd recenters only the clusters whose members moved; the reference
+    # recenters every cluster from fresh copies and assigns with the exact
+    # kernel.
     pts, centroids = case
     config = KMeansConfig(max_iters=max_iters, rel_tol=rel_tol)
     assert (as_bytes(lloyd(pts, centroids, config))
