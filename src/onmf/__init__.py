@@ -11,24 +11,14 @@ from onmf.core import CompactW, read_matrix, write_matrix
 from onmf.synth import PlantedInstance, gen_planted_double, gen_planted_single
 from onmf.kmeans import KMeansConfig
 from onmf.single import OnmfSolution, factorize_single
-from onmf.double import (
-    GroupingError,
-    factorize_double,
-    factorize_double_large_k,
-)
+from onmf.double import factorize_double, factorize_double_large_k
 from onmf.bcc import BipartiteLabeling, Clustering, bcc_cluster, disagreements
-from onmf.metrics import (
-    non_orthogonality,
-    reconstruction_error,
-    recovery_error,
-    rsfe,
-)
+from onmf.metrics import non_orthogonality, recovery_error, rsfe
 
 __all__ = [
     "BipartiteLabeling",
     "Clustering",
     "CompactW",
-    "GroupingError",
     "KMeansConfig",
     "OnmfSolution",
     "PlantedInstance",
@@ -41,7 +31,6 @@ __all__ = [
     "gen_planted_single",
     "non_orthogonality",
     "read_matrix",
-    "reconstruction_error",
     "recovery_error",
     "rsfe",
     "write_matrix",

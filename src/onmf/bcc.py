@@ -96,7 +96,7 @@ def round_block(Mblk, a, w) -> tuple[np.ndarray, np.ndarray]:
     if size == 0:
         w_hat[pos] = 1.0
         return a_hat, w_hat
-    overlap = np.count_nonzero((Mblk[:, pos] > 0) & support[:, None], axis=0)
+    overlap = np.count_nonzero((Mblk > 0)[:, pos] & support[:, None], axis=0)
     w_hat[pos[2 * overlap >= size]] = 1.0
     return a_hat, w_hat
 

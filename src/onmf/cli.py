@@ -19,18 +19,9 @@ import numpy as np
 
 from onmf.bcc import BipartiteLabeling, bcc_cluster
 from onmf.core import _csv_lines, open_output, read_matrix, write_matrix
-from onmf.double import (
-    GroupingError,
-    factorize_double,
-    factorize_double_large_k,
-)
+from onmf.double import factorize_double, factorize_double_large_k
 from onmf.kmeans import KMeansConfig
-from onmf.metrics import (
-    non_orthogonality,
-    reconstruction_error,
-    recovery_error,
-    rsfe,
-)
+from onmf.metrics import non_orthogonality, recovery_error, rsfe
 from onmf.single import factorize_single
 from onmf.synth import gen_planted_double, gen_planted_single
 
@@ -133,7 +124,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     A = read_matrix(args.a)
     W = read_matrix(args.w)
     record = {
-        "reconstruction_error": reconstruction_error(M, A, W),
+        "reconstruction_error": recovery_error(M, A, W),
         "rsfe": rsfe(M, A, W),
         "non_orthogonality_w": non_orthogonality(W),
         "non_orthogonality_a_cols": non_orthogonality(A.T),
@@ -154,7 +145,7 @@ def _sweep_trial(args: argparse.Namespace, noise: float,
     W = sol.w.materialize()
     return (
         recovery_error(inst.m_truth, sol.a, W),
-        reconstruction_error(inst.m_observed, sol.a, W),
+        recovery_error(inst.m_observed, sol.a, W),
         non_orthogonality(W),
         elapsed_ms,
     )
@@ -299,7 +290,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, GroupingError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"onmf: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -16,12 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# cos(pi/6) and cos(pi/3); the angle band [pi/6, pi/3] used by the
-# double-orthogonality weight reduction corresponds to cosines in
-# [COS_WIDE, COS_NARROW], inclusive.
-COS_NARROW = math.sqrt(3.0) / 2.0
-COS_WIDE = 0.5
-
 # The largest squared Frobenius norm normalize_columns accepts. The points
 # the algorithms compare have norm at most 1, so a squared distance between
 # two of them is at most 4, and below this limit a weight times such a
@@ -55,7 +49,11 @@ def check_nonneg(M: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm_sq(M) -> float:
-    """Sum of squared entries."""
+    """Sum of squared entries.
+
+    No module of the package calls it; it is kept only because the
+    benchmark in perfbench/ traces it by name.
+    """
     M = np.asarray(M, dtype=np.float64)
     return float(np.sum(M * M))
 

@@ -26,7 +26,8 @@ class GroupingError(RuntimeError):
     """The grouped centroids violate the angle separation guarantees.
 
     No step raises it: with exact angle tests the separation is a theorem
-    (see group_centroids). It stays a public name for callers that catch it.
+    (see group_centroids). It is kept only because the benchmark's
+    self-test, perfbench/selftest.py, imports it.
     """
 
 
@@ -112,16 +113,16 @@ def angle_pairs(centroids: np.ndarray, gram: np.ndarray
     centroids.T. The walk takes gram in row blocks of at most BLOCK_ENTRIES
     entries, so it builds no k x k mask. The float filter of _cos_sq_edges
     decides every pair it can; the rest, and every pair of a row outside
-    _NORM_SQ_RANGE, are decided by _exact_angle. A zero row is in no pair.
-    The indices are int32 when k < 2^31, so a pair takes 8 bytes.
+    _NORM_SQ_RANGE, are decided by _exact_angle. A zero row is in no pair:
+    its estimates are 0/0, NaN, which passes no edge. The indices are int32
+    (a k x k gram has k < 2^31), so a pair takes 8 bytes.
     """
     k, m = centroids.shape
-    index = np.int32 if k < 2**31 else np.int64
     norms_sq = gram.diagonal()
     nonzero = np.max(centroids, axis=1, initial=0.0) > 0
     lo_n, hi_n = _NORM_SQ_RANGE
     odd = nonzero & ~((norms_sq >= lo_n) & (norms_sq <= hi_n))
-    any_zero, any_odd = not nonzero.all(), odd.any()
+    any_odd = odd.any()
     e0, e1, e2, e3 = _cos_sq_edges(m)
     exact_rows: dict[int, tuple[dict[int, int], int]] = {}
     band: tuple[list, list] = ([], [])
@@ -136,9 +137,6 @@ def angle_pairs(centroids: np.ndarray, gram: np.ndarray
         with np.errstate(divide="ignore", invalid="ignore"):
             r /= norms_sq[lo:hi, None]
             r /= norms_sq[lo:]
-        if any_zero:  # 0/0 for a zero row: never a pair
-            r[~nonzero[lo:hi]] = 0.0
-            r[:, ~nonzero[lo:]] = 0.0
         if any_odd:  # undecided: goes to the exact test
             r[odd[lo:hi]] = 0.25
             r[:, odd[lo:]] = 0.25
@@ -168,14 +166,13 @@ def angle_pairs(centroids: np.ndarray, gram: np.ndarray
         for pairs, flat in zip((band, near), found):
             if flat.size:
                 t, c = np.divmod(flat, k - lo)
-                pairs[0].append((t + lo).astype(index))
-                pairs[1].append((c + lo).astype(index))
-    return _joined(band, index), _joined(near, index)
+                pairs[0].append((t + lo).astype(np.int32))
+                pairs[1].append((c + lo).astype(np.int32))
+    return _joined(band), _joined(near)
 
 
-def _joined(pairs: tuple[list, list],
-            index: type) -> tuple[np.ndarray, np.ndarray]:
-    return tuple(np.concatenate(p) if p else np.zeros(0, dtype=index)
+def _joined(pairs: tuple[list, list]) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(np.concatenate(p) if p else np.zeros(0, dtype=np.int32)
                  for p in pairs)
 
 

@@ -21,7 +21,11 @@ def recovery_error(m_truth, A, W) -> float:
 
 
 def reconstruction_error(M, A, W) -> float:
-    """Frobenius norm of M - A @ W."""
+    """Frobenius norm of M - A @ W: recovery_error under a second name.
+
+    No module of the package calls it; it is kept only because the
+    benchmark in perfbench/ calls it and traces it by name.
+    """
     return recovery_error(M, A, W)
 
 

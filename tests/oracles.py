@@ -26,8 +26,6 @@ import numpy as np
 
 from onmf.bcc import BipartiteLabeling, Clustering, disagreements
 from onmf.core import (
-    COS_NARROW,
-    COS_WIDE,
     CompactW,
     _csv_lines,
     WeightedPointSet,
@@ -49,6 +47,11 @@ from onmf.single import OnmfSolution, _solution, _theta_against
 # sin^2(pi/12) = (1 - cos(pi/6)) / 2, the constant in the double-factor
 # approximation guarantees.
 SIN_SQ_PI_12 = (2.0 - math.sqrt(3.0)) / 4.0
+
+# cos(pi/6) and cos(pi/3): the float references test the angle band
+# [pi/6, pi/3] as the cosines in [COS_WIDE, COS_NARROW], inclusive.
+COS_NARROW = math.sqrt(3.0) / 2.0
+COS_WIDE = 0.5
 
 
 def cos_angle(x, y) -> float:

@@ -10,7 +10,6 @@ import pytest
 import onmf.cli
 from conftest import run_cli
 from onmf.core import read_matrix, write_matrix
-from onmf.double import GroupingError
 from onmf.kmeans import KMeansConfig
 from onmf.single import factorize_single
 from oracles import reference_write_matrix
@@ -189,6 +188,39 @@ def test_evaluate(tmp_path):
     assert rec["non_orthogonality_w"] == 0.0
 
 
+def test_evaluate_and_sweep_bytes(tmp_path, monkeypatch, capsys):
+    # Every evaluate value is exact up to one correctly rounded sqrt or
+    # division: small integer entries, and columns of A and rows of W whose
+    # norms are powers of two. M and the truth differ, so the
+    # reconstruction and recovery errors do too.
+    A = np.array([[2.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+    W = np.array([[2.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+    M = A @ W + np.array([[1.0, 0, 0, 2], [0, 3, 0, 0], [0, 0, 0, 1],
+                          [1, 0, 0, 0]])
+    truth = A @ W + np.array([[0.0, 0, 1, 0], [0, 0, 0, 0], [2, 0, 0, 0],
+                              [0, 0, 0, 0]])
+    for name, X in [("M", M), ("A", A), ("W", W), ("T", truth)]:
+        write_matrix(X, tmp_path / f"{name}.csv")
+    monkeypatch.chdir(tmp_path)
+    assert onmf.cli.main(["evaluate", "--input", "M.csv", "--a", "A.csv",
+                          "--w", "W.csv", "--truth", "T.csv"]) == 0
+    assert capsys.readouterr().out == (
+        '{"non_orthogonality_a_cols": 0.7071067811865476, '
+        '"non_orthogonality_w": 0.7071067811865476, '
+        '"reconstruction_error": 4.0, "recovery_error": 2.23606797749979, '
+        '"rsfe": 0.2}\n')
+
+    assert onmf.cli.main(["sweep", "--m", "4", "--n", "10", "--k", "2",
+                          "--noise-grid", "0,0.3", "--trials", "3",
+                          "--seed", "2", "--restarts", "5",
+                          "--out", "sweep.csv"]) == 0
+    assert (tmp_path / "sweep.csv").read_text() == (
+        "noise_level,median_recovery_error,median_reconstruction_error,"
+        "median_non_orthogonality,planted_reference\n"
+        "0.0,6.949727468511708e-16,6.949727468511708e-16,0.0,0.0\n"
+        "0.3,2.25204631299319,1.4031891008312405,0.0,2.6832815729997477\n")
+
+
 def test_sweep_row_count_and_reference(tmp_path):
     res = run_cli(["sweep", "--m", "4", "--n", "10", "--k", "2",
                    "--noise-grid", "0,0.3", "--trials", "3", "--seed", "2",
@@ -300,19 +332,6 @@ def test_bcc_incomplete_without_flag(tmp_path):
     res = run_cli(["bcc", "--edges", "edges.csv", "--complete"], cwd=tmp_path)
     assert res.returncode == 0
     assert res.stdout.strip() == "0"
-
-
-def test_grouping_error_is_a_cli_error(tmp_path, monkeypatch, capsys):
-    def fail(M):
-        raise GroupingError("cross-group angle too small for centroids 0,1")
-
-    monkeypatch.setattr(onmf.cli, "factorize_double_large_k", fail)
-    write_matrix(np.eye(2), tmp_path / "M.csv")
-    code = onmf.cli.main(["factorize", "--input", str(tmp_path / "M.csv"),
-                          "--mode", "double-large-k"])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "onmf: error: cross-group angle too small for centroids 0,1\n")
 
 
 def test_bcc_rejects_incomplete_graph_before_allocating(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import gzip
 import math
 import os
+import pathlib
 import stat
 import threading
 import tracemalloc
@@ -15,8 +17,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import onmf
 from onmf.core import (
-    COS_NARROW,
-    COS_WIDE,
     MAX_TOTAL_WEIGHT,
     CompactW,
     as_matrix,
@@ -29,6 +29,8 @@ from onmf.core import (
 )
 from conftest import TOO_LARGE, nonneg_matrices
 from oracles import (
+    COS_NARROW,
+    COS_WIDE,
     SIN_SQ_PI_12,
     angle,
     reference_as_matrix,
@@ -526,12 +528,11 @@ def test_angle_band_constants():
 
 
 PUBLIC_NAMES = [
-    "BipartiteLabeling", "Clustering", "CompactW", "GroupingError",
-    "KMeansConfig", "OnmfSolution", "PlantedInstance", "bcc_cluster",
-    "disagreements", "factorize_double", "factorize_double_large_k",
-    "factorize_single", "gen_planted_double", "gen_planted_single",
-    "non_orthogonality", "read_matrix", "reconstruction_error",
-    "recovery_error", "rsfe", "write_matrix",
+    "BipartiteLabeling", "Clustering", "CompactW", "KMeansConfig",
+    "OnmfSolution", "PlantedInstance", "bcc_cluster", "disagreements",
+    "factorize_double", "factorize_double_large_k", "factorize_single",
+    "gen_planted_double", "gen_planted_single", "non_orthogonality",
+    "read_matrix", "recovery_error", "rsfe", "write_matrix",
 ]
 
 
@@ -543,3 +544,33 @@ def test_public_names_resolve():
     namespace = {}
     exec("from onmf import *", namespace)
     assert set(onmf.__all__) <= namespace.keys()
+
+
+# Names no module of the package uses, kept only because the benchmark in
+# perfbench/ calls or traces them by name: its self-test imports
+# GroupingError, its sweep-double workload calls reconstruction_error, and
+# its spans trace reconstruction_error and frobenius_norm_sq.
+PERFBENCH_ONLY = {"GroupingError", "frobenius_norm_sq",
+                  "reconstruction_error"}
+
+
+def test_no_dead_module_names():
+    # Every module-level def, class or assignment in the package is read by
+    # some module of it or exported in __all__; the rest must be exactly the
+    # names kept for perfbench/, so this list goes stale loudly.
+    defined, loaded = set(), set()
+    for path in pathlib.Path(onmf.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets
+                               if isinstance(t, ast.Name))
+            elif isinstance(node, ast.AnnAssign):
+                defined.add(node.target.id)
+        loaded.update(node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name)
+                      and isinstance(node.ctx, ast.Load))
+    dead = defined - loaded - set(onmf.__all__) - {"__all__"}
+    assert dead == PERFBENCH_ONLY

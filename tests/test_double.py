@@ -12,13 +12,7 @@ import onmf.double
 import onmf.kmeans
 import onmf.single
 from onmf.bcc import BipartiteLabeling, bcc_cluster
-from onmf.core import (
-    COS_NARROW,
-    COS_WIDE,
-    MAX_TOTAL_WEIGHT,
-    check_nonneg,
-    normalize_columns,
-)
+from onmf.core import MAX_TOTAL_WEIGHT, check_nonneg, normalize_columns
 from onmf.double import (
     GroupingError,
     angle_pairs,
@@ -35,6 +29,8 @@ from onmf.single import _solution, _theta_against, factorize_single
 from onmf.synth import gen_planted_double
 from conftest import NONNEG_CELLS, TOO_LARGE, nonneg_matrices, planted_labels
 from oracles import (
+    COS_NARROW,
+    COS_WIDE,
     SIN_SQ_PI_12,
     angle,
     angle_separation_violations,
