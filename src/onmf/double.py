@@ -23,12 +23,8 @@ from onmf.single import OnmfSolution, _cluster, _solution, _theta_against
 
 
 class GroupingError(RuntimeError):
-    """The grouped centroids violate the angle separation guarantees.
-
-    No step raises it: with exact angle tests the separation is a theorem
-    (see group_centroids). It is kept only because the benchmark's
-    self-test, perfbench/selftest.py, imports it.
-    """
+    """Never raised: group_centroids proves its groups separated. Kept only
+    because the benchmark's self-test, perfbench/selftest.py, imports it."""
 
 
 def centroid_weights(pts: WeightedPointSet,
@@ -168,12 +164,8 @@ def angle_pairs(centroids: np.ndarray, gram: np.ndarray
                 t, c = np.divmod(flat, k - lo)
                 pairs[0].append((t + lo).astype(np.int32))
                 pairs[1].append((c + lo).astype(np.int32))
-    return _joined(band), _joined(near)
-
-
-def _joined(pairs: tuple[list, list]) -> tuple[np.ndarray, np.ndarray]:
-    return tuple(np.concatenate(p) if p else np.zeros(0, dtype=np.int32)
-                 for p in pairs)
+    return tuple(tuple(np.concatenate(p) if p else np.zeros(0, dtype=np.int32)
+                       for p in pairs) for pairs in (band, near))
 
 
 def weight_reduction(band: tuple[np.ndarray, np.ndarray],
@@ -204,19 +196,21 @@ def group_centroids(near: tuple[np.ndarray, np.ndarray],
                     q_reduced: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Group the surviving centroids by connected small-angle components.
 
-    near holds the pairs of centroids whose exact angle is below pi/6
-    (angle_pairs), and gram the centroids' Gram matrix. Positive-weight
-    centroids are joined along the near pairs between them; the connected
-    components of that graph are the groups, numbered in order of their
-    smallest member.
+    near holds the pairs (j1, j2), j1 < j2, whose exact angle is below pi/6,
+    and q_reduced the weights that weight_reduction left from the band pairs
+    of the same angle_pairs call, as in _finish; gram is the centroids' Gram
+    matrix. The groups are the connected components of the positive-weight
+    centroids joined along near pairs, numbered in order of their smallest
+    member.
 
-    After weight_reduction no two positive centroids have an angle in
-    [pi/6, pi/3], so within a group every angle is below pi/6 and across
-    groups every angle is above pi/3: along a path of angles below pi/6 the
-    first and third centroids are less than pi/3 apart (the triangle
-    inequality of angles), hence less than pi/6, and by induction so are
-    the ends. Two centroids in different groups are not near, so with the
-    band empty they are more than pi/3 apart.
+    After weight_reduction no two positive centroids are at an angle in
+    [pi/6, pi/3], so nearness is transitive among them: if a, b and b, c
+    are less than pi/6 apart, a and c are less than pi/3 apart (the
+    triangle inequality of angles), hence less than pi/6. So each group is
+    a clique of near pairs, and one scatter-min over the near pairs from a
+    positive j1 labels every member with the group's smallest member. Two
+    centroids in different groups are neither near nor in the band, so
+    they are more than pi/3 apart.
 
     A zero-weight centroid i joins the group of the positive centroid j
     with the largest gram[i, j] / sqrt(gram[j, j]) (the nearest in angle,
@@ -230,24 +224,11 @@ def group_centroids(near: tuple[np.ndarray, np.ndarray],
     positive = np.flatnonzero(is_positive)
     if positive.size == 0:
         return sigma
+    # Labels of zero-weight j2 are overwritten by the extension below.
     src, dst = near
-    keep = is_positive[src] & is_positive[dst]
-    if not keep.all():
-        src, dst = src[keep], dst[keep]
-
-    # Connected components by min-label propagation: each step takes the
-    # smallest label among a node and its neighbours, then replaces every
-    # label by the label of the node it names. Labels never rise, never
-    # exceed their node's index and stay inside the component, so the fixed
-    # point labels each node with its component's smallest member.
+    keep = is_positive[src]
     labels = np.arange(k, dtype=src.dtype)
-    while True:
-        prev = labels.copy()
-        np.minimum.at(labels, src, prev[dst])
-        np.minimum.at(labels, dst, prev[src])
-        labels = labels[labels]
-        if np.array_equal(labels, prev):
-            break
+    np.minimum.at(labels, dst[keep], src[keep])
     sigma[positive] = np.unique(labels[positive], return_inverse=True)[1]
 
     # Extend to zero-weight centroids, in row blocks of the Gram matrix. A

@@ -37,10 +37,20 @@ def non_orthogonality(W) -> float:
     After normalization the diagonal equals one identically, so the metric
     reduces to the off-diagonal cosine mass; computing it that way keeps the
     value exactly zero for rows with pairwise disjoint supports. Empty input
-    (or all rows zero) gives zero.
+    (or all rows zero) gives zero. A non-zero row whose squared norm
+    overflows, or falls below the normal floats, is first divided by its
+    largest absolute entry.
     """
     W = as_matrix(W)
-    norms = np.linalg.norm(W, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(W, axis=1)
+    odd = norms == np.inf
+    small = np.flatnonzero(norms < 2.0**-511)  # squared: below 2^-1022
+    odd[small] = W[small].any(axis=1)
+    if odd.any():
+        W = W.copy()
+        W[odd] /= np.abs(W[odd]).max(axis=1, keepdims=True)
+        norms[odd] = np.linalg.norm(W[odd], axis=1)
     keep = norms > 0
     if not keep.any():
         return 0.0
@@ -54,8 +64,15 @@ def rsfe(M, A, W) -> float:
     """Relative squared Frobenius error: ||M - AW||_F^2 / ||M||_F^2."""
     M, A, W = as_matrix(M), as_matrix(A), as_matrix(W)
     _check_shapes(M, A, W)
-    denom = float(np.sum(M * M))
+    R = M - A @ W
+    with np.errstate(over="ignore"):
+        denom = float(np.sum(M * M))
+    # Where ||M||_F^2 overflows, or underflows to 0 for a non-zero M, both
+    # norms are taken after dividing by M's largest absolute entry.
+    if denom == np.inf or (denom == 0 and M.any()):
+        scale = np.abs(M).max()
+        M, R = M / scale, R / scale
+        denom = float(np.sum(M * M))
     if denom == 0:
         raise ValueError("rsfe undefined for the zero matrix")
-    return float(np.sum((M - A @ W) ** 2)) / denom
-
+    return float(np.sum(R ** 2)) / denom

@@ -324,6 +324,27 @@ def test_lloyd_stops_when_the_assignment_repeats(monkeypatch):
             == as_bytes(reference_lloyd(pts, pts.points[[0, 2]], config)))
 
 
+def test_lloyd_stops_when_the_cost_does_not_fall(monkeypatch):
+    # Noiseless planted columns: every restart reaches a cost of about
+    # 1e-28 at once, rounding raises it at the first iteration and the
+    # rel_tol test stops there, 2 assignments per restart. Without that
+    # stop each restart cycles through a few assignments to max_iters.
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _nearest(*args)
+
+    pts = normalize_columns(gen_planted_double(30, 300, 15, 0.0, 0)
+                            .m_observed)
+    config = KMeansConfig(seed=0)
+    expected = as_bytes(reference_weighted_kmeans(pts, 15, config))
+    monkeypatch.setattr(onmf.kmeans, "_nearest", counted)
+    sol = weighted_kmeans(pts, 15, config)
+    assert len(calls) <= 30
+    assert as_bytes(sol) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(kernel_cases())
 @np.errstate(all="ignore")  # the 1e+-150 cases overflow and underflow

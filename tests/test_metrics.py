@@ -53,6 +53,19 @@ def test_non_orthogonality_zero_rows_removed():
     assert non_orthogonality(np.zeros((3, 2))) == 0.0
 
 
+def test_non_orthogonality_rows_whose_squares_overflow():
+    # Each squared entry overflows; the rows are parallel, so the two
+    # off-diagonal cosines are 1.
+    assert non_orthogonality([[1e200, 1e200], [1e200, 1e200]]) == (
+        pytest.approx(np.sqrt(2.0)))
+
+
+def test_non_orthogonality_rows_whose_squares_underflow():
+    # Each squared entry underflows to zero; the rows are not zero rows.
+    assert non_orthogonality([[1e-200, 1e-200], [1e-200, 1e-200]]) == (
+        pytest.approx(np.sqrt(2.0)))
+
+
 def test_rsfe_examples():
     M = np.eye(2)
     A = np.array([[0.5], [0.5]])
@@ -62,6 +75,14 @@ def test_rsfe_examples():
     assert rsfe(A @ W, A, W) == 0.0
     with pytest.raises(ValueError):
         rsfe(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2)))
+
+
+def test_rsfe_of_a_matrix_whose_squares_underflow():
+    # ||M||_F^2 underflows to zero, yet M is not the zero matrix.
+    M = np.full((2, 2), 2e-200)
+    assert rsfe(M, np.zeros((2, 1)), np.zeros((1, 2))) == 1.0
+    assert rsfe(M, np.full((2, 1), 1e-100), np.full((1, 2), 1e-100)) == (
+        pytest.approx(0.25))
 
 
 def test_rsfe_cross_computation():
