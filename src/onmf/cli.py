@@ -182,19 +182,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _read_edge_list(path: str, complete: bool) -> BipartiteLabeling:
     edges: dict[tuple[int, int], bool] = {}
     max_u = max_v = -1
-    for lineno, parts in _csv_lines(path):
-        if len(parts) != 3 or parts[2] not in ("+", "-"):
-            raise ValueError(f"{path}:{lineno}: malformed edge line")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed edge line") from exc
-        if u < 0 or v < 0:
-            raise ValueError(f"{path}:{lineno}: negative vertex index")
-        if (u, v) in edges:
-            raise ValueError(f"{path}:{lineno}: duplicate edge")
-        edges[(u, v)] = parts[2] == "+"
-        max_u, max_v = max(max_u, u), max(max_v, v)
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, parts in _csv_lines(fh, path):
+            if len(parts) != 3 or parts[2] not in ("+", "-"):
+                raise ValueError(f"{path}:{lineno}: malformed edge line")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: malformed edge line") from exc
+            if u < 0 or v < 0:
+                raise ValueError(f"{path}:{lineno}: negative vertex index")
+            if (u, v) in edges:
+                raise ValueError(f"{path}:{lineno}: duplicate edge")
+            edges[(u, v)] = parts[2] == "+"
+            max_u, max_v = max(max_u, u), max(max_v, v)
     if max_u < 0:
         raise ValueError(f"{path}: empty edge list")
     m, n = max_u + 1, max_v + 1

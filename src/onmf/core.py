@@ -190,19 +190,14 @@ def write_matrix(M, path) -> None:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-def _csv_lines(path, skip_first: bool = False):
-    """Yield (lineno, cells) for each non-blank line of an ASCII CSV file.
+def _csv_lines(fh, path, skip_first: bool = False):
+    """Yield (lineno, cells) for each non-blank line of fh, an ASCII CSV
+    file opened as text, from where it stands; path names it in messages.
 
     Each line is stripped of surrounding whitespace and split on commas; the
     cells themselves are left as they are. Line numbers count every line,
     blank and skipped ones included, so messages can name ``path:lineno``.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        yield from _split_lines(fh, path, skip_first)
-
-
-def _split_lines(fh, path, skip_first: bool):
-    """_csv_lines on an open text file, from where it stands."""
     try:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -248,7 +243,7 @@ def read_matrix(path, header: bool = False) -> np.ndarray:
                 pass
             fh.seek(0)
         rows: list[list[float]] = []
-        for lineno, cells in _split_lines(fh, path, header):
+        for lineno, cells in _csv_lines(fh, path, header):
             try:
                 values = [float(c) for c in cells]
             except ValueError as exc:

@@ -2,11 +2,11 @@
 
 Pipeline: weighted k-means on the normalized columns (step 1), reduction of
 centroid weights for pairs whose angle falls in the ambiguous band
-[pi/6, pi/3] (step 2), grouping of the surviving centroids by connected
-components of the small-angle graph followed by an exact coordinate-wise
-solve for the orthogonal group representatives (step 3). A large-k variant
-skips k-means entirely, treating every normalized column as its own
-centroid, transposing first when that orientation is cheaper.
+[pi/6, pi/3] (step 2), grouping of the surviving centroids into cliques of
+the small-angle graph, found by one scatter-min, followed by an exact
+coordinate-wise solve for the orthogonal group representatives (step 3).
+A large-k variant skips k-means entirely, treating every normalized column
+as its own centroid, transposing first when that orientation is cheaper.
 
 Steps 2 and 3 decide on the exact angles of the centroids, as floats: a
 float filter on their Gram matrix certifies almost every pair, and the few
@@ -40,12 +40,6 @@ def centroid_weights(pts: WeightedPointSet,
     return centroids, q
 
 
-# Rows whose computed squared norm lies outside [2^-400, 2^400] have all
-# their pairs decided exactly: between these limits nothing in the filter
-# overflows and underflow adds a negligible error (see _cos_sq_edges).
-_NORM_SQ_RANGE = (2.0**-400, 2.0**400)
-
-
 def _cos_sq_edges(m: int) -> np.ndarray:
     """Filter edges (1 - t, 1 + t, 3 - t, 3 + t) / 4 for rows of m entries.
 
@@ -59,10 +53,14 @@ def _cos_sq_edges(m: int) -> np.ndarray:
     |r - cos^2| <= 4 g_m + 3u + O(u^2) < (4m + 3) u (1 + 1e-9) for any
     m below 2^40. The edges use t = 16 (m + 1) eps = 32 (m + 1) u, so t / 4
     is at least twice that bound, which also covers the rounding of the
-    edges and the subnormal results: for squared norms in _NORM_SQ_RANGE
+    edges and the subnormal results: for squared norms in [2^-400, 2^400]
     they add less than (m + 3) 2^-600 to |r - cos^2|, and nothing overflows.
     Then r <= e0 proves cos^2 < 1/4, e1 < r <= e2 proves 1/4 < cos^2 < 3/4
     and r > e3 proves cos^2 > 3/4; any other r decides nothing.
+
+    The rows _finish passes keep inside those limits: each is zero, or a
+    unit column or a weighted mean of unit columns, whose squared norm lies
+    between about 1/(2m) and 2m (its rounding included).
     """
     t = 16 * (m + 1) * np.finfo(np.float64).eps
     return np.array([1 - t, 1 + t, 3 - t, 3 + t]) / 4
@@ -106,19 +104,18 @@ def angle_pairs(centroids: np.ndarray, gram: np.ndarray
     row-major order.
 
     centroids are finite and non-negative, and gram is centroids @
-    centroids.T. The walk takes gram in row blocks of at most BLOCK_ENTRIES
-    entries, so it builds no k x k mask. The float filter of _cos_sq_edges
-    decides every pair it can; the rest, and every pair of a row outside
-    _NORM_SQ_RANGE, are decided by _exact_angle. A zero row is in no pair:
-    its estimates are 0/0, NaN, which passes no edge. The indices are int32
-    (a k x k gram has k < 2^31), so a pair takes 8 bytes.
+    centroids.T. Every row is either zero with weight 0, or a unit column or
+    a weighted mean of unit columns, as in _finish: its squared norm is then
+    between about 1/(2m) and 2m, well inside the [2^-400, 2^400] that the
+    filter of _cos_sq_edges needs. The walk takes gram in row blocks of at
+    most BLOCK_ENTRIES entries, so it builds no k x k mask. The filter
+    decides every pair it can and _exact_angle the rest, writing into the
+    same block masks. A zero row is in no pair: its estimates are 0/0, NaN,
+    which passes no edge. The indices are int32 (a k x k gram has
+    k < 2^31), so a pair takes 8 bytes.
     """
     k, m = centroids.shape
     norms_sq = gram.diagonal()
-    nonzero = np.max(centroids, axis=1, initial=0.0) > 0
-    lo_n, hi_n = _NORM_SQ_RANGE
-    odd = nonzero & ~((norms_sq >= lo_n) & (norms_sq <= hi_n))
-    any_odd = odd.any()
     e0, e1, e2, e3 = _cos_sq_edges(m)
     exact_rows: dict[int, tuple[dict[int, int], int]] = {}
     band: tuple[list, list] = ([], [])
@@ -127,41 +124,32 @@ def angle_pairs(centroids: np.ndarray, gram: np.ndarray
     buf = np.empty(min(step, k) * k)
     for lo in range(0, k, step):
         hi = min(lo + step, k)
+        width = k - lo
         # r[t, c] estimates cos^2 of centroids lo + t and lo + c.
         r = np.square(gram[lo:hi, lo:],
-                      out=buf[:(hi - lo) * (k - lo)].reshape(hi - lo, -1))
+                      out=buf[:(hi - lo) * width].reshape(hi - lo, -1))
         with np.errstate(divide="ignore", invalid="ignore"):
             r /= norms_sq[lo:hi, None]
             r /= norms_sq[lo:]
-        if any_odd:  # undecided: goes to the exact test
-            r[odd[lo:hi]] = 0.25
-            r[:, odd[lo:]] = 0.25
         r[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = 0.0  # j2 <= j1
         in_band = r > e1
         in_band &= r <= e2
         unsure = r > e0
         unsure &= r <= e3
         unsure ^= in_band  # (e0, e1] or (e2, e3]
-        found = [np.flatnonzero(in_band), np.flatnonzero(r > e3)]
         unsure = np.flatnonzero(unsure).tolist()
-        del in_band
-        if unsure:
-            exact: tuple[list, list] = ([], [])
-            width = k - lo
-            for f in unsure:
-                j1, j2 = lo + f // width, lo + f % width
-                for j in (j1, j2):
-                    if j not in exact_rows:
-                        exact_rows[j] = _exact_row(centroids[j])
-                for hits, hit in zip(exact, _exact_angle(exact_rows[j1],
-                                                         exact_rows[j2])):
-                    if hit:
-                        hits.append(f)
-            found = [np.union1d(flat, np.array(hits, dtype=np.int64))
-                     for flat, hits in zip(found, exact)]
-        for pairs, flat in zip((band, near), found):
+        is_near = r > e3
+        for f in unsure:
+            j1, j2 = lo + f // width, lo + f % width
+            for j in (j1, j2):
+                if j not in exact_rows:
+                    exact_rows[j] = _exact_row(centroids[j])
+            in_band.flat[f], is_near.flat[f] = _exact_angle(exact_rows[j1],
+                                                            exact_rows[j2])
+        for pairs, mask in zip((band, near), (in_band, is_near)):
+            flat = np.flatnonzero(mask)
             if flat.size:
-                t, c = np.divmod(flat, k - lo)
+                t, c = np.divmod(flat, width)
                 pairs[0].append((t + lo).astype(np.int32))
                 pairs[1].append((c + lo).astype(np.int32))
     return tuple(tuple(np.concatenate(p) if p else np.zeros(0, dtype=np.int32)
@@ -194,14 +182,13 @@ def weight_reduction(band: tuple[np.ndarray, np.ndarray],
 
 def group_centroids(near: tuple[np.ndarray, np.ndarray],
                     q_reduced: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Group the surviving centroids by connected small-angle components.
+    """Group the surviving centroids into cliques of small-angle pairs.
 
     near holds the pairs (j1, j2), j1 < j2, whose exact angle is below pi/6,
     and q_reduced the weights that weight_reduction left from the band pairs
     of the same angle_pairs call, as in _finish; gram is the centroids' Gram
-    matrix. The groups are the connected components of the positive-weight
-    centroids joined along near pairs, numbered in order of their smallest
-    member.
+    matrix. The groups are the cliques of near pairs among the
+    positive-weight centroids, numbered in order of their smallest member.
 
     After weight_reduction no two positive centroids are at an angle in
     [pi/6, pi/3], so nearness is transitive among them: if a, b and b, c
@@ -232,10 +219,9 @@ def group_centroids(near: tuple[np.ndarray, np.ndarray],
     sigma[positive] = np.unique(labels[positive], return_inverse=True)[1]
 
     # Extend to zero-weight centroids, in row blocks of the Gram matrix. A
-    # positive centroid of zero norm scores 0 against every centroid.
+    # positive-weight centroid is never zero (see angle_pairs): no scale is 0.
     zero = np.flatnonzero(~is_positive)
     scale = np.sqrt(gram.diagonal()[positive])
-    scale[scale == 0] = 1.0
     step = max(1, BLOCK_ENTRIES // positive.size)
     for lo in range(0, zero.size, step):
         rows = zero[lo:lo + step]

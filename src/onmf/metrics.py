@@ -13,11 +13,33 @@ def _check_shapes(M: np.ndarray, A: np.ndarray, W: np.ndarray) -> None:
             f"shape mismatch: M {M.shape}, A {A.shape}, W {W.shape}")
 
 
+def _rescaled(f, X: np.ndarray) -> tuple[float, float]:
+    """(f(X / s), s) for f a norm or a sum of squares of the whole matrix.
+
+    s is 1, and the value f(X) bit for bit, unless f(X) overflows, or
+    underflows to 0 for a non-zero X: then s is X's largest absolute entry.
+    An infinite entry of X leaves f(X) infinite.
+    """
+    with np.errstate(over="ignore"):
+        value = float(f(X))
+    if value == np.inf or (value == 0 and X.any()):
+        s = float(np.abs(X).max())
+        if s < np.inf:
+            return float(f(X / s)), s
+    return value, 1.0
+
+
+def _sum_sq(X: np.ndarray) -> float:
+    return np.sum(X * X)
+
+
 def recovery_error(m_truth, A, W) -> float:
-    """Frobenius norm of M_truth - A @ W."""
+    """Frobenius norm of M_truth - A @ W, also where the squares of its
+    entries overflow or underflow (_rescaled)."""
     m_truth, A, W = as_matrix(m_truth), as_matrix(A), as_matrix(W)
     _check_shapes(m_truth, A, W)
-    return float(np.linalg.norm(m_truth - A @ W))
+    norm, s = _rescaled(np.linalg.norm, m_truth - A @ W)
+    return norm * s
 
 
 def reconstruction_error(M, A, W) -> float:
@@ -64,15 +86,9 @@ def rsfe(M, A, W) -> float:
     """Relative squared Frobenius error: ||M - AW||_F^2 / ||M||_F^2."""
     M, A, W = as_matrix(M), as_matrix(A), as_matrix(W)
     _check_shapes(M, A, W)
-    R = M - A @ W
-    with np.errstate(over="ignore"):
-        denom = float(np.sum(M * M))
-    # Where ||M||_F^2 overflows, or underflows to 0 for a non-zero M, both
-    # norms are taken after dividing by M's largest absolute entry.
-    if denom == np.inf or (denom == 0 and M.any()):
-        scale = np.abs(M).max()
-        M, R = M / scale, R / scale
-        denom = float(np.sum(M * M))
+    num, s_r = _rescaled(_sum_sq, M - A @ W)
+    denom, s_m = _rescaled(_sum_sq, M)
     if denom == 0:
         raise ValueError("rsfe undefined for the zero matrix")
-    return float(np.sum(R ** 2)) / denom
+    ratio = s_r / s_m
+    return num / denom * ratio * ratio

@@ -373,16 +373,17 @@ def reference_write_matrix(M, path) -> None:
 def reference_read_matrix(path, header: bool = False) -> np.ndarray:
     """core.read_matrix as the line reader alone, one float() per cell."""
     rows: list[list[float]] = []
-    for lineno, cells in _csv_lines(path, skip_first=header):
-        try:
-            values = [float(c) for c in cells]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"{path}:{lineno}: non-finite value")
-        if rows and len(values) != len(rows[0]):
-            raise ValueError(f"{path}:{lineno}: ragged row")
-        rows.append(values)
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, cells in _csv_lines(fh, path, skip_first=header):
+            try:
+                values = [float(c) for c in cells]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{path}:{lineno}: non-finite value")
+            if rows and len(values) != len(rows[0]):
+                raise ValueError(f"{path}:{lineno}: ragged row")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: empty matrix")
     return np.array(rows, dtype=np.float64)

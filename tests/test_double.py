@@ -227,7 +227,7 @@ ANGLES = (0.0, math.pi / 12, math.pi / 6, math.pi / 3, math.pi / 2)
 @st.composite
 def centroid_sets(draw):
     """(centroids, q): random, 0/1 tie-heavy or 2-D band-edge centroids,
-    with zero centroids and zero or negative weights mixed in."""
+    with zero centroids of weight 0 and zero or negative weights mixed in."""
     k = draw(st.integers(1, 10))
     kind = draw(st.sampled_from(["random", "binary", "angles"]))
     if kind == "angles":
@@ -239,9 +239,14 @@ def centroid_sets(draw):
         cell = (st.floats(0.0, 1.0) if kind == "random"
                 else st.sampled_from([0.0, 1.0]))
         row = st.lists(cell, min_size=d, max_size=d)
+    # The rows angle_pairs serves: zero, or of a squared norm the filter of
+    # double._cos_sq_edges takes.
+    row = row.filter(lambda v: not any(v)
+                     or 2.0**-400 <= sum(x * x for x in v) <= 2.0**400)
     centroids = np.array(draw(st.lists(row, min_size=k, max_size=k)))
     weight = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-1.0, 4.0)
     q = np.array(draw(st.lists(weight, min_size=k, max_size=k)))
+    q[~centroids.any(axis=1)] = 0.0  # a zero row carries no weight
     return centroids, q
 
 
@@ -277,10 +282,6 @@ def _assert_steps_match_exact_reference(centroids, q):
 
 @settings(max_examples=400, deadline=None)
 @given(centroid_sets())
-@example((np.array([[0.0], [1e-200], [0.0], [1.0]]),  # 1e-200: norm underflows
-          np.array([0.0, 0.0, 1.0, 1.0])))
-@example((np.array([[1e-200, 0.0], [1e-200, 1e-200], [1.0, 0.0]]),
-          np.array([1.0, 1.0, 1.0])))
 @example((_overlapping_unit_columns(60, 60, 30), np.array([1.0, 1.0])))
 @example((_overlapping_unit_columns(3, 4, 3), np.array([1.0, 2.0])))
 @example((_rows_at(0.0, math.pi / 6, math.pi / 3), np.ones(3)))
@@ -311,8 +312,12 @@ def test_rounded_band_edges_follow_the_exact_angles():
         p for p, c2 in zip(pairs, exact) if is_near(c2)]
 
 
-# NONNEG_CELLS without the 1e308 that normalize_columns rejects.
-FINITE_CELLS = (st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-310])
+# NONNEG_CELLS without the 1e308 that normalize_columns rejects, plus cells
+# at the subnormal edge: 1.6e-162 and 2.3e-162 square to the smallest
+# subnormal and 1.5e-162 to zero, so a column of them has a squared norm of
+# one subnormal and unit entries far from 1/sqrt(m).
+FINITE_CELLS = (st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-310,
+                                 1.5e-162, 1.6e-162, 2.3e-162])
                 | st.floats(0.0, 4.0))
 
 
@@ -327,6 +332,44 @@ def finish_inputs(draw):
     k = draw(st.integers(1, 4))
     sol = weighted_kmeans(pts, k, KMeansConfig(restarts=2, seed=0))
     return centroid_weights(pts, sol)
+
+
+def _unit_columns(M):
+    pts = normalize_columns(np.array(M, dtype=np.float64))
+    return pts.points, pts.weights
+
+
+# A column [1.6e-162] has unit squared norm 0.518; with nine 1.5e-162 below
+# it, 4.617 at m = 10. Each goes with a plain column, so there is a pair.
+SUBNORMAL_EDGE = [
+    (_unit_columns([[1.6e-162, 1.0]]), 0.518),
+    (_unit_columns(np.array([[1.6e-162] + [1.5e-162] * 9, [1.0] * 10]).T),
+     4.617),
+]
+
+
+@pytest.mark.parametrize("case, norm_sq", SUBNORMAL_EDGE)
+def test_subnormal_edge_columns_have_unit_scale(case, norm_sq):
+    centroids, _ = case
+    assert np.dot(centroids[0], centroids[0]) == pytest.approx(norm_sq,
+                                                               abs=1e-3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finish_inputs())
+@example(SUBNORMAL_EDGE[0][0])
+@example(SUBNORMAL_EDGE[1][0])
+def test_finish_rows_are_in_the_filter_range(case):
+    # The precondition of angle_pairs: a positive-weight row is never zero,
+    # and every non-zero row has a squared norm the float filter takes.
+    centroids, q = case
+    gram = centroids @ centroids.T
+    norms_sq = gram.diagonal()
+    nonzero = centroids.any(axis=1)
+    assert nonzero[q > 0].all()
+    assert ((norms_sq[nonzero] >= 2.0**-400)
+            & (norms_sq[nonzero] <= 2.0**400)).all()
+    _assert_steps_match_exact_reference(centroids, q)
 
 
 @settings(max_examples=300, deadline=None)
@@ -367,16 +410,12 @@ def test_grouping_error_matches_reference(angles, message):
 @given(centroid_sets())
 def test_float_reference_agrees_away_from_the_band_edges(case):
     # The rounded cosines decide as the exact angles do wherever every
-    # cosine is farther than the filter margin from 1/2 and sqrt(3)/2 and
-    # every non-zero row has a squared norm the filter takes.
+    # cosine is farther than the filter margin from 1/2 and sqrt(3)/2.
     centroids, q = case
     cos = reference_cosine_matrix(centroids)
     tol = 16 * (centroids.shape[1] + 1) * np.finfo(np.float64).eps
-    norms_sq = np.einsum("km,km->k", centroids, centroids)
-    nonzero = centroids.any(axis=1)
-    if ((np.abs(cos - COS_WIDE) <= tol) | (np.abs(cos - COS_NARROW) <= tol)
-            ).any() or (nonzero & ~((norms_sq >= 2.0**-400)
-                                    & (norms_sq <= 2.0**400))).any():
+    if ((np.abs(cos - COS_WIDE) <= tol)
+            | (np.abs(cos - COS_NARROW) <= tol)).any():
         return
     qp, sigma = _steps(centroids, q)
     assert qp.tobytes() == reference_weight_reduction(cos, q).tobytes()

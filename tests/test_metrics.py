@@ -21,6 +21,17 @@ def test_recovery_error_examples():
     assert recovery_error(A @ W, A, W) == 0.0
 
 
+def test_recovery_error_of_a_residual_whose_squares_overflow():
+    M = np.full((2, 2), 1e200)
+    assert recovery_error(M, np.zeros((2, 1)), np.zeros((1, 2))) == 2e200
+
+
+def test_recovery_error_of_a_residual_whose_squares_underflow():
+    # The residual is not zero, so neither is its norm: 2 * 1e-200 exactly.
+    M = np.full((2, 2), 1e-200)
+    assert recovery_error(M, np.zeros((2, 1)), np.zeros((1, 2))) == 2e-200
+
+
 def test_reconstruction_equals_recovery_on_same_matrix():
     rng = np.random.default_rng(25)
     M = rng.random((3, 4))
@@ -83,6 +94,14 @@ def test_rsfe_of_a_matrix_whose_squares_underflow():
     assert rsfe(M, np.zeros((2, 1)), np.zeros((1, 2))) == 1.0
     assert rsfe(M, np.full((2, 1), 1e-100), np.full((1, 2), 1e-100)) == (
         pytest.approx(0.25))
+
+
+def test_rsfe_of_a_residual_whose_squares_overflow():
+    # ||M||_F^2 = 4e300 is finite, ||M - AW||_F^2 about 4e320 is not; the
+    # ratio is (1e10 - 1)^2.
+    M = np.full((2, 2), 1e150)
+    A, W = np.full((2, 1), 1e80), np.full((1, 2), 1e80)
+    assert rsfe(M, A, W) == pytest.approx((1e10 - 1) ** 2, rel=1e-12)
 
 
 def test_rsfe_cross_computation():
