@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from onmf.core import frobenius_norm_sq, normalize_columns
+from onmf.double import factorize_double
 from onmf.kmeans import KMeansConfig, kmeanspp_seed, weighted_kmeans
 from onmf.single import factorize_single
 from onmf.synth import _exp, gen_planted_double, gen_planted_single
@@ -106,6 +107,21 @@ def test_frozen_kmeans_runs(seed):
     fact = factorize_single(M, 20, config)
     assert (digest(sol.assignment), digest(sol.cost), digest(fact.objective),
             digest(fact.w.group)) == FROZEN_KMEANS_RUNS[seed]
+
+
+def test_frozen_kmeans_cost_stop():
+    # A noiseless 30x300 double instance with k = 15: each of its ten
+    # restarts ends on an exact cost that did not fall (a rounding rise at
+    # the first iteration), where the runs above end on a repeated
+    # assignment or at max_iters. The same four digests as those runs, of
+    # weighted_kmeans and factorize_double.
+    M = gen_planted_double(30, 300, 15, 0.0, 0).m_observed
+    config = KMeansConfig(seed=0)
+    sol = weighted_kmeans(normalize_columns(M), 15, config)
+    fact = factorize_double(M, 15, config)
+    assert (digest(sol.assignment), digest(sol.cost), digest(fact.objective),
+            digest(fact.w.group)) == ("262debbd428263a5", "dfb07681bd547df5",
+                                      "ba385691f780d0aa", "125c15423ea08783")
 
 
 def test_planted_single_structure():
