@@ -57,20 +57,18 @@ class Clustering:
 def round_block(Mblk, a, w) -> tuple[np.ndarray, np.ndarray]:
     """Round one fractional rank-1 block to binary vectors.
 
-    Picks the column whose rescaled copy is closest to a as the binary left
-    vector, then keeps exactly the columns sharing at least half of its
-    support. The squared error of the binary block is at most 8 times the
-    fractional one. Conventions: columns with zero w are dropped; if every w
-    is zero both outputs are zero; if the chosen column is empty the bound is
-    vacuous and the right vector is the indicator of positive w.
+    Mblk must be 0/1 and a and w non-negative, as in every block that
+    bcc_cluster passes; nothing here checks it. Picks the column whose
+    rescaled copy is closest to a as the binary left vector, then keeps
+    exactly the columns sharing at least half of its support. The squared
+    error of the binary block is at most 8 times the fractional one.
+    Conventions: columns with zero w are dropped; if every w is zero both
+    outputs are zero; if the chosen column is empty the bound is vacuous and
+    the right vector is the indicator of positive w.
     """
     Mblk = np.asarray(Mblk, dtype=np.float64)
-    if not np.isin(Mblk, (0.0, 1.0)).all():
-        raise ValueError("block matrix must be binary")
     a = np.asarray(a, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    if (a < 0).any() or (w < 0).any():
-        raise ValueError("a and w must be non-negative")
     m, n = Mblk.shape
     a_hat = np.zeros(m)
     w_hat = np.zeros(n)

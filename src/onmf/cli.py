@@ -1,9 +1,10 @@
 """Command-line interface: generate, factorize, evaluate, sweep, bcc.
 
 Scalar results go to stdout as JSON, matrices and sweep tables to CSV files.
-Every command is deterministic given --seed. Exit codes: 0 success, 1 runtime
-failure, 2 usage error, which includes a float flag (--noise, --tol, a
---noise-grid level) that is negative, NaN or infinite and a negative --seed.
+Every output but the timings (factorize's wall_time_ms, sweep --timing) is
+deterministic given --seed. Exit codes: 0 success, 1 runtime failure, 2 usage
+error, which includes a float flag (--noise, a --noise-grid level) that is
+negative, NaN or infinite and a negative --seed.
 """
 
 from __future__ import annotations
@@ -67,13 +68,12 @@ def _lower_median(values: tuple[float, ...]) -> float:
 def _add_kmeans_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=_positive_int, default=10)
     p.add_argument("--max-iters", type=_positive_int, default=100)
-    p.add_argument("--tol", type=_nonneg_float, default=1e-9)
     p.add_argument("--seed", type=_nonneg_int, default=0)
 
 
 def _config(args: argparse.Namespace, seed: int) -> KMeansConfig:
     return KMeansConfig(restarts=args.restarts, max_iters=args.max_iters,
-                        rel_tol=args.tol, seed=seed)
+                        seed=seed)
 
 
 def _generate(m, n, k, noise, seed, mode):
@@ -132,7 +132,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.truth:
         record["recovery_error"] = recovery_error(
             read_matrix(args.truth, header=args.header), A, W)
-    print(json.dumps(record, sort_keys=True))
+    print(json.dumps(record, sort_keys=True, allow_nan=False))
     return 0
 
 

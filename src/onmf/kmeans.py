@@ -36,12 +36,10 @@ from onmf.core import BLOCK_ENTRIES, WeightedPointSet
 class KMeansConfig:
     restarts: int = 10
     max_iters: int = 100
-    rel_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if (self.restarts < 1 or self.max_iters < 1 or self.seed < 0
-                or not 0 <= self.rel_tol < np.inf):
+        if self.restarts < 1 or self.max_iters < 1 or self.seed < 0:
             raise ValueError("invalid k-means configuration")
 
 
@@ -94,15 +92,13 @@ def _margin(norms_sq: np.ndarray, c_norm_sq: float, m: int) -> np.ndarray:
 
 
 def _nearest(points: np.ndarray, norms_sq: np.ndarray,
-             centroids: np.ndarray,
-             dist: np.ndarray | None = None) -> np.ndarray:
+             centroids: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """np.argmin(_distances_sq(points, centroids), axis=1), from a GEMM.
 
-    dist is an optional (k, n) float64 work buffer, a row per centroid: the
-    GEMM writes the expanded distances into it, so a call allocates no
-    (k, n) array, and its contents are overwritten. Without it the call
-    allocates one. In this layout every reduction over the centroids runs
-    along whole rows of points.
+    dist is a (k, n) float64 work buffer, a row per centroid: the GEMM
+    writes the expanded distances into it, so a call allocates no (k, n)
+    array, and its contents are overwritten. In this layout every reduction
+    over the centroids runs along whole rows of points.
 
     norms_sq holds ||x||^2 for each point. A point is certified when exactly
     one centroid's expanded distance is at most fl(best + 2 _margin), where
@@ -136,9 +132,8 @@ def _nearest(points: np.ndarray, norms_sq: np.ndarray,
 
 
 def _weighted_cost(pts: WeightedPointSet, centroids: np.ndarray,
-                   assignment: np.ndarray,
-                   work: np.ndarray | None = None) -> float:
-    # The differences go into work, an optional (n, m) buffer.
+                   assignment: np.ndarray, work: np.ndarray) -> float:
+    # The differences go into work, an (n, m) buffer.
     diff = _gather(centroids, assignment, work)
     np.subtract(pts.points, diff, out=diff)
     return float(np.sum(pts.weights * np.einsum("nm,nm->n", diff, diff)))
@@ -303,9 +298,8 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
     """Weighted Lloyd iterations from the given initial centroids.
 
     Alternates nearest-centroid assignment and weighted-mean recentering
-    until the assignment stops changing, the relative cost improvement drops
-    below config.rel_tol or config.max_iters is reached. The cost never
-    increases (up to rounding).
+    until the assignment stops changing, the exact cost does not fall or
+    config.max_iters is reached. The cost never increases (up to rounding).
     Assignment is a GEMM plus an exact recomputation of the points it cannot
     certify (see _nearest): each point goes to the centroid at the smallest
     exact squared distance, ties to the smallest index, and a point on a
@@ -329,11 +323,12 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
         moved = assignment != prev_assignment
         # An unchanged assignment is a fixed point: every later iteration
         # would recompute these centroids, this assignment and this cost.
-        if (not moved.any()
-                or prev_cost - cost <= config.rel_tol * prev_cost):
-            prev_cost = cost
-            break
+        # A cost that did not fall ends the cycles that rounding can start
+        # on noiseless inputs.
+        stop = not moved.any() or cost >= prev_cost
         prev_cost = cost
+        if stop:
+            break
         # A centroid whose members stay gathers the same rows in the same
         # order, so recentering it again would give the same bits.
         recompute = np.zeros(k, dtype=bool)

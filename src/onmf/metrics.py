@@ -7,25 +7,32 @@ import numpy as np
 from onmf.core import as_matrix
 
 
-def _check_shapes(M: np.ndarray, A: np.ndarray, W: np.ndarray) -> None:
+def _residual(M, A, W) -> tuple[np.ndarray, np.ndarray]:
+    """(M, M - A @ W), checked. A @ W can have opposite infinite terms, and
+    it or the difference can overflow, even where the true residual is
+    small: that raises a ValueError, with no RuntimeWarning."""
+    M, A, W = as_matrix(M), as_matrix(A), as_matrix(W)
     if A.shape[1] != W.shape[0] or M.shape != (A.shape[0], W.shape[1]):
         raise ValueError(
             f"shape mismatch: M {M.shape}, A {A.shape}, W {W.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = M - A @ W
+    if not np.isfinite(R).all():
+        raise ValueError("computing M - AW overflows float64")
+    return M, R
 
 
 def _rescaled(f, X: np.ndarray) -> tuple[float, float]:
-    """(f(X / s), s) for f a norm or a sum of squares of the whole matrix.
+    """(f(X / s), s) for f a norm or a sum of squares of the finite matrix X.
 
     s is 1, and the value f(X) bit for bit, unless f(X) overflows, or
     underflows to 0 for a non-zero X: then s is X's largest absolute entry.
-    An infinite entry of X leaves f(X) infinite.
     """
     with np.errstate(over="ignore"):
         value = float(f(X))
     if value == np.inf or (value == 0 and X.any()):
         s = float(np.abs(X).max())
-        if s < np.inf:
-            return float(f(X / s)), s
+        return float(f(X / s)), s
     return value, 1.0
 
 
@@ -36,9 +43,7 @@ def _sum_sq(X: np.ndarray) -> float:
 def recovery_error(m_truth, A, W) -> float:
     """Frobenius norm of M_truth - A @ W, also where the squares of its
     entries overflow or underflow (_rescaled)."""
-    m_truth, A, W = as_matrix(m_truth), as_matrix(A), as_matrix(W)
-    _check_shapes(m_truth, A, W)
-    norm, s = _rescaled(np.linalg.norm, m_truth - A @ W)
+    norm, s = _rescaled(np.linalg.norm, _residual(m_truth, A, W)[1])
     return norm * s
 
 
@@ -84,9 +89,8 @@ def non_orthogonality(W) -> float:
 
 def rsfe(M, A, W) -> float:
     """Relative squared Frobenius error: ||M - AW||_F^2 / ||M||_F^2."""
-    M, A, W = as_matrix(M), as_matrix(A), as_matrix(W)
-    _check_shapes(M, A, W)
-    num, s_r = _rescaled(_sum_sq, M - A @ W)
+    M, R = _residual(M, A, W)
+    num, s_r = _rescaled(_sum_sq, R)
     denom, s_m = _rescaled(_sum_sq, M)
     if denom == 0:
         raise ValueError("rsfe undefined for the zero matrix")

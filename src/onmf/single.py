@@ -55,15 +55,13 @@ def _solution(M: np.ndarray, a: np.ndarray, group: np.ndarray,
 
 
 def _cluster(M, k: int, config: KMeansConfig | None):
-    """Check M and k, then weighted k-means on the normalized columns.
+    """Check M, then weighted k-means on the normalized columns.
 
     Returns (M as a checked float64 matrix, the point set, the solution);
-    config defaults to KMeansConfig().
+    config defaults to KMeansConfig(). kmeanspp_seed rejects a k below 1.
     """
     M = np.asarray(M, dtype=np.float64)
     pts = normalize_columns(M)  # the one check of M
-    if k < 1:
-        raise ValueError("k must be >= 1")
     return M, pts, weighted_kmeans(pts, k, config or KMeansConfig())
 
 

@@ -39,7 +39,6 @@ from onmf.kmeans import (
     KMeansSolution,
     _distances_sq,
     _sample_index,
-    _weighted_cost,
     _weighted_means,
 )
 from onmf.single import OnmfSolution, _solution, _theta_against
@@ -145,7 +144,8 @@ def brute_force_kmeans(pts: WeightedPointSet, k: int) -> KMeansSolution:
     centroids = np.zeros((k, m))
     _weighted_means(pts.points, pts.weights, assignment, centroids)
     return KMeansSolution(centroids=centroids, assignment=assignment,
-                          cost=_weighted_cost(pts, centroids, assignment))
+                          cost=reference_weighted_cost(pts, centroids,
+                                                       assignment))
 
 
 def brute_force_single(M, k: int) -> OnmfSolution:
@@ -459,7 +459,10 @@ def reference_lloyd(pts: WeightedPointSet, centroids: np.ndarray,
                     config: KMeansConfig) -> KMeansSolution:
     """kmeans.lloyd with fresh temporaries in every step, every centroid
     recentered in every iteration, and each assignment the argmin of the
-    exact kernel, which the GEMM kernel's certificate must reproduce."""
+    exact kernel, which the GEMM kernel's certificate must reproduce. It
+    stops only when the exact cost does not fall or at max_iters: a
+    repeated assignment gives the same cost one iteration later, so lloyd's
+    earlier stop on it must give the same bytes."""
     centroids = np.array(centroids, dtype=np.float64)
     assignment = np.argmin(_distances_sq(pts.points, centroids), axis=1)
     prev_cost = reference_weighted_cost(pts, centroids, assignment)
@@ -468,7 +471,7 @@ def reference_lloyd(pts: WeightedPointSet, centroids: np.ndarray,
                                  centroids)
         assignment = np.argmin(_distances_sq(pts.points, centroids), axis=1)
         cost = reference_weighted_cost(pts, centroids, assignment)
-        if prev_cost - cost <= config.rel_tol * prev_cost:
+        if cost >= prev_cost:
             prev_cost = cost
             break
         prev_cost = cost

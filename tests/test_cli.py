@@ -62,12 +62,9 @@ VALID_ARGV = {
     ("generate", "--noise", "nan"),
     ("generate", "--noise", "inf"),
     ("generate", "--seed", "-1"),
-    ("factorize", "--tol", "nan"),
-    ("factorize", "--tol", "inf"),
     ("factorize", "--seed", "-1"),
     ("sweep", "--noise-grid", "inf"),
     ("sweep", "--noise-grid", "0.1,nan"),
-    ("sweep", "--tol", "nan"),
     ("sweep", "--seed", "-1"),
 ])
 def test_bad_numeric_flag_is_a_usage_error(command, flag, value, tmp_path,
@@ -78,6 +75,18 @@ def test_bad_numeric_flag_is_a_usage_error(command, flag, value, tmp_path,
         onmf.cli.main(VALID_ARGV[command] + [f"{flag}={value}"])
     assert exc.value.code == 2
     assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["factorize", "sweep"])
+def test_tol_flag_is_unrecognized(command, tmp_path, monkeypatch, capsys):
+    # Lloyd has no tolerance setting, so there is no --tol to pass.
+    monkeypatch.chdir(tmp_path)
+    write_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]), tmp_path / "M.csv")
+    with pytest.raises(SystemExit) as exc:
+        onmf.cli.main(VALID_ARGV[command] + ["--tol=0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol=0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -186,6 +195,21 @@ def test_evaluate(tmp_path):
     assert rec["rsfe"] == pytest.approx(0.5)
     assert rec["recovery_error"] == pytest.approx(1.0)
     assert rec["non_orthogonality_w"] == 0.0
+
+
+def test_evaluate_residual_that_overflows_is_an_error(tmp_path, monkeypatch,
+                                                      capsys):
+    # Every entry of A @ W is 2e400: JSON has no Infinity, so evaluate
+    # prints nothing and exits 1.
+    write_matrix(np.ones((2, 2)), tmp_path / "M.csv")
+    write_matrix(np.full((2, 1), 1e200), tmp_path / "A.csv")
+    write_matrix(np.full((1, 2), 1e200), tmp_path / "W.csv")
+    monkeypatch.chdir(tmp_path)
+    assert onmf.cli.main(["evaluate", "--input", "M.csv", "--a", "A.csv",
+                          "--w", "W.csv"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "onmf: error: computing M - AW overflows float64\n"
 
 
 def test_evaluate_and_sweep_bytes(tmp_path, monkeypatch, capsys):

@@ -32,12 +32,19 @@ def pset(points, weights):
 
 
 @pytest.mark.parametrize("bad", [
-    {"restarts": 0}, {"max_iters": 0}, {"rel_tol": -1.0},
-    {"rel_tol": float("nan")}, {"rel_tol": float("inf")}, {"seed": -1},
+    {"restarts": 0}, {"max_iters": 0}, {"seed": -1},
 ], ids=lambda bad: "=".join(map(str, *bad.items())))
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError, match="invalid k-means configuration"):
         KMeansConfig(**bad)
+
+
+def test_config_has_no_tolerance():
+    # Lloyd stops on a repeated assignment, on an exact cost that did not
+    # fall or at max_iters; there is no tolerance to set.
+    with pytest.raises(TypeError):
+        KMeansConfig(rel_tol=0.0)
+    assert list(vars(KMeansConfig())) == ["restarts", "max_iters", "seed"]
 
 
 def test_seeding_all_weight_on_one_point():
@@ -180,7 +187,8 @@ def test_center_of_mass_identity():
 
 
 def nearest(points, centroids):
-    return _nearest(points, np.einsum("nm,nm->n", points, points), centroids)
+    return _nearest(points, np.einsum("nm,nm->n", points, points), centroids,
+                    np.empty((len(centroids), len(points))))
 
 
 def as_bytes(sol):
@@ -290,15 +298,14 @@ def test_kmeans_buffers_match_reference(case, k, seed):
        st.integers(0, 2**16))
 @np.errstate(all="ignore")  # the 1e+-150 cases overflow and underflow
 def test_lloyd_early_exit_matches_reference(case, max_iters, k, seed):
-    # rel_tol=0 stops only on a cost that did not fall, so the stop on an
-    # unchanged assignment comes first, and must give the same bytes.
+    # The reference stops only on a cost that did not fall, so lloyd's stop
+    # on an unchanged assignment comes first, and must give the same bytes.
     points, weights, centroids = case
     pts = WeightedPointSet(points=points, weights=weights)
-    config = KMeansConfig(max_iters=max_iters, rel_tol=0.0)
+    config = KMeansConfig(max_iters=max_iters)
     assert (as_bytes(lloyd(pts, centroids, config))
             == as_bytes(reference_lloyd(pts, centroids, config)))
-    config = KMeansConfig(restarts=2, max_iters=max_iters, rel_tol=0.0,
-                          seed=seed)
+    config = KMeansConfig(restarts=2, max_iters=max_iters, seed=seed)
     assert (as_bytes(weighted_kmeans(pts, k, config))
             == as_bytes(reference_weighted_kmeans(pts, k, config)))
 
@@ -316,7 +323,7 @@ def test_lloyd_stops_when_the_assignment_repeats(monkeypatch):
     monkeypatch.setattr(onmf.kmeans, "_nearest", counted)
     pts = pset([[1.0, 0.0], [0.99, 0.01], [0.0, 1.0], [0.01, 0.99]],
                [1.0, 2.0, 1.0, 2.0])
-    config = KMeansConfig(max_iters=100, rel_tol=0.0)
+    config = KMeansConfig(max_iters=100)
     sol = lloyd(pts, pts.points[[0, 2]], config)
     assert sol.assignment.tolist() == [0, 0, 1, 1]
     assert len(calls) == 2  # the first assignment, then one iteration
@@ -327,7 +334,7 @@ def test_lloyd_stops_when_the_assignment_repeats(monkeypatch):
 def test_lloyd_stops_when_the_cost_does_not_fall(monkeypatch):
     # Noiseless planted columns: every restart reaches a cost of about
     # 1e-28 at once, rounding raises it at the first iteration and the
-    # rel_tol test stops there, 2 assignments per restart. Without that
+    # cost test stops there, 2 assignments per restart. Without that
     # stop each restart cycles through a few assignments to max_iters.
     calls = []
 
@@ -355,13 +362,14 @@ def test_kernel_helpers_never_read_stale_buffers(case):
     # certified wrong answer.
     points, weights, centroids = case
     norms_sq = np.einsum("nm,nm->n", points, points)
-    assignment = _nearest(points, norms_sq, centroids)
     shape = (len(centroids), len(points))
+    assignment = _nearest(points, norms_sq, centroids, np.zeros(shape))
     for dist in (garbage(shape), np.arange(float(np.prod(shape))).reshape(shape)):
         assert (_nearest(points, norms_sq, centroids, dist).tobytes()
                 == assignment.tobytes())
     pts = WeightedPointSet(points=points, weights=weights)
-    want = np.float64(_weighted_cost(pts, centroids, assignment)).tobytes()
+    want = np.float64(_weighted_cost(pts, centroids, assignment, np.zeros(
+        points.shape))).tobytes()
     assert np.float64(_weighted_cost(pts, centroids, assignment, garbage(
         points.shape))).tobytes() == want
     for c in centroids:
@@ -579,7 +587,7 @@ def test_lloyd_recenters_only_the_clusters_a_point_left_and_joined(
     pts = pset([[0.0], [1.0], [2.1], [6.0], [7.0], [20.0], [21.0]],
                np.ones(7))
     seeds = np.array([[0.0], [4.0], [20.5]])
-    config = KMeansConfig(max_iters=100, rel_tol=0.0)
+    config = KMeansConfig(max_iters=100)
     sol = lloyd(pts, seeds, config)
     assert sol.assignment.tolist() == [0, 0, 0, 1, 1, 2, 2]
     assert [c[0] is None for c in calls] == [True, False]
@@ -645,19 +653,17 @@ def lloyd_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(lloyd_cases(), st.integers(1, 20), st.sampled_from([0.0, 1e-9]),
-       st.integers(0, 2**16))
-def test_lloyd_matches_reference_bytes(case, max_iters, rel_tol, seed):
+@given(lloyd_cases(), st.integers(1, 20), st.integers(0, 2**16))
+def test_lloyd_matches_reference_bytes(case, max_iters, seed):
     # Lloyd recenters only the clusters whose members moved; the reference
     # recenters every cluster from fresh copies and assigns with the exact
     # kernel.
     pts, centroids = case
-    config = KMeansConfig(max_iters=max_iters, rel_tol=rel_tol)
+    config = KMeansConfig(max_iters=max_iters)
     assert (as_bytes(lloyd(pts, centroids, config))
             == as_bytes(reference_lloyd(pts, centroids, config)))
     k = len(centroids)
-    config = KMeansConfig(restarts=2, max_iters=max_iters, rel_tol=rel_tol,
-                          seed=seed)
+    config = KMeansConfig(restarts=2, max_iters=max_iters, seed=seed)
     assert (as_bytes(weighted_kmeans(pts, k, config))
             == as_bytes(reference_weighted_kmeans(pts, k, config)))
 

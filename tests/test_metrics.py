@@ -104,6 +104,24 @@ def test_rsfe_of_a_residual_whose_squares_overflow():
     assert rsfe(M, A, W) == pytest.approx((1e10 - 1) ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("M, A, W", [
+    # Every entry of A @ W is 2e400; the true residual is about that.
+    (np.ones((2, 2)), np.full((2, 1), 1e200), np.full((1, 2), 1e200)),
+    # Opposite terms of 1e400 cancel: the true residual is 1, but the
+    # product's terms are +inf and -inf.
+    (np.ones((1, 1)), np.array([[1e200, -1e200]]), np.full((2, 1), 1e200)),
+    # A @ W is finite; M - A @ W is -2e308.
+    (np.full((1, 1), -1e308), np.ones((1, 1)), np.full((1, 1), 1e308)),
+], ids=["product-overflows", "product-cancels", "difference-overflows"])
+def test_metrics_reject_a_residual_that_is_not_finite(M, A, W):
+    # No inf or NaN metric, and no RuntimeWarning (an error under the test
+    # settings) on the way to the ValueError.
+    for metric in (recovery_error, rsfe):
+        with pytest.raises(ValueError,
+                           match="^computing M - AW overflows float64$"):
+            metric(M, A, W)
+
+
 def test_rsfe_cross_computation():
     rng = np.random.default_rng(27)
     M = rng.random((4, 5))
