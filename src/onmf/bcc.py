@@ -42,9 +42,6 @@ class BipartiteLabeling:
     def n(self) -> int:
         return self.labels.shape[1]
 
-    def to_matrix(self) -> np.ndarray:
-        return self.labels.astype(np.float64)
-
 
 @dataclass
 class Clustering:
@@ -124,7 +121,7 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
     block to binary, and turns each non-empty binary block into a cluster.
     Returns the clustering and its exact disagreement count.
     """
-    M = g.to_matrix()
+    M = np.asarray(g.labels, dtype=np.float64, order="C")  # any layout
     a, group, theta = _large_k(M)  # the factors alone: no objective
     left = np.zeros(g.m, dtype=np.int64)
     right = np.zeros(g.n, dtype=np.int64)

@@ -1,10 +1,13 @@
 """Command-line interface: generate, factorize, evaluate, sweep, bcc.
 
-Scalar results go to stdout as JSON, matrices and sweep tables to CSV files.
-Every output but the timings (factorize's wall_time_ms, sweep --timing) is
-deterministic given --seed. Exit codes: 0 success, 1 runtime failure, 2 usage
-error, which includes a float flag (--noise, a --noise-grid level) that is
-negative, NaN or infinite and a negative --seed.
+Matrices are read from headerless CSV files of numbers (core.read_matrix),
+edge lists from lines of u,v,+ or u,v,-; blank lines are skipped, and a bad
+line is reported as path:line. Scalar results go to stdout as JSON, matrices
+and sweep tables to CSV files. Every output but the timings (factorize's
+wall_time_ms, sweep --timing) is deterministic given --seed. Exit codes: 0
+success, 1 runtime failure, 2 usage error, which includes a float flag
+(--noise, a --noise-grid level) that is negative, NaN or infinite, a negative
+--seed and any flag the command does not have.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def _run_mode(M: np.ndarray, mode: str, k: int, config: KMeansConfig):
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
-    M = read_matrix(args.input, header=args.header)
+    M = read_matrix(args.input)
     start = time.perf_counter()
     sol = _run_mode(M, args.mode, args.k, _config(args, args.seed))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -120,7 +123,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    M = read_matrix(args.input, header=args.header)
+    M = read_matrix(args.input)
     A = read_matrix(args.a)
     W = read_matrix(args.w)
     record = {
@@ -130,8 +133,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "non_orthogonality_a_cols": non_orthogonality(A.T),
     }
     if args.truth:
-        record["recovery_error"] = recovery_error(
-            read_matrix(args.truth, header=args.header), A, W)
+        record["recovery_error"] = recovery_error(read_matrix(args.truth),
+                                                  A, W)
     print(json.dumps(record, sort_keys=True, allow_nan=False))
     return 0
 
@@ -242,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factorize", help="factorize a CSV matrix")
     p.add_argument("--input", required=True)
-    p.add_argument("--header", action="store_true",
-                   help="skip the first line of the input CSV")
     p.add_argument("--k", type=_positive_int, default=1,
                    help="inner dimension (ignored by double-large-k)")
     p.add_argument("--mode", choices=["single", "double", "double-large-k"],
@@ -255,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="print metrics for stored factors")
     p.add_argument("--input", required=True)
-    p.add_argument("--header", action="store_true")
     p.add_argument("--a", required=True)
     p.add_argument("--w", required=True)
     p.add_argument("--truth")

@@ -118,7 +118,7 @@ class CompactW:
         self.theta = np.asarray(self.theta, dtype=np.float64)
         if self.group.shape != self.theta.shape:
             raise ValueError("group and theta must have the same length")
-        if (self.theta < 0).any():
+        if not (self.theta >= 0).all():  # NaN fails >= too
             raise ValueError("theta entries must be non-negative")
 
     @property
@@ -190,25 +190,26 @@ def write_matrix(M, path) -> None:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-def _csv_lines(fh, path, skip_first: bool = False):
+def _csv_lines(fh, path):
     """Yield (lineno, cells) for each non-blank line of fh, an ASCII CSV
     file opened as text, from where it stands; path names it in messages.
 
     Each line is stripped of surrounding whitespace and split on commas; the
     cells themselves are left as they are. Line numbers count every line,
-    blank and skipped ones included, so messages can name ``path:lineno``.
+    blank ones included, so messages can name ``path:lineno``.
     """
     try:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line and not (skip_first and lineno == 1):
+            if line:
                 yield lineno, line.split(",")
     except UnicodeDecodeError as exc:  # decoded in chunks: line unknown
         raise ValueError(f"{path}: not ASCII text") from exc
 
 
-def read_matrix(path, header: bool = False) -> np.ndarray:
-    """Read a CSV matrix; rejects ragged rows and non-numeric cells.
+def read_matrix(path) -> np.ndarray:
+    """Read a headerless CSV matrix; rejects ragged rows and non-numeric
+    cells.
 
     numpy's loadtxt parses a regular file in bulk. Its cell parser is the
     one float() uses, less float()'s underscores; but it strips a cell of
@@ -235,15 +236,14 @@ def read_matrix(path, header: bool = False) -> np.ndarray:
                     warnings.simplefilter("ignore", UserWarning)
                     M = np.loadtxt(_lines_without_separators(fh),
                                    delimiter=",", comments=None,
-                                   dtype=np.float64, ndmin=2,
-                                   skiprows=int(header))
+                                   dtype=np.float64, ndmin=2)
                 if M.size:
                     return as_matrix(M)  # raises on a non-finite entry
             except ValueError:  # the line reader reports the exact error
                 pass
             fh.seek(0)
         rows: list[list[float]] = []
-        for lineno, cells in _csv_lines(fh, path, header):
+        for lineno, cells in _csv_lines(fh, path):
             try:
                 values = [float(c) for c in cells]
             except ValueError as exc:

@@ -250,7 +250,7 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
     mu = np.zeros((n_groups, m))
     qstar = _weighted_means(centroids, q_reduced,
                             np.where(q_reduced > 0, sigma, -1), mu)
-    if n_groups == 0 or not (qstar > 0).any():
+    if n_groups == 0:
         return np.zeros((m, k))
     # The scores of a chunk of coordinates, (coordinates, n_groups) and
     # C-ordered, so the row-wise argmax reads them in place.
@@ -304,7 +304,7 @@ def factorize_double_large_k(M) -> OnmfSolution:
     symmetric under transposition) and transposes the result back. With no
     rows (m = 0) nothing is transposed and the inner dimension is n.
     """
-    M = np.asarray(M, dtype=np.float64)
+    M = np.asarray(M, dtype=np.float64, order="C")  # bits follow values only
     return _solution(M, *_large_k(M))
 
 

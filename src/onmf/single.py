@@ -57,10 +57,12 @@ def _solution(M: np.ndarray, a: np.ndarray, group: np.ndarray,
 def _cluster(M, k: int, config: KMeansConfig | None):
     """Check M, then weighted k-means on the normalized columns.
 
-    Returns (M as a checked float64 matrix, the point set, the solution);
-    config defaults to KMeansConfig(). kmeanspp_seed rejects a k below 1.
+    Returns (M as a checked, C-ordered float64 matrix, the point set, the
+    solution); config defaults to KMeansConfig(). kmeanspp_seed rejects a k
+    below 1. M is taken in C order so that the results depend on its values
+    alone, not on its memory layout.
     """
-    M = np.asarray(M, dtype=np.float64)
+    M = np.asarray(M, dtype=np.float64, order="C")
     pts = normalize_columns(M)  # the one check of M
     return M, pts, weighted_kmeans(pts, k, config or KMeansConfig())
 

@@ -22,9 +22,6 @@ class PlantedInstance:
     w_truth: np.ndarray  # (k, n)
     m_truth: np.ndarray  # (m, n) = a_truth @ w_truth
     m_observed: np.ndarray  # (m, n) = m_truth + noise, entrywise >= m_truth
-    noise_level: float
-    seed: int
-    mode: str  # "single" or "double"
 
 
 def _exp(rng: np.random.Generator, shape, mean: float) -> np.ndarray:
@@ -62,15 +59,8 @@ def _planted(m: int, n: int, k: int, noise_level: float, seed: int,
 
     m_truth = a_truth @ w_truth
     noise = _exp(rng, (m, n), noise_level)
-    return PlantedInstance(
-        a_truth=a_truth,
-        w_truth=w_truth,
-        m_truth=m_truth,
-        m_observed=m_truth + noise,
-        noise_level=float(noise_level),
-        seed=int(seed),
-        mode="double" if double else "single",
-    )
+    return PlantedInstance(a_truth=a_truth, w_truth=w_truth, m_truth=m_truth,
+                           m_observed=m_truth + noise)
 
 
 def gen_planted_single(m: int, n: int, k: int, noise_level: float,

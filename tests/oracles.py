@@ -370,11 +370,11 @@ def reference_write_matrix(M, path) -> None:
             fh.write(",".join(map(repr, row)) + "\n")
 
 
-def reference_read_matrix(path, header: bool = False) -> np.ndarray:
+def reference_read_matrix(path) -> np.ndarray:
     """core.read_matrix as the line reader alone, one float() per cell."""
     rows: list[list[float]] = []
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, cells in _csv_lines(fh, path, skip_first=header):
+        for lineno, cells in _csv_lines(fh, path):
             try:
                 values = [float(c) for c in cells]
             except ValueError as exc:

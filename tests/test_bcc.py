@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import onmf.bcc
 from onmf.bcc import (
     BipartiteLabeling,
     Clustering,
@@ -76,18 +77,33 @@ def test_round_block_bound_on_random_triples():
                 assert w_hat[i] == (2 * overlap >= support.sum())
 
 
-@pytest.mark.parametrize("seed", range(16))
-def test_round_block_matches_column_loop(seed):
-    # Mixed magnitudes make the order of addition show, tiny weights give
-    # infinite distances, duplicated columns tie, and the larger blocks take
-    # several chunks of rows.
+def random_block(seed, max_m, max_n):
+    """(Mblk, a, w) of mixed magnitudes, so the order of addition shows;
+    tiny weights give infinite distances and duplicated columns tie."""
     rng = np.random.default_rng(seed)
-    m, n = int(rng.integers(1, 300)), int(rng.integers(1, 400))
+    m, n = int(rng.integers(1, max_m)), int(rng.integers(1, max_n))
     Mblk = (rng.random((m, n)) < 0.5).astype(float)
     Mblk[:, n // 2:] = Mblk[:, :n - n // 2]
     a = rng.random(m) * 10.0 ** rng.integers(-8, 9, m) * (rng.random(m) < 0.8)
     w = (rng.random(n) * 10.0 ** rng.integers(-320, 9, n)
          * (rng.random(n) < 0.8))
+    return Mblk, a, w
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_round_block_matches_column_loop(seed):
+    # The larger blocks take several chunks of rows.
+    Mblk, a, w = random_block(seed, 300, 400)
+    got = round_block(Mblk, a, w)
+    want = reference_round_block(Mblk, a, w)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_round_block_one_column_per_chunk(seed, monkeypatch):
+    # With one entry per block, every column is a chunk of its own.
+    monkeypatch.setattr(onmf.bcc, "BLOCK_ENTRIES", 1)
+    Mblk, a, w = random_block(seed, 30, 40)
     got = round_block(Mblk, a, w)
     want = reference_round_block(Mblk, a, w)
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
@@ -146,6 +162,11 @@ def test_disagreements_rejects_mismatched_sides():
     with pytest.raises(ValueError, match="4x3 graph"):
         disagreements(g, Clustering(left=np.ones(4, dtype=int),
                                     right=np.ones(4, dtype=int)))
+
+
+def test_labeling_has_no_matrix_method():
+    # bcc_cluster converts the labels itself.
+    assert not hasattr(BipartiteLabeling, "to_matrix")
 
 
 def test_labeling_checks_its_labels():

@@ -52,6 +52,8 @@ VALID_ARGV = {
                  "--noise", "0.1", "--out-dir", "out"],
     "factorize": ["factorize", "--input", "M.csv", "--k", "2",
                   "--out-a", "out"],
+    "evaluate": ["evaluate", "--input", "M.csv", "--a", "M.csv",
+                 "--w", "M.csv"],
     "sweep": ["sweep", "--m", "3", "--n", "4", "--k", "2",
               "--noise-grid", "0.1", "--trials", "1", "--restarts", "1",
               "--out", "out"],
@@ -87,6 +89,18 @@ def test_tol_flag_is_unrecognized(command, tmp_path, monkeypatch, capsys):
         onmf.cli.main(VALID_ARGV[command] + ["--tol=0"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol=0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["factorize", "evaluate"])
+def test_header_flag_is_unrecognized(command, tmp_path, monkeypatch, capsys):
+    # Inputs are headerless, so there is no --header to pass.
+    monkeypatch.chdir(tmp_path)
+    write_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]), tmp_path / "M.csv")
+    with pytest.raises(SystemExit) as exc:
+        onmf.cli.main(VALID_ARGV[command] + ["--header"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --header" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

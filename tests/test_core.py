@@ -159,6 +159,14 @@ def test_materialize_w_examples():
     assert np.array_equal(w.materialize(), np.zeros((2, 2)))
     w = CompactW(k=1, group=[0], theta=[5.0])
     assert np.array_equal(w.materialize(), [[5.0]])
+    w = CompactW(k=1, group=[0], theta=[-0.0])  # -0.0 >= 0
+    assert np.array_equal(w.materialize(), [[0.0]])
+
+
+@pytest.mark.parametrize("theta", [-1.0, -5e-324, math.nan])
+def test_compact_w_rejects_negative_or_nan_theta(theta):
+    with pytest.raises(ValueError, match="theta entries must be non-negative"):
+        CompactW(k=1, group=[0], theta=[theta])
 
 
 def test_materialize_rows_disjoint_supports():
@@ -329,50 +337,64 @@ def test_csv_parse(tmp_path):
     with pytest.raises(ValueError):
         read_matrix(path)
 
-    path.write_text("a,b\n1,2\n")
-    assert np.array_equal(read_matrix(path, header=True), [[1.0, 2.0]])
-
     path.write_bytes(b"1,2\r\n 3 , 4 \r\n")
     assert np.array_equal(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
 
-    path.write_bytes(b"a,b\r\n\r\n1,2\r\n   \r\n")
-    assert np.array_equal(read_matrix(path, header=True), [[1.0, 2.0]])
+    path.write_bytes(b"\r\n1,2\r\n   \r\n")
+    assert np.array_equal(read_matrix(path), [[1.0, 2.0]])
+
+    # A header line is data like any other line.
+    path.write_text("a,b\n1,2\n")
+    with pytest.raises(ValueError, match=":1: non-numeric cell$"):
+        read_matrix(path)
+    with pytest.raises(TypeError):
+        read_matrix(path, header=True)
 
 
-@pytest.mark.parametrize("text, header, message", [
-    ("a,b\n\n1,2\n3,x\n", True, ":4: non-numeric cell"),
-    ("a,b\n\n1,2\n3\n", True, ":4: ragged row"),
-    ("\na,b\n1,2\n", True, ":2: non-numeric cell"),  # header is line 1
+def unterminated(data: bytes, drop: bool) -> bytes:
+    """data without its final line end when drop is true."""
+    if drop:
+        for end in (b"\r\n", b"\n", b"\r"):
+            if data.endswith(end):
+                return data[:-len(end)]
+    return data
+
+
+# (text, drop its final line end, message)
+@pytest.mark.parametrize("text, drop, message", [
+    ("\n\n1,2\n\n3,x\n", True, ":5: non-numeric cell"),
+    ("\n\n1,2\n3\n\n", False, ":4: ragged row"),
     ("\n\n1,2\n\n3,inf\n", False, ":5: non-finite value"),
+    ("\n\n1,2\n\n3,inf\n", True, ":5: non-finite value"),
     ("\n", False, ": empty matrix"),
-    ("a,b\n", True, ": empty matrix"),
+    ("\n \n", True, ": empty matrix"),
     ("1,2\n3,\u00e9\n", False, ": not ASCII text"),  # no line number
 ])
-def test_csv_error_line_numbers(tmp_path, text, header, message):
-    # Line numbers count blank lines and the header.
+def test_csv_error_line_numbers(tmp_path, text, drop, message):
+    # Line numbers count blank lines, and a last line needs no line end.
     path = tmp_path / "m.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(unterminated(text.encode("utf-8"), drop))
     with pytest.raises(ValueError) as exc:
-        read_matrix(path, header=header)
+        read_matrix(path)
     assert str(exc.value) == f"{path}{message}"
 
 
-def read_outcome(read, path, header):
+def read_outcome(read, path):
     """(array dtype, shape and bytes) or (exception type, message) of a read,
     and the warnings it emitted."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            M = read(path, header=header)
+            M = read(path)
             outcome = (M.dtype, M.shape, M.tobytes())
         except Exception as exc:
             outcome = (type(exc), str(exc))
     return outcome, [str(w.message) for w in caught]
 
 
-def assert_reads_like_reference(path, header):
-    got, caught = read_outcome(read_matrix, path, header)
-    want, _ = read_outcome(reference_read_matrix, path, header)
+def assert_reads_like_reference(path):
+    got, caught = read_outcome(read_matrix, path)
+    want, _ = read_outcome(reference_read_matrix, path)
     assert got == want
     assert caught == []
 
@@ -415,16 +437,16 @@ def csv_files(draw):
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=csv_files(), header=st.booleans())
-def test_read_matrix_matches_line_reader(tmp_path, data, header):
+@given(data=csv_files(), drop=st.booleans())
+def test_read_matrix_matches_line_reader(tmp_path, data, drop):
     # The bulk parse and its fallback against the line reader alone: the
     # same bytes, or the same exception with the same message.
     path = tmp_path / "m.csv"
-    path.write_bytes(data)
-    assert_reads_like_reference(path, header)
+    path.write_bytes(unterminated(data, drop))
+    assert_reads_like_reference(path)
 
 
-@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("drop", [False, True])
 @pytest.mark.parametrize("data", [
     b"1_0,2\n3,4\n",  # float() reads 1_0, loadtxt does not
     b" 1 ,\t2\t\r\n3 , 4\r\n",
@@ -436,17 +458,20 @@ def test_read_matrix_matches_line_reader(tmp_path, data, header):
     b"0,\x1c8\n", b"\x1f8,1\n", b"8\x1d,1\n",  # stripped by loadtxt only
     b"", b"1,2\n3,\xc3\xa9\n", b"\xff\n1\n",
 ], ids=lambda data: repr(data)[2:-1])
-def test_read_matrix_fixed_cases(tmp_path, data, header):
+def test_read_matrix_fixed_cases(tmp_path, data, drop):
+    # With drop, the last line has no line end.
     path = tmp_path / "m.csv"
-    path.write_bytes(data)
-    assert_reads_like_reference(path, header)
+    path.write_bytes(unterminated(data, drop))
+    assert_reads_like_reference(path)
 
 
-@pytest.mark.parametrize("header", [False, True])
-def test_read_matrix_missing_file(tmp_path, header):
-    assert_reads_like_reference(tmp_path / "missing.csv", header)
+@pytest.mark.parametrize("as_str", [False, True])
+def test_read_matrix_missing_file(tmp_path, as_str):
+    path = tmp_path / "missing.csv"
+    path = str(path) if as_str else path
+    assert_reads_like_reference(path)
     with pytest.raises(FileNotFoundError):
-        read_matrix(tmp_path / "missing.csv", header=header)
+        read_matrix(path)
 
 
 def test_read_matrix_ignores_compressed_siblings(tmp_path):
@@ -462,7 +487,7 @@ def test_read_matrix_does_not_decompress(tmp_path):
     path = tmp_path / "m.csv.gz"
     with gzip.open(path, "wb") as fh:
         fh.write(b"1,2\n")
-    assert_reads_like_reference(path, False)
+    assert_reads_like_reference(path)
     with pytest.raises(ValueError, match=": not ASCII text$"):
         read_matrix(path)
 
@@ -479,7 +504,7 @@ def test_read_matrix_does_not_fetch_urls(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
-def read_fifo_outcome(read, fifo, data, header):
+def read_fifo_outcome(read, fifo, data):
     """read_outcome of reading data through a FIFO fed by a thread. A read
     that opens the FIFO a second time would wait for a writer for ever, so
     it runs in a thread too and fails the test after a timeout."""
@@ -491,7 +516,7 @@ def read_fifo_outcome(read, fifo, data, header):
     threads = [
         threading.Thread(target=feed, daemon=True),
         threading.Thread(target=lambda: outcome.append(
-            read_outcome(read, fifo, header)), daemon=True),
+            read_outcome(read, fifo)), daemon=True),
     ]
     for thread in threads:
         thread.start()
@@ -502,19 +527,21 @@ def read_fifo_outcome(read, fifo, data, header):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
-@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("drop", [False, True])
 @pytest.mark.parametrize("data", [
     b"1_0,2\n3,4\n",
     b"1,2\n 1_0 ,x\n",
     b"1,2\n  \n3,4\n",
     b"1.5,2.5\n" * 40000 + b"1_0,3\n",  # more than one read buffer
 ], ids=["underscore", "bad-cell", "blank-line", "large"])
-def test_read_matrix_from_fifo(tmp_path, data, header):
-    # A pipe is read once, by the line reader.
+def test_read_matrix_from_fifo(tmp_path, data, drop):
+    # A pipe is read once, by the line reader; with drop, the last line has
+    # no line end.
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
-    got, caught = read_fifo_outcome(read_matrix, fifo, data, header)
-    want, _ = read_fifo_outcome(reference_read_matrix, fifo, data, header)
+    data = unterminated(data, drop)
+    got, caught = read_fifo_outcome(read_matrix, fifo, data)
+    want, _ = read_fifo_outcome(reference_read_matrix, fifo, data)
     assert got == want
     assert caught == []
 

@@ -513,6 +513,20 @@ def test_angle_steps_hold_no_k_by_k_temporary(monkeypatch):
     assert peak < k * k // 4
 
 
+@settings(max_examples=150, deadline=None)
+@given(nonneg_matrices(), st.integers(1, 4))
+def test_results_do_not_depend_on_memory_layout(M, k):
+    # A Fortran-ordered or strided M gives the bits of its C-ordered copy.
+    C = np.array(M, order="C")
+    config = KMeansConfig(restarts=2, seed=0)
+    for factorize in (lambda X: factorize_single(X, k, config),
+                      lambda X: factorize_double(X, k, config),
+                      factorize_double_large_k):
+        want = _solution_bytes(factorize, C)
+        for X in (np.asfortranarray(C), np.repeat(C, 2, axis=1)[:, ::2]):
+            assert _solution_bytes(factorize, X) == want
+
+
 def test_solve_frees_the_group_means_before_the_result(monkeypatch):
     # k singleton groups: the group means and the result are both k x m.
     monkeypatch.setattr(onmf.double, "BLOCK_ENTRIES", 1 << 10)
@@ -560,6 +574,8 @@ def solver_cases(draw):
 @example(SOLVER_TIES[1][:3])
 @example(SOLVER_TIES[2][:3])
 @example(SOLVER_TIES[3][:3])
+@example((np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.0, -0.0]),
+          np.array([0, 1])))  # no positive weight: an all-zero result
 def test_solver_matches_reference(case):
     got = solve_orthogonal_centroids(*case)
     want = reference_solve_orthogonal_centroids(*case)
@@ -669,11 +685,17 @@ def test_large_k_transposes_wide_input():
 
 def _reference_large_k(M):
     """factorize_double_large_k through the reference copies of its steps,
-    with the exact pair-loop weight reduction and grouping."""
+    with the exact pair-loop weight reduction and grouping. M is taken in C
+    order, as the library takes it; the transpose of a wide M is not."""
+    return _reference_large_k_steps(np.asarray(M, dtype=np.float64,
+                                               order="C"))
+
+
+def _reference_large_k_steps(M):
     M = check_nonneg(M)
     m, n = M.shape
     if 0 < m < n:
-        return reference_transpose_solution(M, _reference_large_k(M.T))
+        return reference_transpose_solution(M, _reference_large_k_steps(M.T))
     pts = reference_normalize_columns(M)
     if pts.total_weight() > MAX_TOTAL_WEIGHT:
         raise ValueError(TOO_LARGE)

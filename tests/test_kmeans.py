@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -542,6 +544,21 @@ def test_weighted_means_matches_per_label_loop(case):
         assert (totals.dtype, totals.tobytes()) == (expected.dtype,
                                                     expected.tobytes())
         assert got_out.tobytes() == expected_out.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mean_cases())
+@np.errstate(all="ignore")  # the 1e+-150 cases overflow and underflow
+def test_weighted_means_one_point_per_chunk(case):
+    # Without a work buffer, one entry per block makes each single-point
+    # cluster a chunk of its own.
+    points, weights, labels, out = case
+    want_out = out.copy()
+    want = reference_weighted_means(points, weights, labels, want_out)
+    with mock.patch.object(onmf.kmeans, "BLOCK_ENTRIES", 1):
+        totals = _weighted_means(points, weights, labels, out)
+    assert totals.tobytes() == want.tobytes()
+    assert out.tobytes() == want_out.tobytes()
 
 
 @settings(max_examples=300, deadline=None)

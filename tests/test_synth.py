@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -8,7 +9,12 @@ from onmf.core import frobenius_norm_sq, normalize_columns
 from onmf.double import factorize_double
 from onmf.kmeans import KMeansConfig, kmeanspp_seed, weighted_kmeans
 from onmf.single import factorize_single
-from onmf.synth import _exp, gen_planted_double, gen_planted_single
+from onmf.synth import (
+    PlantedInstance,
+    _exp,
+    gen_planted_double,
+    gen_planted_single,
+)
 from oracles import planted_stat
 
 
@@ -131,6 +137,15 @@ def test_planted_single_structure():
     assert (inst.a_truth > 0).all()
     assert np.array_equal(inst.m_truth, inst.a_truth @ inst.w_truth)
     assert (inst.m_observed >= inst.m_truth).all()
+
+
+def test_planted_instance_holds_only_matrices():
+    # The generator's arguments are not echoed back.
+    inst = gen_planted_single(3, 4, 2, 0.1, 0)
+    assert [f.name for f in dataclasses.fields(inst)] == [
+        "a_truth", "w_truth", "m_truth", "m_observed"]
+    with pytest.raises(TypeError):
+        PlantedInstance(*dataclasses.astuple(inst), seed=0)
 
 
 def test_planted_single_noise_zero():
