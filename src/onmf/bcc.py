@@ -15,6 +15,7 @@ import numpy as np
 
 from onmf.core import BLOCK_ENTRIES
 from onmf.double import _large_k
+from onmf.kmeans import _segments
 
 
 @dataclass(frozen=True)
@@ -54,18 +55,16 @@ class Clustering:
 def round_block(Mblk, a, w) -> tuple[np.ndarray, np.ndarray]:
     """Round one fractional rank-1 block to binary vectors.
 
-    Mblk must be 0/1 and a and w non-negative, as in every block that
-    bcc_cluster passes; nothing here checks it. Picks the column whose
-    rescaled copy is closest to a as the binary left vector, then keeps
-    exactly the columns sharing at least half of its support. The squared
-    error of the binary block is at most 8 times the fractional one.
-    Conventions: columns with zero w are dropped; if every w is zero both
-    outputs are zero; if the chosen column is empty the bound is vacuous and
-    the right vector is the indicator of positive w.
+    Mblk, a and w are float64 arrays, Mblk 0/1 and a and w non-negative, as
+    in every block that bcc_cluster passes; nothing here checks or converts
+    them. Picks the column whose rescaled copy is closest to a as the binary
+    left vector, then keeps exactly the columns sharing at least half of its
+    support. The squared error of the binary block is at most 8 times the
+    fractional one. Conventions: columns with zero w are dropped; if every w
+    is zero both outputs are zero; if the chosen column is empty the bound
+    is vacuous, and every overlap is 0 of 0, so the right vector is the
+    indicator of positive w.
     """
-    Mblk = np.asarray(Mblk, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
     m, n = Mblk.shape
     a_hat = np.zeros(m)
     w_hat = np.zeros(n)
@@ -87,12 +86,8 @@ def round_block(Mblk, a, w) -> tuple[np.ndarray, np.ndarray]:
     i_star = int(pos[int(np.argmin(dists))])  # argmin ties -> smallest index
     a_hat = Mblk[:, i_star].copy()
     support = a_hat > 0
-    size = int(support.sum())
-    if size == 0:
-        w_hat[pos] = 1.0
-        return a_hat, w_hat
     overlap = np.count_nonzero((Mblk > 0)[:, pos] & support[:, None], axis=0)
-    w_hat[pos[2 * overlap >= size]] = 1.0
+    w_hat[pos[2 * overlap >= np.count_nonzero(support)]] = 1.0
     return a_hat, w_hat
 
 
@@ -123,35 +118,29 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
     """
     M = np.asarray(g.labels, dtype=np.float64, order="C")  # any layout
     a, group, theta = _large_k(M)  # the factors alone: no objective
+    k = a.shape[1]
     left = np.zeros(g.m, dtype=np.int64)
     right = np.zeros(g.n, dtype=np.int64)
-    # Each block's rows and live columns as one slice of an index array
-    # sorted stably by block: rows by the one column of a where they are
-    # positive (the columns of a have disjoint supports); a row with no
-    # positive entry is in no block.
-    owner = (np.argmax(a, axis=1) if a.shape[1]
-             else np.zeros(g.m, dtype=np.int64))
-    rows_by = np.flatnonzero(np.max(a, axis=1, initial=0.0) > 0)
-    rows_by = rows_by[np.argsort(owner[rows_by], kind="stable")]
-    cols_by = np.flatnonzero(theta > 0)
-    cols_by = cols_by[np.argsort(group[cols_by], kind="stable")]
-    blocks = np.arange(a.shape[1] + 1)
-    row_bounds = np.searchsorted(owner[rows_by], blocks).tolist()
-    col_bounds = np.searchsorted(group[cols_by], blocks).tolist()
-    next_id = 1
-    for s in np.unique(group[cols_by]).tolist():  # ids follow block order
-        rows = rows_by[row_bounds[s]:row_bounds[s + 1]]
-        if rows.size == 0:
-            continue
-        cols = cols_by[col_bounds[s]:col_bounds[s + 1]]
-        a_hat, w_hat = round_block(M[np.ix_(rows, cols)], a[rows, s],
-                                   theta[cols])
-        rset = rows[a_hat > 0]
-        cset = cols[w_hat > 0]
-        if rset.size == 0 or cset.size == 0:
-            continue
-        left[rset] = next_id
-        right[cset] = next_id
-        next_id += 1
+    # Block s has the rows where column s of a is positive (the columns of a
+    # have disjoint supports) and the columns of group s with positive
+    # theta; any other row or column is labeled -1, in no block.
+    owner = np.argmax(a, axis=1) if k else 0
+    rows, row_bounds = _segments(
+        np.where(np.max(a, axis=1, initial=0.0) > 0, owner, -1), k)
+    cols, col_bounds = _segments(np.where(theta > 0, group, -1), k)
+    blocks = np.flatnonzero(np.diff(col_bounds)).tolist()
+    row_bounds, col_bounds = row_bounds.tolist(), col_bounds.tolist()
+    # Every block walked is a cluster. A column i of group s with theta[i]
+    # > 0 has a 1 in a row r with a[r, s] > 0: theta[i] sums M[r, i] a[r, s]
+    # over r, or on the wide path averages rows of M of which one, r, has
+    # M[r, i] = 1 and so a[r, s] = theta2[r] > 0; no product of 1s and unit
+    # entries underflows. So the block has rows, and the column round_block
+    # picks has a 1 among them and keeps itself.
+    for cluster, s in enumerate(blocks, start=1):  # ids follow block order
+        r = rows[row_bounds[s]:row_bounds[s + 1]]
+        c = cols[col_bounds[s]:col_bounds[s + 1]]
+        a_hat, w_hat = round_block(M[np.ix_(r, c)], a[r, s], theta[c])
+        left[r[a_hat > 0]] = cluster
+        right[c[w_hat > 0]] = cluster
     clustering = Clustering(left=left, right=right)
     return clustering, disagreements(g, clustering)

@@ -49,11 +49,7 @@ def check_nonneg(M: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm_sq(M) -> float:
-    """Sum of squared entries.
-
-    No module of the package calls it; it is kept only because the
-    benchmark in perfbench/ traces it by name.
-    """
+    """Sum of squared entries."""
     M = np.asarray(M, dtype=np.float64)
     return float(np.sum(M * M))
 

@@ -168,7 +168,7 @@ def weight_reduction(band: tuple[np.ndarray, np.ndarray],
     qp = np.array(q, dtype=np.float64).tolist()  # Python floats index faster
     # The pairs go through as Python ints a few thousand at a time, so
     # their lists stay near 300 KB however many pairs there are.
-    step = BLOCK_ENTRIES // 8
+    step = max(1, BLOCK_ENTRIES // 8)
     for lo in range(0, len(band[0]), step):
         for j1, j2 in zip(band[0][lo:lo + step].tolist(),
                           band[1][lo:lo + step].tolist()):

@@ -164,9 +164,7 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
     operations are elementwise, so the bits are the same.
     """
     k, m = out.shape
-    order = np.argsort(labels, kind="stable")
-    # Label j's points are order[bounds[j]:bounds[j + 1]].
-    bounds = np.searchsorted(labels[order], np.arange(k + 1))
+    order, bounds = _segments(labels, k)
     counts = np.diff(bounds)
     totals = np.zeros(k)
     weights = weights[order]
@@ -202,6 +200,14 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
         if total > 0:
             out[j] = w @ _gather(points, order[lo:hi], work) / total
     return totals
+
+
+def _segments(labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, bounds): label j's indices, in index order, are
+    order[bounds[j]:bounds[j + 1]]; labels outside [0, k), such as -1, are
+    in no segment."""
+    order = np.argsort(labels, kind="stable")
+    return order, np.searchsorted(labels[order], np.arange(k + 1))
 
 
 def _gather(points: np.ndarray, idx: np.ndarray,

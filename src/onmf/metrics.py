@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from onmf.core import as_matrix
+from onmf.core import as_matrix, frobenius_norm_sq
 
 
 def _residual(M, A, W) -> tuple[np.ndarray, np.ndarray]:
     """(M, M - A @ W), checked. A @ W can have opposite infinite terms, and
     it or the difference can overflow, even where the true residual is
     small: that raises a ValueError, with no RuntimeWarning."""
-    M, A, W = as_matrix(M), as_matrix(A), as_matrix(W)
+    M, A, W = (as_matrix(np.asarray(X, dtype=np.float64, order="C"))
+               for X in (M, A, W))  # C order: the bits follow the values
     if A.shape[1] != W.shape[0] or M.shape != (A.shape[0], W.shape[1]):
         raise ValueError(
             f"shape mismatch: M {M.shape}, A {A.shape}, W {W.shape}")
@@ -34,10 +35,6 @@ def _rescaled(f, X: np.ndarray) -> tuple[float, float]:
         s = float(np.abs(X).max())
         return float(f(X / s)), s
     return value, 1.0
-
-
-def _sum_sq(X: np.ndarray) -> float:
-    return np.sum(X * X)
 
 
 def recovery_error(m_truth, A, W) -> float:
@@ -68,7 +65,7 @@ def non_orthogonality(W) -> float:
     overflows, or falls below the normal floats, is first divided by its
     largest absolute entry.
     """
-    W = as_matrix(W)
+    W = as_matrix(np.asarray(W, dtype=np.float64, order="C"))
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(W, axis=1)
     odd = norms == np.inf
@@ -90,8 +87,8 @@ def non_orthogonality(W) -> float:
 def rsfe(M, A, W) -> float:
     """Relative squared Frobenius error: ||M - AW||_F^2 / ||M||_F^2."""
     M, R = _residual(M, A, W)
-    num, s_r = _rescaled(_sum_sq, R)
-    denom, s_m = _rescaled(_sum_sq, M)
+    num, s_r = _rescaled(frobenius_norm_sq, R)
+    denom, s_m = _rescaled(frobenius_norm_sq, M)
     if denom == 0:
         raise ValueError("rsfe undefined for the zero matrix")
     ratio = s_r / s_m

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import onmf.bcc
 from onmf.bcc import (
@@ -12,8 +13,9 @@ from onmf.bcc import (
     disagreements,
     round_block,
 )
-from conftest import planted_labels
+from conftest import nonneg_matrices, planted_labels
 from onmf.core import frobenius_norm_sq
+from onmf.double import _large_k
 from oracles import brute_force_bcc, reference_round_block
 
 
@@ -22,14 +24,14 @@ def labeling(rows):
 
 
 def test_round_block_exact_all_ones():
-    a_hat, w_hat = round_block(np.ones((2, 2)), [1.0, 1.0], [1.0, 1.0])
+    a_hat, w_hat = round_block(np.ones((2, 2)), np.ones(2), np.ones(2))
     assert np.array_equal(a_hat, [1.0, 1.0])
     assert np.array_equal(w_hat, [1.0, 1.0])
 
 
 def test_round_block_hand_trace():
     Mblk = np.array([[1.0, 1.0], [1.0, 0.0]])
-    a_hat, w_hat = round_block(Mblk, [1.0, 0.5], [1.0, 1.0])
+    a_hat, w_hat = round_block(Mblk, np.array([1.0, 0.5]), np.ones(2))
     assert np.array_equal(a_hat, [1.0, 1.0])
     assert np.array_equal(w_hat, [1.0, 1.0])
     binary_err = frobenius_norm_sq(Mblk - np.outer(a_hat, w_hat))
@@ -41,7 +43,7 @@ def test_round_block_hand_trace():
 
 def test_round_block_zero_w():
     Mblk = np.array([[1.0], [0.0]])
-    a_hat, w_hat = round_block(Mblk, [0.3, 0.1], [0.0])
+    a_hat, w_hat = round_block(Mblk, np.array([0.3, 0.1]), np.zeros(1))
     assert (a_hat == 0).all()
     assert (w_hat == 0).all()
 
@@ -50,7 +52,7 @@ def test_round_block_empty_support_column():
     # chosen column is all-zero: the 8x bound is vacuous, w_hat marks the
     # positive-weight columns
     Mblk = np.array([[0.0, 1.0]])
-    a_hat, w_hat = round_block(Mblk, [0.0], [5.0, 0.0])
+    a_hat, w_hat = round_block(Mblk, np.zeros(1), np.array([5.0, 0.0]))
     assert (a_hat == 0).all()
     assert np.array_equal(w_hat, [1.0, 0.0])
 
@@ -128,6 +130,30 @@ def test_round_block_ties_follow_the_column_loop(seed):
     got = round_block(Mblk, a, w)
     want = reference_round_block(Mblk, a, w)
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonneg_matrices(max_side=9, cells=st.sampled_from([0.0, 1.0])),
+       st.data())
+def test_every_live_block_rounds_to_a_cluster(M, data):
+    # bcc_cluster walks the groups that have a column of positive theta and
+    # keeps every one as a cluster. That holds because each such column i
+    # of group s has a 1 in a row r with a[r, s] > 0, and round_block then
+    # gives the block a non-zero a_hat and w_hat.
+    if len(M):  # duplicated rows, as nonneg_matrices duplicates columns
+        M = M[data.draw(st.lists(st.integers(0, len(M) - 1),
+                                 min_size=len(M), max_size=len(M)))]
+    M = np.asarray(M, order="C")
+    a, group, theta = _large_k(M)
+    live = theta > 0
+    for i in np.flatnonzero(live):
+        assert ((M[:, i] == 1) & (a[:, group[i]] > 0)).any()
+    for s in np.unique(group[live]):
+        rows = np.flatnonzero(a[:, s] > 0)
+        cols = np.flatnonzero(live & (group == s))
+        a_hat, w_hat = round_block(M[np.ix_(rows, cols)], a[rows, s],
+                                   theta[cols])
+        assert a_hat.any() and w_hat.any()
 
 
 def test_disagreements_perfect_blocks():

@@ -576,9 +576,8 @@ def test_public_names_resolve():
 # Names no module of the package uses, kept only because the benchmark in
 # perfbench/ calls or traces them by name: its self-test imports
 # GroupingError, its sweep-double workload calls reconstruction_error, and
-# its spans trace reconstruction_error and frobenius_norm_sq.
-PERFBENCH_ONLY = {"GroupingError", "frobenius_norm_sq",
-                  "reconstruction_error"}
+# its spans trace reconstruction_error.
+PERFBENCH_ONLY = {"GroupingError", "reconstruction_error"}
 
 
 def test_no_dead_module_names():

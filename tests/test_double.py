@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import onmf.bcc
 import onmf.core
 import onmf.double
 import onmf.kmeans
@@ -525,6 +526,27 @@ def test_results_do_not_depend_on_memory_layout(M, k):
         want = _solution_bytes(factorize, C)
         for X in (np.asfortranarray(C), np.repeat(C, 2, axis=1)[:, ::2]):
             assert _solution_bytes(factorize, X) == want
+
+
+def test_one_entry_per_block_keeps_every_byte(monkeypatch):
+    # BLOCK_ENTRIES = 1 takes one row, column or band pair per block in
+    # every blocked loop of the double-factor steps, k-means and bcc.
+    rng = np.random.default_rng(24)
+    g = BipartiteLabeling(planted_labels(30, 40, 4, 0.1, 24))
+    M = rng.random((12, 20)) * (rng.random((12, 20)) < 0.6)
+    config = KMeansConfig(restarts=2, seed=0)
+
+    def outputs():
+        clustering, count = bcc_cluster(g)
+        return [clustering.left.tobytes(), clustering.right.tobytes(), count,
+                _solution_bytes(factorize_double_large_k, M),
+                _solution_bytes(factorize_double_large_k, M.T),
+                _solution_bytes(lambda X: factorize_double(X, 5, config), M)]
+
+    want = outputs()
+    for module in (onmf.double, onmf.kmeans, onmf.bcc):
+        monkeypatch.setattr(module, "BLOCK_ENTRIES", 1)
+    assert outputs() == want
 
 
 def test_solve_frees_the_group_means_before_the_result(monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onmf.core import CompactW
 from onmf.metrics import (
@@ -8,6 +9,7 @@ from onmf.metrics import (
     recovery_error,
     rsfe,
 )
+from conftest import nonneg_matrices
 from oracles import planted_stat
 
 
@@ -138,3 +140,43 @@ def test_planted_stat():
     assert planted_stat(10, 10, 0.0) == (0.0, 0.0)
     mean, _ = planted_stat(100, 5000, 1.0)
     assert np.sqrt(mean) == pytest.approx(1000.0)
+
+
+def _metric_bytes(metric, *args):
+    try:
+        return np.float64(metric(*args)).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_values_only(M, A, W):
+    # Each metric of M, A and W, and evaluate's non_orthogonality(A.T), has
+    # the bytes it has on C-ordered copies.
+    C = [np.array(X, order="C") for X in (M, A, W)]
+    for metric, args, copies in (
+            (recovery_error, (M, A, W), C),
+            (rsfe, (M, A, W), C),
+            (non_orthogonality, (W,), C[2:]),
+            (non_orthogonality, (A.T,), (np.array(A.T, order="C"),))):
+        assert _metric_bytes(metric, *args) == _metric_bytes(metric, *copies)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda side: st.tuples(
+    *[nonneg_matrices(max_side=side, min_side=side)] * 3)))
+def test_metrics_depend_on_values_only(matrices):
+    # M, A and W each in C, Fortran or strided layout.
+    _assert_values_only(*matrices)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_metrics_of_a_planted_solution_depend_on_values_only(seed):
+    # A noisy W and a dense A: sums long enough for their order to show.
+    rng = np.random.default_rng(seed)
+    A = rng.random((37, 5))
+    W = np.zeros((5, 211))
+    W[rng.integers(0, 5, 211), np.arange(211)] = rng.random(211)
+    W += 0.01 * rng.random(W.shape)
+    M = A @ W + 0.1 * rng.random((37, 211))
+    _assert_values_only(*map(np.asfortranarray, (M, A, W)))
+    _assert_values_only(*(np.repeat(X, 2, axis=1)[:, ::2] for X in (M, A, W)))
