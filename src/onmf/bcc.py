@@ -15,7 +15,7 @@ import numpy as np
 
 from onmf.core import BLOCK_ENTRIES
 from onmf.double import _large_k
-from onmf.kmeans import _segments
+from onmf.kmeans import _segments, _sq_dists
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,8 @@ def round_block(Mblk, a, w) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, pos.size, step):
         cols = pos[lo:lo + step]
         with np.errstate(over="ignore"):  # a tiny w[i] gives an inf distance
-            diff = Mblk.T[cols] / w[cols, None]
-            diff -= a
-            diff *= diff
-            dists[lo:lo + step] = np.sum(diff, axis=1)
+            scaled = Mblk.T[cols] / w[cols, None]
+            dists[lo:lo + step] = _sq_dists(scaled, a, scaled)
     i_star = int(pos[int(np.argmin(dists))])  # argmin ties -> smallest index
     a_hat = Mblk[:, i_star].copy()
     support = a_hat > 0

@@ -6,10 +6,10 @@ restart ties toward the smallest restart index, and each restart derives its
 own generator from the configured seed.
 
 Lloyd's assignment step takes the expanded form ||x||^2 - 2 x.c + ||c||^2
-from one matrix product, then recomputes exactly (per coordinate, so zero
-distances stay exactly zero) only the points whose two nearest centroids
-lie within a proven rounding margin. Its assignment is therefore the argmin
-of the exact distances, ties to the smallest index included.
+from one matrix product, then recomputes exactly (in row blocks, per
+coordinate, so zero distances stay exactly zero) only the points whose two
+nearest centroids lie within a proven rounding margin. Its assignment is
+the argmin of the exact distances, ties to the smallest index included.
 
 Lloyd's recentering sorts the labels once per iteration and, after the
 first, recomputes only the clusters whose members changed: a cluster with
@@ -50,13 +50,6 @@ class KMeansSolution:
     cost: float
 
 
-def _distances_sq(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # (n, k) squared distances; computed exactly, not via the expanded form,
-    # to keep zero distances exactly zero. Builds an (n, k, m) temporary.
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkm,nkm->nk", diff, diff)
-
-
 def _margin(norms_sq: np.ndarray, c_norm_sq: float, m: int) -> np.ndarray:
     """Per-point bound on |expanded - exact| squared distance, m coordinates,
     with room for the rounding of the comparison a caller makes with it.
@@ -93,7 +86,7 @@ def _margin(norms_sq: np.ndarray, c_norm_sq: float, m: int) -> np.ndarray:
 
 def _nearest(points: np.ndarray, norms_sq: np.ndarray,
              centroids: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """np.argmin(_distances_sq(points, centroids), axis=1), from a GEMM.
+    """Each point's nearest centroid by exact squared distance, from a GEMM.
 
     dist is a (k, n) float64 work buffer, a row per centroid: the GEMM
     writes the expanded distances into it, so a call allocates no (k, n)
@@ -105,12 +98,14 @@ def _nearest(points: np.ndarray, norms_sq: np.ndarray,
     best is the smallest: that centroid then has the strictly smallest
     exact distance. One product with a (2, k) tally of ones and indices
     counts those centroids and sums their indices. The rest are recomputed
-    exactly a few rows at a time, so the temporary stays about n k floats:
-    exact ties, and NaN and inf rows, whose threshold is NaN (no centroid
-    counts) or inf (every centroid counts; with k = 1 there is nothing to
-    decide).
+    exactly: exact ties, and NaN and inf rows, whose threshold is NaN (no
+    centroid counts) or inf (every centroid counts; with k = 1 there is
+    nothing to decide). Their rows are gathered BLOCK_ENTRIES entries at a
+    time, and _weighted_cost's kernel writes their distances into the
+    leading entries of dist, which the tally has already read, as an
+    (unsure, k) array: about two blocks of memory whatever k is.
     """
-    n, m = points.shape
+    m = points.shape[1]
     k = len(centroids)
     c_norms_sq = np.einsum("km,km->k", centroids, centroids)
     g = np.matmul(centroids * -2.0, points.T, out=dist)
@@ -123,11 +118,17 @@ def _nearest(points: np.ndarray, norms_sq: np.ndarray,
     count, index_sum = np.array([np.ones(k), np.arange(k)]) @ near
     assignment = index_sum.astype(np.intp)
     unsure = np.flatnonzero(count != 1)
-    step = max(1, n // max(m, 1))
-    for lo in range(0, len(unsure), step):
-        idx = unsure[lo:lo + step]
-        assignment[idx] = np.argmin(_distances_sq(points[idx], centroids),
-                                    axis=1)
+    if unsure.size:
+        exact = dist.reshape(-1)[:unsure.size * k].reshape(unsure.size, k)
+        step = max(1, min(unsure.size, BLOCK_ENTRIES // max(m, 1)))
+        diff = np.empty((step, m))
+        for lo in range(0, unsure.size, step):
+            rows = points[unsure[lo:lo + step]]
+            d = diff[:len(rows)]
+            for j in range(k):
+                np.subtract(rows, centroids[j], out=d)
+                np.einsum("nm,nm->n", d, d, out=exact[lo:lo + step, j])
+        assignment[unsure] = np.argmin(exact, axis=1)
     return assignment
 
 

@@ -8,10 +8,12 @@ and the large-k constant state the paper's guarantees directly.
 The reference_* functions are verbatim copies of library steps as they were
 before they wrote into reused buffers, dropped a mask, stopped early or took
 a certified fast path: each allocates its temporaries afresh and takes the
-slow path. The differential tests require the library's outputs to equal
-theirs byte for byte; the float angle tests of reference_weight_reduction
-and reference_group_centroids only where no pair is near an edge of the
-band. exact_cos_sq and angle_separation_violations state the exact angle
+slow path. _distances_sq is the (n, k, m) exact distance kernel that k-means
+assignment once used, kept here alone, so the differential tests of the
+assignment share no code with what they check. The differential tests
+require the library's outputs to equal theirs byte for byte; the float
+angle tests of reference_weight_reduction and reference_group_centroids
+only where no pair is near an edge of the band. exact_cos_sq and angle_separation_violations state the exact angle
 tests and the grouping guarantee in rational arithmetic. planted_stat
 states the planted noise statistics the synthetic tests check.
 """
@@ -37,7 +39,6 @@ from onmf.double import GroupingError
 from onmf.kmeans import (
     KMeansConfig,
     KMeansSolution,
-    _distances_sq,
     _sample_index,
     _weighted_means,
 )
@@ -455,14 +456,22 @@ def reference_kmeanspp_seed(pts: WeightedPointSet, k: int,
     return centroids
 
 
+def _distances_sq(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    # (n, k) squared distances; computed exactly, not via the expanded form,
+    # to keep zero distances exactly zero. Builds an (n, k, m) temporary.
+    diff = points[:, None, :] - centroids[None, :, :]
+    return np.einsum("nkm,nkm->nk", diff, diff)
+
+
 def reference_lloyd(pts: WeightedPointSet, centroids: np.ndarray,
                     config: KMeansConfig) -> KMeansSolution:
     """kmeans.lloyd with fresh temporaries in every step, every centroid
     recentered in every iteration, and each assignment the argmin of the
-    exact kernel, which the GEMM kernel's certificate must reproduce. It
-    stops only when the exact cost does not fall or at max_iters: a
-    repeated assignment gives the same cost one iteration later, so lloyd's
-    earlier stop on it must give the same bytes."""
+    exact kernel _distances_sq, which the GEMM kernel's certificate and its
+    blocked recomputation must reproduce. It stops only when the exact cost
+    does not fall or at max_iters: a repeated assignment gives the same cost
+    one iteration later, so lloyd's earlier stop on it must give the same
+    bytes."""
     centroids = np.array(centroids, dtype=np.float64)
     assignment = np.argmin(_distances_sq(pts.points, centroids), axis=1)
     prev_cost = reference_weighted_cost(pts, centroids, assignment)

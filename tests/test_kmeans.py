@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,6 @@ import onmf.kmeans
 from onmf.core import WeightedPointSet, normalize_columns
 from onmf.kmeans import (
     KMeansConfig,
-    _distances_sq,
     _gather,
     _nearest,
     _sq_dists,
@@ -20,6 +20,7 @@ from onmf.kmeans import (
 )
 from onmf.synth import gen_planted_double, gen_planted_single
 from oracles import (
+    _distances_sq,
     brute_force_kmeans,
     reference_kmeanspp_seed,
     reference_lloyd,
@@ -620,22 +621,64 @@ def test_lloyd_recenters_only_the_clusters_a_point_left_and_joined(
 ], ids=["distinct", "duplicated"])
 @np.errstate(all="ignore")  # the NaN and inf rows
 def test_gemm_kernel_leaves_nan_inf_and_ties_uncertified(
-        monkeypatch, centroids, exact_rows):
+        centroids, exact_rows):
     # A NaN row, an inf row and a point exactly between two centroids go to
-    # the exact kernel; so does a point whose nearest centroid is repeated.
-    recomputed = []
-
-    def recorded(points, centroids):
-        recomputed.append(points.copy())
-        return _distances_sq(points, centroids)
-
+    # the exact recomputation; so does a point whose nearest centroid is
+    # repeated. Their exact distances, and only theirs, lead dist.
     points = np.array([[0.1, 0.0], [np.nan, 0.0], [np.inf, 0.0],
                        [0.5, 0.0], [0.9, 0.0]])
-    exact = np.argmin(_distances_sq(points, centroids), axis=1)
-    monkeypatch.setattr(onmf.kmeans, "_distances_sq", recorded)
-    assert nearest(points, centroids).tobytes() == exact.tobytes()
-    assert np.array_equal(np.vstack(recomputed), points[exact_rows],
-                          equal_nan=True)
+    exact = _distances_sq(points, centroids)
+    dist = np.empty((len(centroids), len(points)))
+    assignment = _nearest(points, np.einsum("nm,nm->n", points, points),
+                          centroids, dist)
+    assert assignment.tobytes() == np.argmin(exact, axis=1).tobytes()
+    lead = dist.reshape(-1)[:len(exact_rows) * len(centroids)]
+    assert np.array_equal(lead, exact[exact_rows].reshape(-1), equal_nan=True)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 9])
+def test_gemm_kernel_recomputes_in_blocks(m):
+    # Every centroid is repeated, so no point is certified; with 8 entries
+    # per block the exact recomputation runs over blocks of 8 // m rows (one
+    # row when m > 8), the last one short.
+    rng = np.random.default_rng(m)
+    points = rng.standard_normal((23, m))
+    base = np.vstack([points[:4], points[:4] + 0.5])
+    centroids = np.vstack([base, base])
+    exact = _distances_sq(points, centroids)
+    dist = garbage((len(centroids), len(points)))
+    with mock.patch.object(onmf.kmeans, "BLOCK_ENTRIES", 8):
+        assignment = _nearest(points, np.einsum("nm,nm->n", points, points),
+                              centroids, dist)
+    assert assignment.tobytes() == np.argmin(exact, axis=1).tobytes()
+    assert dist.reshape(-1).tobytes() == exact.tobytes()
+
+
+def nearest_peak(points, centroids, dist):
+    norms_sq = np.einsum("nm,nm->n", points, points)
+    tracemalloc.start()
+    try:
+        _nearest(points, norms_sq, centroids, dist)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gemm_kernel_recomputation_memory_does_not_grow_with_k():
+    # With k copies of one centroid every point is recomputed exactly. That
+    # may cost a few blocks of BLOCK_ENTRIES floats over a call that
+    # certifies every point, however large n k is; an (n', k, m) temporary
+    # would be 3.2 MB here even at n' = 20 rows.
+    n, m, k = 2000, 100, 200
+    rng = np.random.default_rng(0)
+    points = rng.random((n, m))
+    dist = np.empty((k, n))
+    certified = nearest_peak(points, rng.random((k, m)), dist)
+    # dist still holds the tally's 0/1 matrix: each point had one centroid
+    # within the limit, so none was recomputed.
+    assert (dist.sum(axis=0) == 1).all()
+    unsure = nearest_peak(points, np.repeat(points[:1], k, axis=0), dist)
+    assert unsure - certified <= 4 * 8 * onmf.kmeans.BLOCK_ENTRIES
 
 
 @st.composite
