@@ -25,7 +25,8 @@ from onmf.bcc import BipartiteLabeling, bcc_cluster
 from onmf.core import _csv_lines, open_output, read_matrix, write_matrix
 from onmf.double import factorize_double, factorize_double_large_k
 from onmf.kmeans import KMeansConfig
-from onmf.metrics import non_orthogonality, recovery_error, rsfe
+from onmf.metrics import (_norm, _residual, _rsfe, non_orthogonality,
+                          recovery_error)
 from onmf.single import factorize_single
 from onmf.synth import gen_planted_double, gen_planted_single
 
@@ -126,15 +127,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     M = read_matrix(args.input)
     A = read_matrix(args.a)
     W = read_matrix(args.w)
+    M, R, AW = _residual(M, A, W)  # the one product A @ W
     record = {
-        "reconstruction_error": recovery_error(M, A, W),
-        "rsfe": rsfe(M, A, W),
+        "reconstruction_error": _norm(R),
+        "rsfe": _rsfe(M, R),
         "non_orthogonality_w": non_orthogonality(W),
         "non_orthogonality_a_cols": non_orthogonality(A.T),
     }
+    del R
     if args.truth:
-        record["recovery_error"] = recovery_error(read_matrix(args.truth),
-                                                  A, W)
+        record["recovery_error"] = _norm(
+            _residual(read_matrix(args.truth), A, W, AW)[1])
     print(json.dumps(record, sort_keys=True, allow_nan=False))
     return 0
 

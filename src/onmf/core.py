@@ -23,8 +23,8 @@ import numpy as np
 MAX_TOTAL_WEIGHT = float(np.finfo(np.float64).max) / 4
 
 # The most entries of a row-block temporary: the large-k steps work through
-# their k x k and k x m arrays this many entries at a time, so a temporary
-# stays near 256 KB whatever k is.
+# their k x k and k x m arrays, and k-means through its n x m points, this
+# many entries at a time, so a temporary stays near 256 KB whatever k or n is.
 BLOCK_ENTRIES = 1 << 15
 
 

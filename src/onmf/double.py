@@ -293,6 +293,7 @@ def factorize_double(M, k: int, config: KMeansConfig | None = None) -> OnmfSolut
     """Factorize with both factors orthogonal, for arbitrary inner dimension."""
     M, pts, sol = _cluster(M, k, config)
     centroids, q = centroid_weights(pts, sol)
+    del pts  # the unit columns, as large as M: free them before steps 2-3
     return _solution(M, *_finish(M, centroids, q, sol.assignment))
 
 

@@ -21,6 +21,10 @@ distances come from one matrix-vector product, and only the points that
 cannot be proven farther from it than from their nearest chosen centroid are
 recomputed with the exact kernel. The distances that weight the draws, and
 so the seeds, are those of the exact kernel.
+
+Seeding and Lloyd take the points through one work buffer of at most
+BLOCK_ENTRIES entries, a block of rows at a time, so k-means allocates no
+n x m array; every kernel works row by row, so the blocks change no bit.
 """
 
 from __future__ import annotations
@@ -120,8 +124,8 @@ def _nearest(points: np.ndarray, norms_sq: np.ndarray,
     unsure = np.flatnonzero(count != 1)
     if unsure.size:
         exact = dist.reshape(-1)[:unsure.size * k].reshape(unsure.size, k)
-        step = max(1, min(unsure.size, BLOCK_ENTRIES // max(m, 1)))
-        diff = np.empty((step, m))
+        diff = _block(unsure.size, m)
+        step = len(diff)
         for lo in range(0, unsure.size, step):
             rows = points[unsure[lo:lo + step]]
             d = diff[:len(rows)]
@@ -134,10 +138,22 @@ def _nearest(points: np.ndarray, norms_sq: np.ndarray,
 
 def _weighted_cost(pts: WeightedPointSet, centroids: np.ndarray,
                    assignment: np.ndarray, work: np.ndarray) -> float:
-    # The differences go into work, an (n, m) buffer.
-    diff = _gather(centroids, assignment, work)
-    np.subtract(pts.points, diff, out=diff)
-    return float(np.sum(pts.weights * np.einsum("nm,nm->n", diff, diff)))
+    # The differences go into work, a block of rows at a time (einsum sums
+    # each row alone, so the blocks give the bits of one pass).
+    per_point = np.empty(len(pts))
+    step = len(work)
+    for lo in range(0, len(pts), step):
+        hi = lo + step
+        diff = _gather(centroids, assignment[lo:hi], work)
+        np.subtract(pts.points[lo:hi], diff, out=diff)
+        np.einsum("nm,nm->n", diff, diff, out=per_point[lo:hi])
+    return float(np.sum(pts.weights * per_point))
+
+
+def _block(n: int, m: int) -> np.ndarray:
+    """An empty work buffer of rows of m entries: at most BLOCK_ENTRIES
+    entries, at most n rows and at least one."""
+    return np.empty((max(1, min(n, BLOCK_ENTRIES // max(m, 1))), m))
 
 
 def _weighted_means(points: np.ndarray, weights: np.ndarray,
@@ -159,10 +175,14 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
     array expression: the one-term BLAS product starts from +0.0, so it
     gives +0.0 where w * x is -0.0, and (w * x + 0.0) / w reproduces it bit
     for bit; likewise a one-element sum of -0.0 is +0.0. The rows of each
-    gather go into the leading rows of work, an optional buffer shaped like
-    points. Without it the single points go through a new buffer of at most
-    BLOCK_ENTRIES entries (one row at least), a chunk at a time: the
-    operations are elementwise, so the bits are the same.
+    gather go into the leading rows of work, an optional buffer of one row
+    of m entries or more, such as _block's. The single points go through it
+    a chunk of len(work) rows at a time, or without it through a new buffer
+    from _block: the operations are elementwise, so the bits are the same.
+    A segment of more rows than work holds, and every segment without it,
+    gathers into an array of its own, since its gemv must see all its rows
+    at once. That is the one allocation whose size depends on the labels:
+    8 bytes times m times the largest cluster.
     """
     k, m = out.shape
     order, bounds = _segments(labels, k)
@@ -181,8 +201,7 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
         totals[single] = w
         pos = w > 0
         idx, single, w = order[at[pos]], single[pos], w[pos, None]
-        buf = work if work is not None else np.empty(
-            (max(1, min(len(idx), BLOCK_ENTRIES // max(m, 1))), m))
+        buf = work if work is not None else _block(len(idx), m)
         step = len(buf)
         for lo in range(0, len(idx), step):
             hi = lo + step
@@ -199,7 +218,10 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
         total = float(w.sum())
         totals[j] = total
         if total > 0:
-            out[j] = w @ _gather(points, order[lo:hi], work) / total
+            # One gemv per cluster: in pieces it would add in another order.
+            # So a cluster of more rows than work gathers into its own array.
+            buf = work if work is not None and hi - lo <= len(work) else None
+            out[j] = w @ _gather(points, order[lo:hi], buf) / total
     return totals
 
 
@@ -270,21 +292,28 @@ def kmeanspp_seed(pts: WeightedPointSet, k: int,
     any point, so the convention is harmless).
 
     The squared distances d2 to the nearest chosen centroid are exact
-    (_sq_dists). For each later centroid only the points _maybe_nearer
-    returns are gathered into the leading rows of the work array and
-    recomputed with the same kernel; the rest keep d2. So d2, and with it
-    every draw and centroid, has the bits of
-    np.minimum(d2, _sq_dists(points, c)) over all points.
+    (_sq_dists), taken a block of rows at a time in one work buffer of at
+    most BLOCK_ENTRIES entries (_block). For each later centroid only the
+    points _maybe_nearer returns are gathered, a block at a time, into the
+    leading rows of work and recomputed with the same kernel; the rest keep
+    d2. The kernel sums each row alone, so d2, and with it every draw and
+    centroid, has the bits of np.minimum(d2, _sq_dists(points, c)) over all
+    points. No array of n x m entries is allocated.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    centroids = np.zeros((k, pts.points.shape[1]))
+    n, m = pts.points.shape
+    centroids = np.zeros((k, m))
     if pts.total_weight() == 0:
         return centroids
-    work = np.empty(pts.points.shape)
+    work = _block(n, m)
+    step = len(work)
     first = _sample_index(pts.weights, rng)
     centroids[0] = pts.points[first]
-    d2 = _sq_dists(pts.points, centroids[0], work)
+    d2 = np.empty(n)
+    for lo in range(0, n, step):
+        block = pts.points[lo:lo + step]
+        d2[lo:lo + step] = _sq_dists(block, centroids[0], work[:len(block)])
     norms_sq = np.einsum("nm,nm->n", pts.points, pts.points)
     for j in range(1, k):
         probs = pts.weights * d2
@@ -295,8 +324,10 @@ def kmeanspp_seed(pts: WeightedPointSet, k: int,
         centroids[j] = pts.points[idx]
         c = centroids[j]
         rows = _maybe_nearer(pts.points, norms_sq, c, norms_sq[idx], d2)
-        diff = _gather(pts.points, rows, work)
-        d2[rows] = np.minimum(d2[rows], _sq_dists(diff, c, diff))
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            diff = _gather(pts.points, block, work)
+            d2[block] = np.minimum(d2[block], _sq_dists(diff, c, diff))
     return centroids
 
 
@@ -312,10 +343,15 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
     exact squared distance, ties to the smallest index, and a point on a
     centroid is at distance exactly zero. After the first recentering, only
     the centroids that lost or gained a point are recentered again.
+
+    A run allocates one (k, n) array for the GEMM and one work buffer from
+    _block, through which the exact cost and the recentering take the
+    points a block of rows at a time (see _weighted_means for a cluster
+    larger than a block).
     """
     centroids = np.array(centroids, dtype=np.float64)
     k = len(centroids)
-    work = np.empty(pts.points.shape)
+    work = _block(*pts.points.shape)
     dist = np.empty((k, len(pts)))
     norms_sq = np.einsum("nm,nm->n", pts.points, pts.points)
     assignment = _nearest(pts.points, norms_sq, centroids, dist)

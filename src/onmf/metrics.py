@@ -7,20 +7,24 @@ import numpy as np
 from onmf.core import as_matrix, frobenius_norm_sq
 
 
-def _residual(M, A, W) -> tuple[np.ndarray, np.ndarray]:
-    """(M, M - A @ W), checked. A @ W can have opposite infinite terms, and
-    it or the difference can overflow, even where the true residual is
-    small: that raises a ValueError, with no RuntimeWarning."""
+def _residual(M, A, W, AW=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M, M - A @ W, A @ W), checked. AW, when given, is the A @ W that a
+    call returned for the same A and W, and the product is not formed again:
+    M - AW has the bits of M - A @ W. A @ W can have opposite infinite
+    terms, and it or the difference can overflow, even where the true
+    residual is small: that raises a ValueError, with no RuntimeWarning."""
     M, A, W = (as_matrix(np.asarray(X, dtype=np.float64, order="C"))
                for X in (M, A, W))  # C order: the bits follow the values
     if A.shape[1] != W.shape[0] or M.shape != (A.shape[0], W.shape[1]):
         raise ValueError(
             f"shape mismatch: M {M.shape}, A {A.shape}, W {W.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        R = M - A @ W
+        if AW is None:
+            AW = A @ W
+        R = M - AW
     if not np.isfinite(R).all():
         raise ValueError("computing M - AW overflows float64")
-    return M, R
+    return M, R, AW
 
 
 def _rescaled(f, X: np.ndarray) -> tuple[float, float]:
@@ -37,11 +41,26 @@ def _rescaled(f, X: np.ndarray) -> tuple[float, float]:
     return value, 1.0
 
 
-def recovery_error(m_truth, A, W) -> float:
-    """Frobenius norm of M_truth - A @ W, also where the squares of its
+def _norm(R: np.ndarray) -> float:
+    """Frobenius norm of the residual R, also where the squares of its
     entries overflow or underflow (_rescaled)."""
-    norm, s = _rescaled(np.linalg.norm, _residual(m_truth, A, W)[1])
+    norm, s = _rescaled(np.linalg.norm, R)
     return norm * s
+
+
+def _rsfe(M: np.ndarray, R: np.ndarray) -> float:
+    """||R||_F^2 / ||M||_F^2 for the residual R of M, rescaled likewise."""
+    num, s_r = _rescaled(frobenius_norm_sq, R)
+    denom, s_m = _rescaled(frobenius_norm_sq, M)
+    if denom == 0:
+        raise ValueError("rsfe undefined for the zero matrix")
+    ratio = s_r / s_m
+    return num / denom * ratio * ratio
+
+
+def recovery_error(m_truth, A, W) -> float:
+    """Frobenius norm of M_truth - A @ W (_norm)."""
+    return _norm(_residual(m_truth, A, W)[1])
 
 
 def reconstruction_error(M, A, W) -> float:
@@ -86,10 +105,4 @@ def non_orthogonality(W) -> float:
 
 def rsfe(M, A, W) -> float:
     """Relative squared Frobenius error: ||M - AW||_F^2 / ||M||_F^2."""
-    M, R = _residual(M, A, W)
-    num, s_r = _rescaled(frobenius_norm_sq, R)
-    denom, s_m = _rescaled(frobenius_norm_sq, M)
-    if denom == 0:
-        raise ValueError("rsfe undefined for the zero matrix")
-    ratio = s_r / s_m
-    return num / denom * ratio * ratio
+    return _rsfe(*_residual(M, A, W)[:2])

@@ -69,7 +69,8 @@ def _cluster(M, k: int, config: KMeansConfig | None):
 
 def factorize_single(M, k: int, config: KMeansConfig | None = None) -> OnmfSolution:
     """Factorize with orthogonal rows of W via weighted k-means."""
-    M, _, sol = _cluster(M, k, config)
+    M, pts, sol = _cluster(M, k, config)
+    del pts  # the unit columns, as large as M: free them before the objective
     a = np.maximum(sol.centroids.T, 0.0)  # (m, k), clamp is a no-op on our data
     return _solution(M, a, sol.assignment,
                      _theta_against(M, a, sol.assignment))

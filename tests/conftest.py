@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -25,6 +26,16 @@ def run_cli(args, cwd, env_extra=None):
     return subprocess.run([sys.executable, "-m", "onmf.cli", *args],
                           cwd=cwd, env=cli_env(env_extra),
                           capture_output=True, text=True)
+
+
+def traced_peak(f):
+    """The tracemalloc peak, in bytes, of the call f()."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def planted_labels(m, n, clusters, flip, seed):

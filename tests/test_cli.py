@@ -11,6 +11,7 @@ import onmf.cli
 from conftest import run_cli
 from onmf.core import read_matrix, write_matrix
 from onmf.kmeans import KMeansConfig
+from onmf.metrics import _residual
 from onmf.single import factorize_single
 from oracles import reference_write_matrix
 
@@ -224,6 +225,29 @@ def test_evaluate_residual_that_overflows_is_an_error(tmp_path, monkeypatch,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "onmf: error: computing M - AW overflows float64\n"
+
+
+def test_evaluate_forms_one_product(tmp_path, monkeypatch, capsys):
+    # The reconstruction error, rsfe and the recovery error against the
+    # truth share one A @ W: the second residual takes the first's product.
+    calls = []
+
+    def spied(M, A, W, AW=None):
+        calls.append(AW is None)
+        return _residual(M, A, W, AW)
+
+    write_matrix(np.eye(2), tmp_path / "M.csv")
+    write_matrix(np.array([[0.5], [0.5]]), tmp_path / "A.csv")
+    write_matrix(np.array([[1.0, 1.0]]), tmp_path / "W.csv")
+    monkeypatch.chdir(tmp_path)
+    argv = ["evaluate", "--input", "M.csv", "--a", "A.csv", "--w", "W.csv",
+            "--truth", "M.csv"]
+    assert onmf.cli.main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(onmf.cli, "_residual", spied)
+    assert onmf.cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert calls == [True, False]
 
 
 def test_evaluate_and_sweep_bytes(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,3 @@
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,6 +18,7 @@ from onmf.kmeans import (
     weighted_kmeans,
 )
 from onmf.synth import gen_planted_double, gen_planted_single
+from conftest import traced_peak
 from oracles import (
     _distances_sq,
     brute_force_kmeans,
@@ -531,7 +531,8 @@ def mean_cases(draw):
 @np.errstate(all="ignore")  # the 1e+-150 cases overflow and underflow
 def test_weighted_means_matches_per_label_loop(case):
     # Also against the copy that gathers into fresh arrays, and with a
-    # gather buffer shaped like points.
+    # gather buffer shaped like points or of one row, which every cluster
+    # of two or more points outgrows.
     points, weights, labels, out = case
     expected_out = out.copy()
     expected = _reference_weighted_means(points, weights, labels, expected_out)
@@ -539,7 +540,8 @@ def test_weighted_means_matches_per_label_loop(case):
     copied = reference_weighted_means(points, weights, labels, copy_out)
     assert copied.tobytes() == expected.tobytes()
     assert copy_out.tobytes() == expected_out.tobytes()
-    for work in (None, garbage(points.shape)):
+    for work in (None, garbage(points.shape),
+                 garbage((1, points.shape[1]))):
         got_out = out.copy()
         totals = _weighted_means(points, weights, labels, got_out, work)
         assert (totals.dtype, totals.tobytes()) == (expected.dtype,
@@ -574,7 +576,8 @@ def test_weighted_means_leaves_unmarked_rows_untouched(case, data):
                                             max_size=k)), dtype=bool)
     full = out.copy()
     totals = _weighted_means(points, weights, labels, full)
-    for work in (None, garbage(points.shape)):
+    for work in (None, garbage(points.shape),
+                 garbage((1, points.shape[1]))):
         got = np.full(out.shape, np.nan)
         got[recompute] = out[recompute]
         got_totals = _weighted_means(points, weights, labels, got, work,
@@ -656,12 +659,7 @@ def test_gemm_kernel_recomputes_in_blocks(m):
 
 def nearest_peak(points, centroids, dist):
     norms_sq = np.einsum("nm,nm->n", points, points)
-    tracemalloc.start()
-    try:
-        _nearest(points, norms_sq, centroids, dist)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: _nearest(points, norms_sq, centroids, dist))
 
 
 def test_gemm_kernel_recomputation_memory_does_not_grow_with_k():
@@ -736,3 +734,45 @@ def test_weighted_kmeans_matches_reference_at_sweep_shape(seed):
     config = KMeansConfig(restarts=3, seed=seed)
     assert (as_bytes(weighted_kmeans(pts, 10, config))
             == as_bytes(reference_weighted_kmeans(pts, 10, config)))
+
+
+# BLOCK_ENTRIES values, each a function of m: blocks of one row (1, m - 1,
+# m and, for m > 1, m + 1), and of three rows (3 m).
+BLOCK_SIZES = {"1": lambda m: 1, "m-1": lambda m: m - 1, "m": lambda m: m,
+               "m+1": lambda m: m + 1, "3m": lambda m: 3 * m}
+
+
+@settings(max_examples=200, deadline=None)
+@given(lloyd_cases(), st.sampled_from(sorted(BLOCK_SIZES)),
+       st.integers(1, 12), st.integers(0, 2**16))
+@example((WeightedPointSet(points=np.arange(14.0).reshape(7, 2) % 3,
+                           weights=np.ones(7)),
+          np.zeros((1, 2))), "3m", 5, 0)  # one cluster of 7 rows, blocks of 3
+def test_kmeans_in_row_blocks_matches_reference(case, size, max_iters, seed):
+    # Seeding, the exact cost and the recentering take the points a block of
+    # rows at a time; a cluster of more rows than a block gathers on its own.
+    pts, centroids = case
+    k = len(centroids)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    config = KMeansConfig(max_iters=max_iters)
+    restarts = KMeansConfig(restarts=2, max_iters=max_iters, seed=seed)
+    want = (reference_kmeanspp_seed(pts, k, ref_rng).tobytes(),
+            as_bytes(reference_lloyd(pts, centroids, config)),
+            as_bytes(reference_weighted_kmeans(pts, k, restarts)))
+    entries = BLOCK_SIZES[size](pts.points.shape[1])
+    with mock.patch.object(onmf.kmeans, "BLOCK_ENTRIES", entries):
+        got = (kmeanspp_seed(pts, k, rng).tobytes(),
+               as_bytes(lloyd(pts, centroids, config)),
+               as_bytes(weighted_kmeans(pts, k, restarts)))
+    assert got == want
+    assert rng.random() == ref_rng.random()  # the same draws were taken
+
+
+def test_weighted_kmeans_allocates_no_n_by_m_array():
+    # 100 x 2000 with k = 20: n m is six blocks. Seeding and Lloyd keep a
+    # block, the (k, n) distances and a few (n,) arrays: 1.25 MB here,
+    # against 2.16 MB with an (n, m) work array.
+    m, n, k = 100, 2000, 20
+    pts = normalize_columns(gen_planted_single(m, n, k, 0.5, 3).m_observed)
+    config = KMeansConfig(restarts=10, max_iters=10)
+    assert traced_peak(lambda: weighted_kmeans(pts, k, config)) < 8 * n * m

@@ -8,7 +8,7 @@ from onmf.kmeans import KMeansConfig, weighted_kmeans
 from onmf.metrics import non_orthogonality
 from onmf.single import _solution, _theta_against, factorize_single
 from onmf.synth import gen_planted_double, gen_planted_single
-from conftest import NONNEG_CELLS, nonneg_matrices
+from conftest import NONNEG_CELLS, nonneg_matrices, traced_peak
 from oracles import (
     brute_force_kmeans,
     brute_force_single,
@@ -177,3 +177,17 @@ def test_solution_matches_reference(case):
     assert got.w.theta.tobytes() == want.w.theta.tobytes()
     assert (np.float64(got.objective).tobytes()
             == np.float64(want.objective).tobytes())
+
+
+@pytest.mark.parametrize("factorize", [factorize_single, factorize_double],
+                         ids=["single", "double"])
+def test_factorization_frees_the_point_set_before_the_objective(factorize):
+    # 100 x 2000 with k = 20. The unit columns and k-means's blocks peak at
+    # 2.86 MB here. Keeping the unit columns beside the objective's (m, n)
+    # residual would take 3.35 MB (3.38 MB in double mode), and an (n, m)
+    # k-means work array beside them 3.76 MB: both pass two (m, n) arrays,
+    # 3.2 MB.
+    m, n, k = 100, 2000, 20
+    M = gen_planted_single(m, n, k, 0.5, 3).m_observed
+    config = KMeansConfig(restarts=10, max_iters=10)
+    assert traced_peak(lambda: factorize(M, k, config)) < 2 * 8 * m * n
