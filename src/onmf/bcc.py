@@ -112,10 +112,13 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
 
     Factorizes the binary matrix with both factors orthogonal, rounds every
     block to binary, and turns each non-empty binary block into a cluster.
-    Returns the clustering and its exact disagreement count.
+    Returns the clustering and its exact disagreement count. The labels
+    are taken as a C-ordered bool array, with no float64 copy of them all:
+    _large_k reads them with the bits of their float64 copy, and each block
+    is converted to float64 for round_block alone.
     """
-    M = np.asarray(g.labels, dtype=np.float64, order="C")  # any layout
-    a, group, theta = _large_k(M)  # the factors alone: no objective
+    L = np.asarray(g.labels, dtype=bool, order="C")  # any layout
+    a, group, theta = _large_k(L)  # the factors alone: no objective
     k = a.shape[1]
     left = np.zeros(g.m, dtype=np.int64)
     right = np.zeros(g.n, dtype=np.int64)
@@ -129,15 +132,16 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
     blocks = np.flatnonzero(np.diff(col_bounds)).tolist()
     row_bounds, col_bounds = row_bounds.tolist(), col_bounds.tolist()
     # Every block walked is a cluster. A column i of group s with theta[i]
-    # > 0 has a 1 in a row r with a[r, s] > 0: theta[i] sums M[r, i] a[r, s]
-    # over r, or on the wide path averages rows of M of which one, r, has
-    # M[r, i] = 1 and so a[r, s] = theta2[r] > 0; no product of 1s and unit
+    # > 0 has a 1 in a row r with a[r, s] > 0: theta[i] sums L[r, i] a[r, s]
+    # over r, or on the wide path averages rows of L of which one, r, has
+    # L[r, i] = 1 and so a[r, s] = theta2[r] > 0; no product of 1s and unit
     # entries underflows. So the block has rows, and the column round_block
     # picks has a 1 among them and keeps itself.
     for cluster, s in enumerate(blocks, start=1):  # ids follow block order
         r = rows[row_bounds[s]:row_bounds[s + 1]]
         c = cols[col_bounds[s]:col_bounds[s + 1]]
-        a_hat, w_hat = round_block(M[np.ix_(r, c)], a[r, s], theta[c])
+        a_hat, w_hat = round_block(L[np.ix_(r, c)].astype(np.float64),
+                                   a[r, s], theta[c])
         left[r[a_hat > 0]] = cluster
         right[c[w_hat > 0]] = cluster
     clustering = Clustering(left=left, right=right)

@@ -25,8 +25,7 @@ from onmf.bcc import BipartiteLabeling, bcc_cluster
 from onmf.core import _csv_lines, open_output, read_matrix, write_matrix
 from onmf.double import factorize_double, factorize_double_large_k
 from onmf.kmeans import KMeansConfig
-from onmf.metrics import (_norm, _residual, _rsfe, non_orthogonality,
-                          recovery_error)
+from onmf.metrics import _norm, _residual, _rsfe, non_orthogonality
 from onmf.single import factorize_single
 from onmf.synth import gen_planted_double, gen_planted_single
 
@@ -149,9 +148,12 @@ def _sweep_trial(args: argparse.Namespace, noise: float,
     sol = _run_mode(inst.m_observed, args.mode, args.k, _config(args, seed))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     W = sol.w.materialize()
+    _, R, AW = _residual(inst.m_truth, sol.a, W)  # the one product A @ W
+    recovery = _norm(R)
+    del R
     return (
-        recovery_error(inst.m_truth, sol.a, W),
-        recovery_error(inst.m_observed, sol.a, W),
+        recovery,
+        _norm(_residual(inst.m_observed, sol.a, W, AW)[1]),
         non_orthogonality(W),
         elapsed_ms,
     )

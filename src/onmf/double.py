@@ -315,7 +315,12 @@ def _large_k(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     normalize_columns makes the one check of M. When 0 < m < n this solves
     M^T ~ A2 @ W2, freeing its unit columns on return, and converts it to
     M ~ W2^T @ A2^T: A2's columns have disjoint supports, so A2^T has at
-    most one non-zero per column."""
+    most one non-zero per column.
+
+    M may be bool, as bcc_cluster passes its labels, and the factors are
+    then those of M's float64 copy bit for bit: normalize_columns makes
+    that copy, in M's layout, and frees it on return, and _theta_against
+    reads M's columns with the bits of the copy's."""
     if M.ndim == 2 and 0 < M.shape[0] < M.shape[1]:
         a2, group2, theta2 = _large_k(M.T)  # a2 is (n, k)
         group = np.argmax(a2 > 0, axis=1)  # an all-zero row: group 0

@@ -22,9 +22,10 @@ cannot be proven farther from it than from their nearest chosen centroid are
 recomputed with the exact kernel. The distances that weight the draws, and
 so the seeds, are those of the exact kernel.
 
-Seeding and Lloyd take the points through one work buffer of at most
-BLOCK_ENTRIES entries, a block of rows at a time, so k-means allocates no
-n x m array; every kernel works row by row, so the blocks change no bit.
+Seeding takes the points through one work buffer of at most BLOCK_ENTRIES
+entries, and Lloyd through the buffer that also holds its GEMM's (k, n)
+distances, a block of rows at a time, so k-means allocates no n x m array;
+every kernel works row by row, so the blocks change no bit.
 """
 
 from __future__ import annotations
@@ -344,15 +345,19 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
     centroid is at distance exactly zero. After the first recentering, only
     the centroids that lost or gained a point are recentered again.
 
-    A run allocates one (k, n) array for the GEMM and one work buffer from
-    _block, through which the exact cost and the recentering take the
-    points a block of rows at a time (see _weighted_means for a cluster
-    larger than a block).
+    A run allocates one buffer of max(k n, b) entries, b the size of a
+    _block. The GEMM writes its (k, n) distances into its head; the exact
+    cost and the recentering take the points through all of it, as rows of
+    m entries, a block at a time (see _weighted_means for a cluster larger
+    than that): the distances are dead once _nearest returns.
     """
     centroids = np.array(centroids, dtype=np.float64)
     k = len(centroids)
-    work = _block(*pts.points.shape)
-    dist = np.empty((k, len(pts)))
+    n, m = pts.points.shape
+    rows = max(1, min(n, BLOCK_ENTRIES // max(m, 1)))  # _block's rows
+    buf = np.empty(max(k * n, rows * m))
+    dist = buf[:k * n].reshape(k, n)
+    work = buf[:len(buf) // m * m].reshape(-1, m) if m else _block(n, m)
     norms_sq = np.einsum("nm,nm->n", pts.points, pts.points)
     assignment = _nearest(pts.points, norms_sq, centroids, dist)
     prev_cost = _weighted_cost(pts, centroids, assignment, work)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from onmf.core import as_matrix, frobenius_norm_sq
@@ -22,8 +24,10 @@ def _residual(M, A, W, AW=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if AW is None:
             AW = A @ W
         R = M - AW
-    if not np.isfinite(R).all():
-        raise ValueError("computing M - AW overflows float64")
+        # NaN propagates through min and max: no mask the size of R.
+        if R.size and not (math.isfinite(R.min())
+                           and math.isfinite(R.max())):
+            raise ValueError("computing M - AW overflows float64")
     return M, R, AW
 
 

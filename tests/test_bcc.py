@@ -13,7 +13,7 @@ from onmf.bcc import (
     disagreements,
     round_block,
 )
-from conftest import nonneg_matrices, planted_labels
+from conftest import nonneg_matrices, planted_labels, traced_peak
 from onmf.core import frobenius_norm_sq
 from onmf.double import _large_k
 from oracles import brute_force_bcc, reference_round_block
@@ -154,6 +154,25 @@ def test_every_live_block_rounds_to_a_cluster(M, data):
         a_hat, w_hat = round_block(M[np.ix_(rows, cols)], a[rows, s],
                                    theta[cols])
         assert a_hat.any() and w_hat.any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonneg_matrices(max_side=12, cells=st.sampled_from([0.0, 1.0])),
+       st.data())
+def test_large_k_reads_bool_labels_with_the_bits_of_their_float_copy(M,
+                                                                     data):
+    # bcc_cluster passes _large_k its bool labels, not a float64 copy. The
+    # factors must have the float64 copy's bytes on the tall, square and
+    # wide (transposed) paths, with empty rows and columns, in C and
+    # Fortran order.
+    if len(M):
+        M[data.draw(st.lists(st.booleans(), min_size=len(M),
+                             max_size=len(M)))] = 0.0
+    L = M != 0  # C or Fortran order, as M
+    got = _large_k(L)
+    want = _large_k(L.astype(np.float64))
+    assert [x.dtype for x in got] == [x.dtype for x in want]
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 def test_disagreements_perfect_blocks():
@@ -305,12 +324,13 @@ def test_bcc_frozen_outputs(make, digest):
 
 @pytest.mark.parametrize("m, n", [(600, 600), (400, 600)])
 def test_bcc_peak_memory(m, n):
-    # The large-k finish holds at most three k x k float64 arrays at once
-    # (for m <= n, the input, the unit columns, and the Gram matrix or the
-    # group means of the solve), plus row blocks of bounded size, so with
-    # k = min(m, n) the peak stays below 3.5 m x n float64s. Six such
-    # arrays were once alive at the same time, and four until the Gram
-    # matrix replaced the cosine matrix.
+    # The large-k finish holds at most two k x k float64 arrays at once
+    # (for m <= n, the unit columns, and the Gram matrix or the group means
+    # of the solve), plus the bool labels and row blocks of bounded size,
+    # so with k = min(m, n) the peak stays below 3.5 m x n float64s. Six
+    # such arrays were once alive at the same time, four until the Gram
+    # matrix replaced the cosine matrix, and three until bcc_cluster gave
+    # up its float64 copy of the labels.
     g = BipartiteLabeling(labels=planted_labels(m, n, 12, 0.2, 5))
     tracemalloc.start()
     try:
@@ -319,6 +339,20 @@ def test_bcc_peak_memory(m, n):
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * 8 * m * n
+
+
+@pytest.mark.parametrize("m, n", [(300, 300), (400, 300), (300, 400)],
+                         ids=["square", "tall", "wide"])
+def test_bcc_holds_no_float_copy_of_the_labels(m, n):
+    # normalize_columns' float64 copy of the labels and the unit columns,
+    # then the unit columns and the k x k Gram matrix, k = min(m, n), are
+    # the largest arrays alive at once. With the bounded row blocks that
+    # stays below two m x n float64 arrays plus a k x k one; a float64
+    # copy of the labels held through the whole call adds an m x n array
+    # and does not fit.
+    g = BipartiteLabeling(labels=planted_labels(m, n, 6, 0.05, 0))
+    k = min(m, n)
+    assert traced_peak(lambda: bcc_cluster(g)) < 8 * (2 * m * n + k * k)
 
 
 def test_bcc_peak_memory_all_plus():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import onmf.cli
-from conftest import run_cli
+from conftest import run_cli, traced_peak
 from onmf.core import read_matrix, write_matrix
 from onmf.kmeans import KMeansConfig
 from onmf.metrics import _residual
@@ -248,6 +248,49 @@ def test_evaluate_forms_one_product(tmp_path, monkeypatch, capsys):
     assert onmf.cli.main(argv) == 0
     assert capsys.readouterr().out == want
     assert calls == [True, False]
+
+
+def test_evaluate_checks_the_residual_without_a_mask(tmp_path, monkeypatch,
+                                                     capsys):
+    # evaluate --truth peaks with four m x n float64 arrays alive: M, A @ W,
+    # the truth and its residual. Its finiteness check reads the residual's
+    # min and max; an (m, n) bool mask would add an eighth of one more.
+    m, n, k = 400, 2000, 10
+    rng = np.random.default_rng(0)
+    A = rng.integers(0, 4, (m, k)).astype(np.float64)
+    W = rng.integers(0, 4, (k, n)).astype(np.float64)
+    for name in ("M", "T"):
+        write_matrix(A @ W + rng.integers(0, 4, (m, n)),
+                     tmp_path / f"{name}.csv")
+    write_matrix(A, tmp_path / "A.csv")
+    write_matrix(W, tmp_path / "W.csv")
+    monkeypatch.chdir(tmp_path)
+    argv = ["evaluate", "--input", "M.csv", "--a", "A.csv", "--w", "W.csv",
+            "--truth", "T.csv"]
+    peak = traced_peak(lambda: onmf.cli.main(argv))
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "non_orthogonality_a_cols", "non_orthogonality_w",
+        "reconstruction_error", "recovery_error", "rsfe"}
+    assert peak < 8 * m * n * (4 + 1 / 16)
+
+
+def test_sweep_forms_one_product_per_trial(monkeypatch, capsys):
+    # Each trial's recovery error (against the truth) and reconstruction
+    # error (against the observed matrix) share one A @ W.
+    calls = []
+
+    def spied(M, A, W, AW=None):
+        calls.append(AW is None)
+        return _residual(M, A, W, AW)
+
+    argv = ["sweep", "--m", "5", "--n", "10", "--k", "2", "--noise-grid",
+            "0.1,0.5", "--trials", "3", "--seed", "0", "--restarts", "2"]
+    assert onmf.cli.main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(onmf.cli, "_residual", spied)
+    assert onmf.cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert calls == [True, False] * 6
 
 
 def test_evaluate_and_sweep_bytes(tmp_path, monkeypatch, capsys):

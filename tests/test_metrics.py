@@ -114,7 +114,13 @@ def test_rsfe_of_a_residual_whose_squares_overflow():
     (np.ones((1, 1)), np.array([[1e200, -1e200]]), np.full((2, 1), 1e200)),
     # A @ W is finite; M - A @ W is -2e308.
     (np.full((1, 1), -1e308), np.ones((1, 1)), np.full((1, 1), 1e308)),
-], ids=["product-overflows", "product-cancels", "difference-overflows"])
+    # One NaN entry among finite ones: min and max both see it.
+    (np.zeros((2, 2)), np.array([[1e200, -1e200], [0.0, 0.0]]),
+     np.array([[1e200, 0.0], [1e200, 0.0]])),
+    # One -inf entry whose row also holds the largest, finite, entry.
+    (np.array([[-1e308, 0.0]]), np.ones((1, 1)), np.array([[1e308, 0.0]])),
+], ids=["product-overflows", "product-cancels", "difference-overflows",
+        "one-nan-entry", "one-minus-inf-entry"])
 def test_metrics_reject_a_residual_that_is_not_finite(M, A, W):
     # No inf or NaN metric, and no RuntimeWarning (an error under the test
     # settings) on the way to the ValueError.
