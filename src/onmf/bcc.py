@@ -102,9 +102,9 @@ def disagreements(g: BipartiteLabeling, clustering: Clustering) -> int:
         raise ValueError(
             f"clustering has {left.shape} left and {right.shape} right ids "
             f"for a {g.m}x{g.n} graph")
-    same = (left[:, None] == right[None, :]) & (left[:, None] > 0)
-    plus = g.labels
-    return int(np.count_nonzero(plus & ~same) + np.count_nonzero(~plus & same))
+    same = left[:, None] == right[None, :]
+    same &= left[:, None] > 0
+    return int(np.count_nonzero(g.labels != same))
 
 
 def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
@@ -114,8 +114,9 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
     block to binary, and turns each non-empty binary block into a cluster.
     Returns the clustering and its exact disagreement count. The labels
     are taken as a C-ordered bool array, with no float64 copy of them all:
-    _large_k reads them with the bits of their float64 copy, and each block
-    is converted to float64 for round_block alone.
+    _large_k works from their column counts and overlap counts, and each
+    block is converted to float64 for round_block alone. The factor a is
+    freed before the count.
     """
     L = np.asarray(g.labels, dtype=bool, order="C")  # any layout
     a, group, theta = _large_k(L)  # the factors alone: no objective
@@ -124,10 +125,13 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
     right = np.zeros(g.n, dtype=np.int64)
     # Block s has the rows where column s of a is positive (the columns of a
     # have disjoint supports) and the columns of group s with positive
-    # theta; any other row or column is labeled -1, in no block.
-    owner = np.argmax(a, axis=1) if k else 0
-    rows, row_bounds = _segments(
-        np.where(np.max(a, axis=1, initial=0.0) > 0, owner, -1), k)
+    # theta; any other row or column is labeled -1, in no block. A row of a
+    # has at most one non-zero, so its argmax finds it.
+    owner = np.full(g.m, -1)
+    if k:
+        owner = np.argmax(a, axis=1)
+        owner[a[np.arange(g.m), owner] <= 0] = -1
+    rows, row_bounds = _segments(owner, k)
     cols, col_bounds = _segments(np.where(theta > 0, group, -1), k)
     blocks = np.flatnonzero(np.diff(col_bounds)).tolist()
     row_bounds, col_bounds = row_bounds.tolist(), col_bounds.tolist()
@@ -144,5 +148,6 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
                                    a[r, s], theta[c])
         left[r[a_hat > 0]] = cluster
         right[c[w_hat > 0]] = cluster
+    del a
     clustering = Clustering(left=left, right=right)
     return clustering, disagreements(g, clustering)

@@ -79,9 +79,7 @@ def normalize_columns(M) -> WeightedPointSet:
 
     A zero column maps to the zero point with weight zero. A matrix whose
     squared Frobenius norm (the total weight) exceeds MAX_TOTAL_WEIGHT is
-    rejected with a ValueError, before the unit columns are allocated. An M
-    of another dtype, such as bcc_cluster's bool labels, is converted to
-    float64 once, in its own layout, and the copy is freed on return.
+    rejected with a ValueError, before the unit columns are allocated.
     """
     M = check_nonneg(M)
     with np.errstate(over="ignore"):  # an overflow ends in the ValueError

@@ -10,7 +10,9 @@ as its own centroid, transposing first when that orientation is cheaper.
 
 Steps 2 and 3 decide on the exact angles of the centroids, as floats: a
 float filter on their Gram matrix certifies almost every pair, and the few
-it cannot are recomputed in integer arithmetic.
+it cannot are recomputed in integer arithmetic. On 0/1 labels, as
+bcc_cluster passes them, the large-k steps take the label columns and their
+exact overlap counts in place of the unit columns and their Gram matrix.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ import numpy as np
 from onmf.core import BLOCK_ENTRIES, WeightedPointSet, normalize_columns
 from onmf.kmeans import KMeansConfig, KMeansSolution, _weighted_means
 from onmf.single import OnmfSolution, _cluster, _solution, _theta_against
+
+# The most rows whose 0/1 overlaps a float32 GEMM counts exactly: every
+# partial sum is an integer of at most 24 bits. Longer columns are counted
+# in float64.
+_FLOAT32_COUNT_ROWS = 1 << 24
 
 
 class GroupingError(RuntimeError):
@@ -107,8 +114,11 @@ def angle_pairs(centroids: np.ndarray, gram: np.ndarray
     centroids.T. Every row is either zero with weight 0, or a unit column or
     a weighted mean of unit columns, as in _finish: its squared norm is then
     between about 1/(2m) and 2m, well inside the [2^-400, 2^400] that the
-    filter of _cos_sq_edges needs. The walk takes gram in row blocks of at
-    most BLOCK_ENTRIES entries, so it builds no k x k mask. The filter
+    filter of _cos_sq_edges needs. Or the rows are 0/1 label columns (bool)
+    and gram holds their exact overlap counts, float32 or float64, as in
+    _finish: the squared norms are then column counts, at most m, and every
+    angle is that of the unit columns. The walk takes gram in row blocks of
+    at most BLOCK_ENTRIES entries, so it builds no k x k mask. The filter
     decides every pair it can and _exact_angle the rest, writing into the
     same block masks. A zero row is in no pair: its estimates are 0/0, NaN,
     which passes no edge. The indices are int32 (a k x k gram has
@@ -126,7 +136,7 @@ def angle_pairs(centroids: np.ndarray, gram: np.ndarray
         hi = min(lo + step, k)
         width = k - lo
         # r[t, c] estimates cos^2 of centroids lo + t and lo + c.
-        r = np.square(gram[lo:hi, lo:],
+        r = np.square(gram[lo:hi, lo:], dtype=np.float64,
                       out=buf[:(hi - lo) * width].reshape(hi - lo, -1))
         with np.errstate(divide="ignore", invalid="ignore"):
             r /= norms_sq[lo:hi, None]
@@ -203,7 +213,9 @@ def group_centroids(near: tuple[np.ndarray, np.ndarray],
     with the largest gram[i, j] / sqrt(gram[j, j]) (the nearest in angle,
     up to rounding), ties toward the smallest index, so a zero centroid goes
     to the first positive one; with no positive-weight centroid at all
-    everything maps to group 0.
+    everything maps to group 0. On a count Gram (see _finish) the score is
+    D / sqrt(c) in float64, with D the overlap of i and j and c the count
+    of j. As on unit columns, rounding may break an exact tie of angles.
     """
     k = len(q_reduced)
     sigma = np.zeros(k, dtype=np.int64)
@@ -221,18 +233,18 @@ def group_centroids(near: tuple[np.ndarray, np.ndarray],
     # Extend to zero-weight centroids, in row blocks of the Gram matrix. A
     # positive-weight centroid is never zero (see angle_pairs): no scale is 0.
     zero = np.flatnonzero(~is_positive)
-    scale = np.sqrt(gram.diagonal()[positive])
+    scale = np.sqrt(gram.diagonal()[positive], dtype=np.float64)
     step = max(1, BLOCK_ENTRIES // positive.size)
     for lo in range(0, zero.size, step):
         rows = zero[lo:lo + step]
-        scores = gram[np.ix_(rows, positive)]
-        scores /= scale
+        scores = gram[np.ix_(rows, positive)] / scale
         sigma[rows] = sigma[positive[np.argmax(scores, axis=1)]]
     return sigma
 
 
 def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
-                               sigma: np.ndarray) -> np.ndarray:
+                               sigma: np.ndarray,
+                               norms: np.ndarray | None = None) -> np.ndarray:
     """Exact coordinate-wise solve for orthogonal group representatives.
 
     Minimizes the reduced-weight squared distance of each centroid to its
@@ -243,13 +255,16 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
 
     Returns an (m, k) matrix whose column s is the representative of group s
     (columns for absent groups stay zero). The group means are freed before
-    it is allocated.
+    it is allocated. With norms, centroids are 0/1 label columns (see
+    _finish), and each group's members are gathered from them and divided
+    by their norms: the bits of their unit columns.
     """
     k, m = centroids.shape
     n_groups = int(sigma.max()) + 1 if k else 0
     mu = np.zeros((n_groups, m))
     qstar = _weighted_means(centroids, q_reduced,
-                            np.where(q_reduced > 0, sigma, -1), mu)
+                            np.where(q_reduced > 0, sigma, -1), mu,
+                            norms=norms)
     if n_groups == 0:
         return np.zeros((m, k))
     # The scores of a chunk of coordinates, (coordinates, n_groups) and
@@ -272,19 +287,29 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
 
 
 def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
-            phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            phi: np.ndarray, norms: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steps 2-3 and the scale fit; returns the factors (a, group, theta).
 
     Reduction and grouping share one Gram matrix, freed before the solve.
     Every centroid row has norm at most 1 (a unit column, or a weighted
-    mean of unit points), so no entry of it overflows.
+    mean of unit points), so no entry of it overflows. With norms, the
+    centroids are instead 0/1 label columns (bool), standing for the unit
+    columns centroids / norms, and the Gram matrix holds their exact
+    overlap counts: the steps decide on angles, which are scale-invariant,
+    and the solve divides what it gathers by the norms.
     """
-    gram = centroids @ centroids.T
+    X = centroids
+    if norms is not None:  # integer counts, exact in float32 (see top)
+        X = centroids.astype(np.float32 if centroids.shape[1]
+                             <= _FLOAT32_COUNT_ROWS else np.float64)
+    gram = X @ X.T
+    del X
     band, near = angle_pairs(centroids, gram)
     qp = weight_reduction(band, q)
     sigma = group_centroids(near, qp, gram)
     del gram, band, near
-    a = solve_orthogonal_centroids(centroids, qp, sigma)
+    a = solve_orthogonal_centroids(centroids, qp, sigma, norms)
     group = sigma[phi]
     return a, group, _theta_against(M, a, group)
 
@@ -317,15 +342,18 @@ def _large_k(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     M ~ W2^T @ A2^T: A2's columns have disjoint supports, so A2^T has at
     most one non-zero per column.
 
-    M may be bool, as bcc_cluster passes its labels, and the factors are
-    then those of M's float64 copy bit for bit: normalize_columns makes
-    that copy, in M's layout, and frees it on return, and _theta_against
-    reads M's columns with the bits of the copy's."""
+    M may be bool, as bcc_cluster passes its labels. The steps then take
+    its columns, the weights fl(fl(sqrt(c))^2) from the column counts c,
+    which are normalize_columns' bits, and the exact overlap counts as the
+    Gram matrix (see _finish), with no float64 unit columns."""
     if M.ndim == 2 and 0 < M.shape[0] < M.shape[1]:
         a2, group2, theta2 = _large_k(M.T)  # a2 is (n, k)
         group = np.argmax(a2 > 0, axis=1)  # an all-zero row: group 0
         a = np.zeros((len(group2), a2.shape[1]))  # W2^T
         a[np.arange(len(group2)), group2] = theta2
         return a, group, a2[np.arange(len(group)), group]
+    if M.dtype == bool:
+        norms = np.sqrt(np.count_nonzero(M, axis=0))
+        return _finish(M, M.T, norms**2, np.arange(len(norms)), norms)
     pts = normalize_columns(M)
     return _finish(M, pts.points, pts.weights, np.arange(len(pts)))

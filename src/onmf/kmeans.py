@@ -160,7 +160,8 @@ def _block(n: int, m: int) -> np.ndarray:
 def _weighted_means(points: np.ndarray, weights: np.ndarray,
                     labels: np.ndarray, out: np.ndarray,
                     work: np.ndarray | None = None,
-                    recompute: np.ndarray | None = None) -> np.ndarray:
+                    recompute: np.ndarray | None = None,
+                    norms: np.ndarray | None = None) -> np.ndarray:
     """Recenter each row j of out on the weighted mean of the points labeled j.
 
     Rows whose points carry no positive total weight (empty clusters
@@ -183,7 +184,8 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
     A segment of more rows than work holds, and every segment without it,
     gathers into an array of its own, since its gemv must see all its rows
     at once. That is the one allocation whose size depends on the labels:
-    8 bytes times m times the largest cluster.
+    8 bytes times m times the largest cluster. With norms, the points are
+    the rows points / norms, gathered as _gather divides them.
     """
     k, m = out.shape
     order, bounds = _segments(labels, k)
@@ -206,7 +208,7 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
         step = len(buf)
         for lo in range(0, len(idx), step):
             hi = lo + step
-            rows = _gather(points, idx[lo:hi], buf)  # (w * x + 0.0) / w
+            rows = _gather(points, idx[lo:hi], buf, norms)  # (w * x + 0.0) / w
             rows *= w[lo:hi]
             rows += 0.0
             rows /= w[lo:hi]
@@ -222,7 +224,7 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
             # One gemv per cluster: in pieces it would add in another order.
             # So a cluster of more rows than work gathers into its own array.
             buf = work if work is not None and hi - lo <= len(work) else None
-            out[j] = w @ _gather(points, order[lo:hi], buf) / total
+            out[j] = w @ _gather(points, order[lo:hi], buf, norms) / total
     return totals
 
 
@@ -234,15 +236,21 @@ def _segments(labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, np.searchsorted(labels[order], np.arange(k + 1))
 
 
-def _gather(points: np.ndarray, idx: np.ndarray,
-            work: np.ndarray | None) -> np.ndarray:
+def _gather(points: np.ndarray, idx: np.ndarray, work: np.ndarray | None,
+            norms: np.ndarray | None = None) -> np.ndarray:
     """points[idx], written into work[:len(idx)] when work is given.
+
+    With norms, points holds 0/1 rows of positive norm, such as bcc's label
+    columns, and each gathered row is divided by its norm: the bits that
+    normalize_columns gives its unit column.
 
     take writes straight into the buffer only with mode="clip"; under the
     default "raise" it fills a temporary copy first. Every caller's indices
     are in range, so none is clipped.
     """
     out = None if work is None else work[:len(idx)]
+    if norms is not None:
+        return np.divide(points[idx], norms[idx, None], out=out)
     return np.take(points, idx, axis=0, out=out, mode="clip")
 
 

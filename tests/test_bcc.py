@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
 import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import onmf.bcc
+import onmf.core
+import onmf.double
+import onmf.kmeans
 from onmf.bcc import (
     BipartiteLabeling,
     Clustering,
@@ -156,23 +162,97 @@ def test_every_live_block_rounds_to_a_cluster(M, data):
         assert a_hat.any() and w_hat.any()
 
 
+def large_k_steps(L, entries):
+    """_large_k(L)'s factors and, by name, the arguments and result of its
+    last angle_pairs, weight_reduction, group_centroids and
+    solve_orthogonal_centroids calls, with BLOCK_ENTRIES set to entries."""
+    seen = {}
+
+    def spy(name, f):
+        def spied(*args):
+            seen[name] = args, f(*args)
+            return seen[name][1]
+        return spied
+
+    with contextlib.ExitStack() as stack:
+        for name in ("angle_pairs", "weight_reduction", "group_centroids",
+                     "solve_orthogonal_centroids"):
+            stack.enter_context(mock.patch.object(
+                onmf.double, name, spy(name, getattr(onmf.double, name))))
+        for module in (onmf.double, onmf.kmeans):
+            stack.enter_context(
+                mock.patch.object(module, "BLOCK_ENTRIES", entries))
+        factors = _large_k(L)
+    return factors, seen
+
+
+def as_bytes(x):
+    """The dtype and bytes of each array in nested tuples of arrays."""
+    if isinstance(x, tuple):
+        return [as_bytes(y) for y in x]
+    return x.dtype.str, x.tobytes()
+
+
+def extension_ties(labels, positive, i):
+    """The centroids j among positive whose exact extension score
+    D_ij / sqrt(c_j) is the largest, D the overlap and c the count of 0/1
+    rows, compared as the Fractions D^2 / c."""
+    rows = labels.astype(np.int64)
+    scores = {j: Fraction(int(rows[i] @ rows[j]) ** 2, int(rows[j].sum()))
+              for j in positive.tolist()}
+    best = max(scores.values())
+    return [j for j, v in scores.items() if v == best]
+
+
 @settings(max_examples=300, deadline=None)
 @given(nonneg_matrices(max_side=12, cells=st.sampled_from([0.0, 1.0])),
-       st.data())
-def test_large_k_reads_bool_labels_with_the_bits_of_their_float_copy(M,
-                                                                     data):
-    # bcc_cluster passes _large_k its bool labels, not a float64 copy. The
-    # factors must have the float64 copy's bytes on the tall, square and
-    # wide (transposed) paths, with empty rows and columns, in C and
-    # Fortran order.
+       st.sampled_from([1, 7, onmf.core.BLOCK_ENTRIES]), st.data())
+def test_large_k_from_labels_decides_as_their_float_copy(M, entries, data):
+    # bcc_cluster passes _large_k its bool labels, which take the overlap
+    # counts and no unit columns. On the tall, square and wide (transposed)
+    # paths, with empty rows and duplicated and empty columns, in C and
+    # Fortran order, the steps must decide as on the float64 copy: the same
+    # band and near pairs, reduced weights, groups of the positive
+    # centroids and solve. Only the zero-weight extension may differ, and
+    # only on an exact tie, which the unit Gram's rounding breaks.
     if len(M):
         M[data.draw(st.lists(st.booleans(), min_size=len(M),
                              max_size=len(M)))] = 0.0
     L = M != 0  # C or Fortran order, as M
-    got = _large_k(L)
-    want = _large_k(L.astype(np.float64))
-    assert [x.dtype for x in got] == [x.dtype for x in want]
-    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    got, seen = large_k_steps(L, entries)
+    want, ref = large_k_steps(L.astype(np.float64), entries)
+    for name in ("angle_pairs", "weight_reduction",
+                 "solve_orthogonal_centroids"):
+        assert as_bytes(seen[name][1]) == as_bytes(ref[name][1])
+    labels = seen["angle_pairs"][0][0]
+    assert labels.dtype == bool
+    positive = np.flatnonzero(seen["weight_reduction"][1] > 0)
+    sigma, ref_sigma = seen["group_centroids"][1], ref["group_centroids"][1]
+    assert sigma[positive].tobytes() == ref_sigma[positive].tobytes()
+    for i in np.flatnonzero(sigma != ref_sigma).tolist():
+        tied = set(sigma[extension_ties(labels, positive, i)].tolist())
+        assert {sigma[i], ref_sigma[i]} <= tied
+    if sigma.tobytes() == ref_sigma.tobytes():
+        assert [x.dtype for x in got] == [x.dtype for x in want]
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def test_extension_tie_goes_to_the_smaller_index():
+    # Column 0 (8 ones) gives its weight to column 1 (12 ones), which gives
+    # the rest of its own to column 3, so columns 2 and 3 are the positive
+    # ones, in groups 0 and 1. Column 0 meets column 2 (2 ones) in two rows
+    # and column 3 (8 ones) in four: D / sqrt(c) is sqrt(2) for both, an
+    # exact tie. The counts give two equal scores, so column 0 joins group
+    # 0; the unit Gram's rounding sent it to group 1.
+    columns = ["011010111011", "111111111111", "000010001000",
+               "100111110101"]
+    L = np.ascontiguousarray(
+        np.array([[c == "1" for c in col] for col in columns]).T)
+    (_, group, _), seen = large_k_steps(L, onmf.core.BLOCK_ENTRIES)
+    positive = np.flatnonzero(seen["weight_reduction"][1] > 0)
+    assert positive.tolist() == [2, 3]
+    assert extension_ties(seen["angle_pairs"][0][0], positive, 0) == [2, 3]
+    assert group.tolist() == [0, 1, 0, 1]
 
 
 def test_disagreements_perfect_blocks():
@@ -312,25 +392,50 @@ FROZEN_BCC = [
 ]
 
 
-@pytest.mark.parametrize("make, digest", [case[1:] for case in FROZEN_BCC],
-                         ids=[case[0] for case in FROZEN_BCC])
-def test_bcc_frozen_outputs(make, digest):
-    clustering, count = bcc_cluster(BipartiteLabeling(labels=make()))
+def bcc_digest(labels):
+    clustering, count = bcc_cluster(BipartiteLabeling(labels=labels))
     data = b"".join([repr(int(count)).encode(),
                      np.asarray(clustering.left, dtype=np.int64).tobytes(),
                      np.asarray(clustering.right, dtype=np.int64).tobytes()])
-    assert hashlib.sha256(data).hexdigest()[:16] == digest
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("make, digest", [case[1:] for case in FROZEN_BCC],
+                         ids=[case[0] for case in FROZEN_BCC])
+def test_bcc_frozen_outputs(make, digest):
+    assert bcc_digest(make()) == digest
+
+
+@pytest.mark.parametrize("make, digest", [case[1:] for case in FROZEN_BCC],
+                         ids=[case[0] for case in FROZEN_BCC])
+def test_bcc_counts_overlaps_in_float64_past_the_float32_limit(make, digest):
+    # Past _FLOAT32_COUNT_ROWS summed rows the overlaps are counted in
+    # float64. With the limit at 0 every Gram matrix is float64, and the
+    # counts, hence every output byte, stay the same.
+    grams = []
+    angle_pairs = onmf.double.angle_pairs
+
+    def spied(centroids, gram):
+        grams.append(gram.dtype)
+        return angle_pairs(centroids, gram)
+
+    with mock.patch.object(onmf.double, "_FLOAT32_COUNT_ROWS", 0), \
+            mock.patch.object(onmf.double, "angle_pairs", spied):
+        assert bcc_digest(make()) == digest
+    assert grams == [np.float64]
 
 
 @pytest.mark.parametrize("m, n", [(600, 600), (400, 600)])
 def test_bcc_peak_memory(m, n):
-    # The large-k finish holds at most two k x k float64 arrays at once
-    # (for m <= n, the unit columns, and the Gram matrix or the group means
-    # of the solve), plus the bool labels and row blocks of bounded size,
-    # so with k = min(m, n) the peak stays below 3.5 m x n float64s. Six
+    # The large-k finish holds no float64 unit columns or Gram matrix. Its
+    # largest arrays are the group means of the solve or the factor a (on
+    # the wide path with its transposed source), the bool labels, their
+    # float32 copy or float32 overlap counts, and row blocks of bounded
+    # size, so the peak stays below 3.5 m x n float64s. Six
     # such arrays were once alive at the same time, four until the Gram
-    # matrix replaced the cosine matrix, and three until bcc_cluster gave
-    # up its float64 copy of the labels.
+    # matrix replaced the cosine matrix, three until bcc_cluster gave up
+    # its float64 copy of the labels, and two until the steps took the
+    # overlap counts in place of the unit columns and their Gram matrix.
     g = BipartiteLabeling(labels=planted_labels(m, n, 12, 0.2, 5))
     tracemalloc.start()
     try:
@@ -341,15 +446,25 @@ def test_bcc_peak_memory(m, n):
     assert peak <= 3.5 * 8 * m * n
 
 
+@pytest.mark.parametrize("m, n", [(600, 600), (400, 600), (600, 400)])
+def test_bcc_peak_memory_without_unit_columns(m, n):
+    # The steps read the labels' overlap counts from one float32 GEMM and
+    # gather unit columns from the labels only inside the solve. With no
+    # float64 unit columns or Gram matrix the peak stays below 1.8 m x n
+    # float64s; with them it was 2.15 to 2.22.
+    g = BipartiteLabeling(labels=planted_labels(m, n, 12, 0.2, 5))
+    assert traced_peak(lambda: bcc_cluster(g)) < 1.8 * 8 * m * n
+
+
 @pytest.mark.parametrize("m, n", [(300, 300), (400, 300), (300, 400)],
                          ids=["square", "tall", "wide"])
 def test_bcc_holds_no_float_copy_of_the_labels(m, n):
-    # normalize_columns' float64 copy of the labels and the unit columns,
-    # then the unit columns and the k x k Gram matrix, k = min(m, n), are
-    # the largest arrays alive at once. With the bounded row blocks that
-    # stays below two m x n float64 arrays plus a k x k one; a float64
-    # copy of the labels held through the whole call adds an m x n array
-    # and does not fit.
+    # The group means of the solve or the factor a, about an m x n float64
+    # array, are the largest array alive; on the wide path a and its
+    # transposed source are alive together. With the bounded row blocks
+    # that stays below two m x n float64 arrays plus a k x k one,
+    # k = min(m, n); a float64 copy of the labels held through the whole
+    # call adds an m x n array and does not fit.
     g = BipartiteLabeling(labels=planted_labels(m, n, 6, 0.05, 0))
     k = min(m, n)
     assert traced_peak(lambda: bcc_cluster(g)) < 8 * (2 * m * n + k * k)
