@@ -3,16 +3,17 @@
 Pipeline: weighted k-means on the normalized columns (step 1), reduction of
 centroid weights for pairs whose angle falls in the ambiguous band
 [pi/6, pi/3] (step 2), grouping of the surviving centroids into cliques of
-the small-angle graph, found by one scatter-min, followed by an exact
-coordinate-wise solve for the orthogonal group representatives (step 3).
-A large-k variant skips k-means entirely, treating every normalized column
-as its own centroid, transposing first when that orientation is cheaper.
+the small-angle graph, followed by an exact coordinate-wise solve for the
+orthogonal group representatives (step 3). A large-k variant skips k-means
+entirely, treating every normalized column as its own centroid,
+transposing first when that orientation is cheaper.
 
-Steps 2 and 3 decide on the exact angles of the centroids, as floats: a
-float filter on their Gram matrix certifies almost every pair, and the few
-it cannot are recomputed in integer arithmetic. On 0/1 labels, as
-bcc_cluster passes them, the large-k steps take the label columns and their
-exact overlap counts in place of the unit columns and their Gram matrix.
+Steps 2 and 3 decide on the exact angles of the centroids, as floats, in
+one walk of their Gram matrix by row blocks, keeping no list of pairs: a
+float filter certifies almost every pair, and the few it cannot are
+recomputed in integer arithmetic. On 0/1 labels, as bcc_cluster passes
+them, the large-k steps take the label columns and their exact overlap
+counts in place of the unit columns and their Gram matrix.
 """
 
 from __future__ import annotations
@@ -86,29 +87,25 @@ def _exact_row(row: np.ndarray) -> tuple[dict[int, int], int]:
 
 
 def _exact_angle(x: tuple[dict[int, int], int],
-                 y: tuple[dict[int, int], int]) -> tuple[bool, bool]:
-    """(angle in [pi/6, pi/3], angle below pi/6) for two _exact_row rows.
+                 y: tuple[dict[int, int], int]) -> bool:
+    """Whether two _exact_row rows are at an angle in [pi/6, pi/3].
 
     With d = x.y and N the squared norms, both scaled by the same powers of
-    two, the band is d > 0 and N_x N_y <= 4 d^2 <= 3 N_x N_y, and "below
-    pi/6" is d > 0 and 4 d^2 > 3 N_x N_y. A zero row is in neither.
+    two, that is d > 0 and N_x N_y <= 4 d^2 <= 3 N_x N_y. A zero row is in
+    no such pair.
     """
     (a, na), (b, nb) = x, y
     if len(a) > len(b):
         a, b = b, a
     dot = sum(v * b[i] for i, v in a.items() if i in b)
-    if dot <= 0:
-        return False, False
     four, prod = 4 * dot * dot, na * nb
-    return prod <= four <= 3 * prod, four > 3 * prod
+    return dot > 0 and prod <= four <= 3 * prod
 
 
-def angle_pairs(centroids: np.ndarray, gram: np.ndarray
-                ) -> tuple[tuple[np.ndarray, np.ndarray],
-                           tuple[np.ndarray, np.ndarray]]:
-    """The pairs (j1, j2), j1 < j2, of centroids whose exact angle is in
-    [pi/6, pi/3] (band) and below pi/6 (near), each as two index arrays in
-    row-major order.
+def weight_reduction(centroids: np.ndarray, q: np.ndarray, gram: np.ndarray,
+                     leader: np.ndarray) -> np.ndarray:
+    """Zero out paired weights of centroids with angle in [pi/6, pi/3], and
+    write each centroid's group leader into leader (k entries, int64).
 
     centroids are finite and non-negative, and gram is centroids @
     centroids.T. Every row is either zero with weight 0, or a unit column or
@@ -117,20 +114,35 @@ def angle_pairs(centroids: np.ndarray, gram: np.ndarray
     filter of _cos_sq_edges needs. Or the rows are 0/1 label columns (bool)
     and gram holds their exact overlap counts, float32 or float64, as in
     _finish: the squared norms are then column counts, at most m, and every
-    angle is that of the unit columns. The walk takes gram in row blocks of
-    at most BLOCK_ENTRIES entries, so it builds no k x k mask. The filter
-    decides every pair it can and _exact_angle the rest, writing into the
-    same block masks. A zero row is in no pair: its estimates are 0/0, NaN,
-    which passes no edge. The indices are int32 (a k x k gram has
-    k < 2^31), so a pair takes 8 bytes.
+    angle is that of the unit columns.
+
+    The pairs (j1, j2), j1 < j2, whose exact angle is in the band go in
+    row-major order; each pair of positive weights decreases both by their
+    minimum, sending at least one to zero. One pass suffices because weights
+    never increase. The walk takes gram in row blocks of at most
+    BLOCK_ENTRIES entries, so it builds no k x k mask and no list of pairs:
+    the filter decides every pair it can, _exact_angle the rest, and the
+    block's band pairs are reduced at once. A zero row is in no pair: its
+    estimates are 0/0, NaN, which passes no edge.
+
+    A pair changes only the weights of rows at or after its j1, so once its
+    block is done a row's weight is final. The block then sets leader[j],
+    for each column j, to the smallest positive row i < j with r > e2, if
+    any (else leader[j] = j). For a positive j that is the smallest positive
+    centroid less than pi/6 from j, with no exact test: once the reduction
+    is done no two positive centroids are in the band, so their cos^2 is
+    below 1/4 or above 3/4, and r is within t/4 of it (_cos_sq_edges).
     """
     k, m = centroids.shape
     norms_sq = gram.diagonal()
     e0, e1, e2, e3 = _cos_sq_edges(m)
     exact_rows: dict[int, tuple[dict[int, int], int]] = {}
-    band: tuple[list, list] = ([], [])
-    near: tuple[list, list] = ([], [])
+    qp = np.array(q, dtype=np.float64).tolist()  # Python floats index faster
+    leader[:] = np.arange(k)
     step = max(1, BLOCK_ENTRIES // max(k, 1))
+    # The band pairs go through as Python ints a few thousand at a time, so
+    # their lists stay near 300 KB however many pairs a block holds.
+    chunk = max(1, BLOCK_ENTRIES // 8)
     buf = np.empty(min(step, k) * k)
     for lo in range(0, k, step):
         hi = min(lo + step, k)
@@ -142,72 +154,54 @@ def angle_pairs(centroids: np.ndarray, gram: np.ndarray
             r /= norms_sq[lo:hi, None]
             r /= norms_sq[lo:]
         r[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = 0.0  # j2 <= j1
-        in_band = r > e1
-        in_band &= r <= e2
-        unsure = r > e0
-        unsure &= r <= e3
+        # Only the pairs above e0 may be in the band or near; flat holds
+        # them in row-major order, as index t * width + c of r.
+        flat = np.flatnonzero(r > e0)
+        est = r.ravel()[flat]
+        in_band = est > e1
+        in_band &= est <= e2
+        unsure = est <= e3
         unsure ^= in_band  # (e0, e1] or (e2, e3]
-        unsure = np.flatnonzero(unsure).tolist()
-        is_near = r > e3
-        for f in unsure:
-            j1, j2 = lo + f // width, lo + f % width
+        for f in np.flatnonzero(unsure).tolist():
+            t, c = divmod(int(flat[f]), width)
+            j1, j2 = lo + t, lo + c
             for j in (j1, j2):
                 if j not in exact_rows:
                     exact_rows[j] = _exact_row(centroids[j])
-            in_band.flat[f], is_near.flat[f] = _exact_angle(exact_rows[j1],
-                                                            exact_rows[j2])
-        for pairs, mask in zip((band, near), (in_band, is_near)):
-            flat = np.flatnonzero(mask)
-            if flat.size:
-                t, c = np.divmod(flat, width)
-                pairs[0].append((t + lo).astype(np.int32))
-                pairs[1].append((c + lo).astype(np.int32))
-    return tuple(tuple(np.concatenate(p) if p else np.zeros(0, dtype=np.int32)
-                       for p in pairs) for pairs in (band, near))
-
-
-def weight_reduction(band: tuple[np.ndarray, np.ndarray],
-                     q: np.ndarray) -> np.ndarray:
-    """Zero out paired weights of centroids with angle in [pi/6, pi/3].
-
-    band holds the pairs (j1, j2), j1 < j2, whose exact angle is in the
-    band, in lexicographic order (angle_pairs). Single pass over them; each
-    pair of positive weights decreases both by their minimum, sending at
-    least one to zero. One pass suffices because weights never increase.
-    """
-    qp = np.array(q, dtype=np.float64).tolist()  # Python floats index faster
-    # The pairs go through as Python ints a few thousand at a time, so
-    # their lists stay near 300 KB however many pairs there are.
-    step = max(1, BLOCK_ENTRIES // 8)
-    for lo in range(0, len(band[0]), step):
-        for j1, j2 in zip(band[0][lo:lo + step].tolist(),
-                          band[1][lo:lo + step].tolist()):
-            if qp[j1] <= 0 or qp[j2] <= 0:
-                continue
-            d = min(qp[j1], qp[j2])
-            qp[j1] -= d
-            qp[j2] -= d
+            in_band[f] = _exact_angle(exact_rows[j1], exact_rows[j2])
+        band = flat[in_band]
+        for s in range(0, band.size, chunk):
+            t, c = np.divmod(band[s:s + chunk], width)
+            for j1, j2 in zip((t + lo).tolist(), (c + lo).tolist()):
+                if qp[j1] <= 0 or qp[j2] <= 0:
+                    continue
+                d = min(qp[j1], qp[j2])
+                qp[j1] -= d
+                qp[j2] -= d
+        # Above e2 from a positive row: near, if the column stays positive.
+        t, c = np.divmod(flat[est > e2], width)
+        near = (np.array(qp[lo:hi]) > 0)[t]
+        np.minimum.at(leader, c[near] + lo, t[near] + lo)
     return np.array(qp, dtype=np.float64)
 
 
-def group_centroids(near: tuple[np.ndarray, np.ndarray],
-                    q_reduced: np.ndarray, gram: np.ndarray) -> np.ndarray:
+def group_centroids(leader: np.ndarray, q_reduced: np.ndarray,
+                    gram: np.ndarray) -> np.ndarray:
     """Group the surviving centroids into cliques of small-angle pairs.
 
-    near holds the pairs (j1, j2), j1 < j2, whose exact angle is below pi/6,
-    and q_reduced the weights that weight_reduction left from the band pairs
-    of the same angle_pairs call, as in _finish; gram is the centroids' Gram
-    matrix. The groups are the cliques of near pairs among the
-    positive-weight centroids, numbered in order of their smallest member.
+    leader and q_reduced are what weight_reduction left, as in _finish;
+    gram is the centroids' Gram matrix. The groups are the cliques of pairs
+    less than pi/6 apart among the positive-weight centroids, numbered in
+    order of their smallest member.
 
     After weight_reduction no two positive centroids are at an angle in
     [pi/6, pi/3], so nearness is transitive among them: if a, b and b, c
     are less than pi/6 apart, a and c are less than pi/3 apart (the
     triangle inequality of angles), hence less than pi/6. So each group is
-    a clique of near pairs, and one scatter-min over the near pairs from a
-    positive j1 labels every member with the group's smallest member. Two
-    centroids in different groups are neither near nor in the band, so
-    they are more than pi/3 apart.
+    a clique, and the leader of each positive member, the smallest positive
+    centroid less than pi/6 from it or else itself, is the group's smallest
+    member. Two centroids in different groups are neither near nor in the
+    band, so they are more than pi/3 apart.
 
     A zero-weight centroid i joins the group of the positive centroid j
     with the largest gram[i, j] / sqrt(gram[j, j]) (the nearest in angle,
@@ -223,15 +217,11 @@ def group_centroids(near: tuple[np.ndarray, np.ndarray],
     positive = np.flatnonzero(is_positive)
     if positive.size == 0:
         return sigma
-    # Labels of zero-weight j2 are overwritten by the extension below.
-    src, dst = near
-    keep = is_positive[src]
-    labels = np.arange(k, dtype=src.dtype)
-    np.minimum.at(labels, dst[keep], src[keep])
-    sigma[positive] = np.unique(labels[positive], return_inverse=True)[1]
+    sigma[positive] = np.unique(leader[positive], return_inverse=True)[1]
 
     # Extend to zero-weight centroids, in row blocks of the Gram matrix. A
-    # positive-weight centroid is never zero (see angle_pairs): no scale is 0.
+    # positive-weight centroid is never zero (see weight_reduction): no
+    # scale is 0.
     zero = np.flatnonzero(~is_positive)
     scale = np.sqrt(gram.diagonal()[positive], dtype=np.float64)
     step = max(1, BLOCK_ENTRIES // positive.size)
@@ -291,7 +281,8 @@ def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steps 2-3 and the scale fit; returns the factors (a, group, theta).
 
-    Reduction and grouping share one Gram matrix, freed before the solve.
+    Reduction and grouping share one Gram matrix and the leaders that the
+    reduction writes, both freed before the solve.
     Every centroid row has norm at most 1 (a unit column, or a weighted
     mean of unit points), so no entry of it overflows. With norms, the
     centroids are instead 0/1 label columns (bool), standing for the unit
@@ -305,10 +296,10 @@ def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
                              <= _FLOAT32_COUNT_ROWS else np.float64)
     gram = X @ X.T
     del X
-    band, near = angle_pairs(centroids, gram)
-    qp = weight_reduction(band, q)
-    sigma = group_centroids(near, qp, gram)
-    del gram, band, near
+    leader = np.empty(len(q), dtype=np.int64)
+    qp = weight_reduction(centroids, q, gram, leader)
+    sigma = group_centroids(leader, qp, gram)
+    del gram, leader
     a = solve_orthogonal_centroids(centroids, qp, sigma, norms)
     group = sigma[phi]
     return a, group, _theta_against(M, a, group)
@@ -340,7 +331,7 @@ def _large_k(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     normalize_columns makes the one check of M. When 0 < m < n this solves
     M^T ~ A2 @ W2, freeing its unit columns on return, and converts it to
     M ~ W2^T @ A2^T: A2's columns have disjoint supports, so A2^T has at
-    most one non-zero per column.
+    most one non-zero per column. A2 is freed before W2^T is allocated.
 
     M may be bool, as bcc_cluster passes its labels. The steps then take
     its columns, the weights fl(fl(sqrt(c))^2) from the column counts c,
@@ -348,10 +339,13 @@ def _large_k(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Gram matrix (see _finish), with no float64 unit columns."""
     if M.ndim == 2 and 0 < M.shape[0] < M.shape[1]:
         a2, group2, theta2 = _large_k(M.T)  # a2 is (n, k)
-        group = np.argmax(a2 > 0, axis=1)  # an all-zero row: group 0
-        a = np.zeros((len(group2), a2.shape[1]))  # W2^T
-        a[np.arange(len(group2)), group2] = theta2
-        return a, group, a2[np.arange(len(group)), group]
+        group = np.argmax(a2, axis=1)  # a2 >= 0; an all-zero row: group 0
+        theta = a2[np.arange(len(group)), group]
+        del a2
+        k = len(group2)
+        a = np.zeros((k, k))  # W2^T
+        a[np.arange(k), group2] = theta2
+        return a, group, theta
     if M.dtype == bool:
         norms = np.sqrt(np.count_nonzero(M, axis=0))
         return _finish(M, M.T, norms**2, np.arange(len(norms)), norms)

@@ -164,8 +164,8 @@ def test_every_live_block_rounds_to_a_cluster(M, data):
 
 def large_k_steps(L, entries):
     """_large_k(L)'s factors and, by name, the arguments and result of its
-    last angle_pairs, weight_reduction, group_centroids and
-    solve_orthogonal_centroids calls, with BLOCK_ENTRIES set to entries."""
+    last weight_reduction, group_centroids and solve_orthogonal_centroids
+    calls, with BLOCK_ENTRIES set to entries."""
     seen = {}
 
     def spy(name, f):
@@ -175,7 +175,7 @@ def large_k_steps(L, entries):
         return spied
 
     with contextlib.ExitStack() as stack:
-        for name in ("angle_pairs", "weight_reduction", "group_centroids",
+        for name in ("weight_reduction", "group_centroids",
                      "solve_orthogonal_centroids"):
             stack.enter_context(mock.patch.object(
                 onmf.double, name, spy(name, getattr(onmf.double, name))))
@@ -212,21 +212,23 @@ def test_large_k_from_labels_decides_as_their_float_copy(M, entries, data):
     # counts and no unit columns. On the tall, square and wide (transposed)
     # paths, with empty rows and duplicated and empty columns, in C and
     # Fortran order, the steps must decide as on the float64 copy: the same
-    # band and near pairs, reduced weights, groups of the positive
-    # centroids and solve. Only the zero-weight extension may differ, and
-    # only on an exact tie, which the unit Gram's rounding breaks.
+    # reduced weights, leaders and groups of the positive centroids, and
+    # solve. Only the zero-weight extension may differ, and only on an
+    # exact tie, which the unit Gram's rounding breaks.
     if len(M):
         M[data.draw(st.lists(st.booleans(), min_size=len(M),
                              max_size=len(M)))] = 0.0
     L = M != 0  # C or Fortran order, as M
     got, seen = large_k_steps(L, entries)
     want, ref = large_k_steps(L.astype(np.float64), entries)
-    for name in ("angle_pairs", "weight_reduction",
-                 "solve_orthogonal_centroids"):
+    for name in ("weight_reduction", "solve_orthogonal_centroids"):
         assert as_bytes(seen[name][1]) == as_bytes(ref[name][1])
-    labels = seen["angle_pairs"][0][0]
+    labels = seen["weight_reduction"][0][0]
     assert labels.dtype == bool
     positive = np.flatnonzero(seen["weight_reduction"][1] > 0)
+    leader = seen["group_centroids"][0][0]
+    ref_leader = ref["group_centroids"][0][0]
+    assert leader[positive].tobytes() == ref_leader[positive].tobytes()
     sigma, ref_sigma = seen["group_centroids"][1], ref["group_centroids"][1]
     assert sigma[positive].tobytes() == ref_sigma[positive].tobytes()
     for i in np.flatnonzero(sigma != ref_sigma).tolist():
@@ -251,7 +253,8 @@ def test_extension_tie_goes_to_the_smaller_index():
     (_, group, _), seen = large_k_steps(L, onmf.core.BLOCK_ENTRIES)
     positive = np.flatnonzero(seen["weight_reduction"][1] > 0)
     assert positive.tolist() == [2, 3]
-    assert extension_ties(seen["angle_pairs"][0][0], positive, 0) == [2, 3]
+    assert extension_ties(seen["weight_reduction"][0][0], positive,
+                          0) == [2, 3]
     assert group.tolist() == [0, 1, 0, 1]
 
 
@@ -413,14 +416,14 @@ def test_bcc_counts_overlaps_in_float64_past_the_float32_limit(make, digest):
     # float64. With the limit at 0 every Gram matrix is float64, and the
     # counts, hence every output byte, stay the same.
     grams = []
-    angle_pairs = onmf.double.angle_pairs
+    weight_reduction = onmf.double.weight_reduction
 
-    def spied(centroids, gram):
+    def spied(centroids, q, gram, leader):
         grams.append(gram.dtype)
-        return angle_pairs(centroids, gram)
+        return weight_reduction(centroids, q, gram, leader)
 
     with mock.patch.object(onmf.double, "_FLOAT32_COUNT_ROWS", 0), \
-            mock.patch.object(onmf.double, "angle_pairs", spied):
+            mock.patch.object(onmf.double, "weight_reduction", spied):
         assert bcc_digest(make()) == digest
     assert grams == [np.float64]
 
@@ -456,6 +459,16 @@ def test_bcc_peak_memory_without_unit_columns(m, n):
     assert traced_peak(lambda: bcc_cluster(g)) < 1.8 * 8 * m * n
 
 
+def test_bcc_wide_path_frees_the_transposed_factor():
+    # On the wide path _large_k solves the transpose and reads the groups
+    # and theta from its factor a2 (n x m) before it allocates a (m x m),
+    # so the two are never alive together; with a2, a and the mask a2 > 0
+    # all alive the peak was 1.68 m x n float64s.
+    m, n = 400, 600
+    g = BipartiteLabeling(labels=planted_labels(m, n, 12, 0.2, 5))
+    assert traced_peak(lambda: bcc_cluster(g)) < 1.4 * 8 * m * n
+
+
 @pytest.mark.parametrize("m, n", [(300, 300), (400, 300), (300, 400)],
                          ids=["square", "tall", "wide"])
 def test_bcc_holds_no_float_copy_of_the_labels(m, n):
@@ -471,11 +484,11 @@ def test_bcc_holds_no_float_copy_of_the_labels(m, n):
 
 
 def test_bcc_peak_memory_all_plus():
-    # Every pair of the 400 equal columns is near: 79,800 pairs, held as
-    # int32 (8 bytes a pair, half a k x k float64 array) and not copied by
-    # the grouping, whose centroids are all positive. The peak, 4.6 m x n
-    # float64s, is then the rounding of the one block, which compares the
-    # block before it gathers the live columns, so that copy is bool.
+    # Every pair of the 400 equal columns is near: 79,800 pairs, which the
+    # walk of the Gram takes a row block at a time and keeps no list of.
+    # The peak, 4.6 m x n float64s, is then the rounding of the one block,
+    # which compares the block before it gathers the live columns, so that
+    # copy is bool.
     m = n = 400
     g = BipartiteLabeling(labels=np.ones((m, n), dtype=bool))
     tracemalloc.start()

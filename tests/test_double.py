@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from onmf.bcc import BipartiteLabeling, bcc_cluster
 from onmf.core import MAX_TOTAL_WEIGHT, check_nonneg, normalize_columns
 from onmf.double import (
     GroupingError,
-    angle_pairs,
     centroid_weights,
     factorize_double,
     factorize_double_large_k,
@@ -28,7 +28,8 @@ from onmf.kmeans import KMeansConfig, KMeansSolution, weighted_kmeans
 from onmf.metrics import non_orthogonality
 from onmf.single import _solution, _theta_against, factorize_single
 from onmf.synth import gen_planted_double
-from conftest import NONNEG_CELLS, TOO_LARGE, nonneg_matrices, planted_labels
+from conftest import (NONNEG_CELLS, TOO_LARGE, nonneg_matrices, planted_labels,
+                      traced_peak)
 from oracles import (
     COS_NARROW,
     COS_WIDE,
@@ -79,12 +80,13 @@ def test_centroid_weights_recentred_norm_at_most_one():
                 assert np.linalg.norm(centroids[j]) > 0
 
 
-def _steps(centroids, q):
+def _steps(centroids, q, gram=None):
     """Weight reduction and grouping as double._finish runs them."""
-    gram = centroids @ centroids.T
-    band, near = angle_pairs(centroids, gram)
-    qp = weight_reduction(band, q)
-    return qp, group_centroids(near, qp, gram)
+    if gram is None:
+        gram = centroids @ centroids.T
+    leader = np.empty(len(q), dtype=np.int64)
+    qp = weight_reduction(centroids, q, gram, leader)
+    return qp, group_centroids(leader, qp, gram)
 
 
 def test_weight_reduction_orthogonal_pair_untouched():
@@ -240,8 +242,8 @@ def centroid_sets(draw):
         cell = (st.floats(0.0, 1.0) if kind == "random"
                 else st.sampled_from([0.0, 1.0]))
         row = st.lists(cell, min_size=d, max_size=d)
-    # The rows angle_pairs serves: zero, or of a squared norm the filter of
-    # double._cos_sq_edges takes.
+    # The rows weight_reduction serves: zero, or of a squared norm the
+    # filter of double._cos_sq_edges takes.
     row = row.filter(lambda v: not any(v)
                      or 2.0**-400 <= sum(x * x for x in v) <= 2.0**400)
     centroids = np.array(draw(st.lists(row, min_size=k, max_size=k)))
@@ -272,13 +274,15 @@ def _rows_at(*angles):
 
 
 def _assert_steps_match_exact_reference(centroids, q):
-    gram = centroids @ centroids.T
-    band, near = angle_pairs(centroids, gram)
-    reduced = weight_reduction(band, q)
-    assert reduced.tobytes() == _exact_weight_reduction(centroids, q).tobytes()
-    assert (group_centroids(near, reduced, gram).tobytes()
-            == _exact_group_centroids(centroids, reduced).tobytes())
-    return reduced
+    # The walk takes one entry, seven and the default number to a block.
+    want = _exact_weight_reduction(centroids, q)
+    sigma = _exact_group_centroids(centroids, want)
+    for entries in (1, 7, onmf.core.BLOCK_ENTRIES):
+        with mock.patch.object(onmf.double, "BLOCK_ENTRIES", entries):
+            reduced, got = _steps(centroids, q)
+        assert reduced.tobytes() == want.tobytes()
+        assert got.tobytes() == sigma.tobytes()
+    return reduced, sigma
 
 
 @settings(max_examples=400, deadline=None)
@@ -291,26 +295,32 @@ def test_large_k_steps_match_pair_loop_reference(case):
     _assert_steps_match_exact_reference(*case)
 
 
+def _assert_pair_decided_exactly(centroids, i, j):
+    # Weights 1 and 2 on centroids i and j only: the reduction zeroes i if
+    # the pair is in the band, and otherwise the grouping joins them if
+    # they are near.
+    q = np.zeros(len(centroids))
+    q[[i, j]] = 1.0, 2.0
+    reduced, sigma = _assert_steps_match_exact_reference(centroids, q)
+    cos_sq = exact_cos_sq(centroids[i], centroids[j])
+    assert (reduced[[i, j]].tolist() == [0.0, 1.0]) == in_band(cos_sq)
+    if not in_band(cos_sq):
+        assert (sigma[i] == sigma[j]) == is_near(cos_sq)
+
+
 @pytest.mark.parametrize("c1, c2, overlap", EXACT_TIES)
 def test_exact_ties_are_in_the_band(c1, c2, overlap):
     centroids = _overlapping_unit_columns(c1, c2, overlap)
-    band, near = angle_pairs(centroids, centroids @ centroids.T)
-    assert [b.tolist() for b in band] == [[0], [1]]
-    assert [b.tolist() for b in near] == [[], []]
-    _assert_steps_match_exact_reference(centroids, np.array([1.0, 1.0]))
+    assert in_band(exact_cos_sq(centroids[0], centroids[1]))
+    _assert_pair_decided_exactly(centroids, 0, 1)
 
 
 def test_rounded_band_edges_follow_the_exact_angles():
     # The float rows at pi/6 and pi/3 are a rounding away from the edges;
     # the exact angles of the floats decide, whichever side they fall on.
     centroids = _rows_at(0.0, math.pi / 6, math.pi / 3, math.pi / 2)
-    band, near = angle_pairs(centroids, centroids @ centroids.T)
-    pairs = list(itertools.combinations(range(4), 2))
-    exact = [exact_cos_sq(centroids[i], centroids[j]) for i, j in pairs]
-    assert list(zip(*[b.tolist() for b in band])) == [
-        p for p, c2 in zip(pairs, exact) if in_band(c2)]
-    assert list(zip(*[b.tolist() for b in near])) == [
-        p for p, c2 in zip(pairs, exact) if is_near(c2)]
+    for i, j in itertools.combinations(range(4), 2):
+        _assert_pair_decided_exactly(centroids, i, j)
 
 
 # NONNEG_CELLS without the 1e308 that normalize_columns rejects, plus cells
@@ -361,8 +371,9 @@ def test_subnormal_edge_columns_have_unit_scale(case, norm_sq):
 @example(SUBNORMAL_EDGE[0][0])
 @example(SUBNORMAL_EDGE[1][0])
 def test_finish_rows_are_in_the_filter_range(case):
-    # The precondition of angle_pairs: a positive-weight row is never zero,
-    # and every non-zero row has a squared norm the float filter takes.
+    # The precondition of weight_reduction: a positive-weight row is never
+    # zero, and every non-zero row has a squared norm the float filter
+    # takes.
     centroids, q = case
     gram = centroids @ centroids.T
     norms_sq = gram.diagonal()
@@ -481,37 +492,26 @@ def test_large_k_steps_match_reference_at_benchmark_scale(monkeypatch, M,
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_no_pair_needs_the_exact_test_on_planted_labels(monkeypatch, seed):
     calls = _count_exact_tests(monkeypatch)
-    centroids = normalize_columns(
-        planted_labels(600, 600, 12, 0.2, seed).astype(float)).points
-    angle_pairs(centroids, centroids @ centroids.T)
+    pts = normalize_columns(
+        planted_labels(600, 600, 12, 0.2, seed).astype(float))
+    _steps(pts.points, pts.weights)
     assert calls == []
-
-
-def test_angle_pairs_take_eight_bytes_a_pair():
-    # 100 equal columns: every one of the 4,950 pairs is near.
-    centroids = normalize_columns(np.ones((30, 100))).points
-    band, near = angle_pairs(centroids, centroids @ centroids.T)
-    assert [b.dtype for b in band + near] == [np.dtype(np.int32)] * 4
-    assert len(near[0]) == 100 * 99 // 2
 
 
 def test_angle_steps_hold_no_k_by_k_temporary(monkeypatch):
     # With the Gram matrix given, the walk, the reduction and the grouping
-    # allocate blocks and pair lists, never a k x k mask or float array.
+    # allocate row blocks, never a k x k mask or float array, and no list
+    # of pairs outlives its block. On the uniform input nearly all of the
+    # 179,700 pairs are in the band, and on the equal columns all are
+    # near: 8 bytes a pair would hold about 1.4 MB.
     monkeypatch.setattr(onmf.double, "BLOCK_ENTRIES", 1 << 10)
-    pts = normalize_columns(planted_labels(600, 600, 12, 0.2, 5).astype(float))
-    centroids = pts.points
-    gram = centroids @ centroids.T
-    k = len(gram)
-    tracemalloc.start()
-    try:
-        band, near = angle_pairs(centroids, gram)
-        qp = weight_reduction(band, pts.weights)
-        group_centroids(near, qp, gram)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < k * k // 4
+    for M in (planted_labels(600, 600, 12, 0.2, 5).astype(float),
+              np.random.default_rng(5).random((600, 600)),
+              np.ones((30, 600))):
+        pts = normalize_columns(M)
+        gram = pts.points @ pts.points.T
+        peak = traced_peak(lambda: _steps(pts.points, pts.weights, gram))
+        assert peak < len(gram) ** 2 // 4
 
 
 @settings(max_examples=150, deadline=None)
