@@ -114,24 +114,19 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
     block to binary, and turns each non-empty binary block into a cluster.
     Returns the clustering and its exact disagreement count. The labels
     are taken as a C-ordered bool array, with no float64 copy of them all:
-    _large_k works from their column counts and overlap counts, and each
-    block is converted to float64 for round_block alone. The factor a is
-    freed before the count.
+    _large_k works from their column counts and overlap counts and returns
+    its factor a compactly, one (owner, value) pair per row, so no m x k or
+    k x m float64 array is built; each block is converted to float64 for
+    round_block alone.
     """
     L = np.asarray(g.labels, dtype=bool, order="C")  # any layout
-    a, group, theta = _large_k(L)  # the factors alone: no objective
-    k = a.shape[1]
+    (owner, value, k), group, theta = _large_k(L)  # no objective
     left = np.zeros(g.m, dtype=np.int64)
     right = np.zeros(g.n, dtype=np.int64)
-    # Block s has the rows where column s of a is positive (the columns of a
+    # Block s has the rows r with a[r, s] = value[r] > 0 (the columns of a
     # have disjoint supports) and the columns of group s with positive
-    # theta; any other row or column is labeled -1, in no block. A row of a
-    # has at most one non-zero, so its argmax finds it.
-    owner = np.full(g.m, -1)
-    if k:
-        owner = np.argmax(a, axis=1)
-        owner[a[np.arange(g.m), owner] <= 0] = -1
-    rows, row_bounds = _segments(owner, k)
+    # theta; any other row or column is labeled -1, in no block.
+    rows, row_bounds = _segments(np.where(value > 0, owner, -1), k)
     cols, col_bounds = _segments(np.where(theta > 0, group, -1), k)
     blocks = np.flatnonzero(np.diff(col_bounds)).tolist()
     row_bounds, col_bounds = row_bounds.tolist(), col_bounds.tolist()
@@ -145,9 +140,8 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
         r = rows[row_bounds[s]:row_bounds[s + 1]]
         c = cols[col_bounds[s]:col_bounds[s + 1]]
         a_hat, w_hat = round_block(L[np.ix_(r, c)].astype(np.float64),
-                                   a[r, s], theta[c])
+                                   value[r], theta[c])
         left[r[a_hat > 0]] = cluster
         right[c[w_hat > 0]] = cluster
-    del a
     clustering = Clustering(left=left, right=right)
     return clustering, disagreements(g, clustering)

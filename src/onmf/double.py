@@ -21,8 +21,15 @@ from __future__ import annotations
 import numpy as np
 
 from onmf.core import BLOCK_ENTRIES, WeightedPointSet, normalize_columns
-from onmf.kmeans import KMeansConfig, KMeansSolution, _weighted_means
-from onmf.single import OnmfSolution, _cluster, _solution, _theta_against
+from onmf.kmeans import (
+    KMeansConfig,
+    KMeansSolution,
+    _block,
+    _segment_means,
+    _segments,
+    _weighted_means,
+)
+from onmf.single import OnmfSolution, _cluster, _solution
 
 # The most rows whose 0/1 overlaps a float32 GEMM counts exactly: every
 # partial sum is an integer of at most 24 bits. Longer columns are counted
@@ -119,7 +126,8 @@ def weight_reduction(centroids: np.ndarray, q: np.ndarray, gram: np.ndarray,
     The pairs (j1, j2), j1 < j2, whose exact angle is in the band go in
     row-major order; each pair of positive weights decreases both by their
     minimum, sending at least one to zero. One pass suffices because weights
-    never increase. The walk takes gram in row blocks of at most
+    never increase, and the rest of a row's pairs is skipped once its own
+    weight is zero. The walk takes gram in row blocks of at most
     BLOCK_ENTRIES entries, so it builds no k x k mask and no list of pairs:
     the filter decides every pair it can, _exact_angle the rest, and the
     block's band pairs are reduced at once. A zero row is in no pair: its
@@ -172,12 +180,22 @@ def weight_reduction(centroids: np.ndarray, q: np.ndarray, gram: np.ndarray,
         band = flat[in_band]
         for s in range(0, band.size, chunk):
             t, c = np.divmod(band[s:s + chunk], width)
-            for j1, j2 in zip((t + lo).tolist(), (c + lo).tolist()):
-                if qp[j1] <= 0 or qp[j2] <= 0:
+            heads = np.flatnonzero(np.diff(t, prepend=-1))  # row starts
+            rows = (t[heads] + lo).tolist()
+            bounds = heads.tolist() + [len(t)]
+            c = (c + lo).tolist()
+            for j1, start, end in zip(rows, bounds, bounds[1:]):
+                # Row j1's pairs go in order until its weight is zero: it
+                # never increases, so no later pair of the row changes one.
+                if qp[j1] <= 0:
                     continue
-                d = min(qp[j1], qp[j2])
-                qp[j1] -= d
-                qp[j2] -= d
+                for j2 in c[start:end]:
+                    if qp[j2] > 0:
+                        d = min(qp[j1], qp[j2])
+                        qp[j1] -= d
+                        qp[j2] -= d
+                        if qp[j1] <= 0:
+                            break
         # Above e2 from a positive row: near, if the column stays positive.
         t, c = np.divmod(flat[est > e2], width)
         near = (np.array(qp[lo:hi]) > 0)[t]
@@ -234,7 +252,8 @@ def group_centroids(leader: np.ndarray, q_reduced: np.ndarray,
 
 def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
                                sigma: np.ndarray,
-                               norms: np.ndarray | None = None) -> np.ndarray:
+                               norms: np.ndarray | None = None
+                               ) -> tuple[np.ndarray, np.ndarray, int]:
     """Exact coordinate-wise solve for orthogonal group representatives.
 
     Minimizes the reduced-weight squared distance of each centroid to its
@@ -243,46 +262,106 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
     one maximizing (group weight) * (group mean)^2, ties toward the smallest
     group index; it receives the group mean, all others zero.
 
-    Returns an (m, k) matrix whose column s is the representative of group s
-    (columns for absent groups stay zero). The group means are freed before
-    it is allocated. With norms, centroids are 0/1 label columns (see
-    _finish), and each group's members are gathered from them and divided
-    by their norms: the bits of their unit columns.
+    Returns the (m, k) factor A compactly, as (owner, value, k): column s of
+    A is the representative of group s, and row r of A holds value[r] in
+    column owner[r] and zeros elsewhere (_dense builds A). The group means
+    are taken BLOCK_ENTRIES // m groups at a time, from one sort of the
+    labels, and each coordinate keeps the best score so far, replaced only
+    by a strictly greater one, so the smallest group still wins a tie. With
+    norms, centroids are 0/1 label columns (see _finish), and each group's
+    members are gathered from them and divided by their norms: the bits of
+    their unit columns.
     """
     k, m = centroids.shape
     n_groups = int(sigma.max()) + 1 if k else 0
-    mu = np.zeros((n_groups, m))
-    qstar = _weighted_means(centroids, q_reduced,
-                            np.where(q_reduced > 0, sigma, -1), mu,
-                            norms=norms)
-    if n_groups == 0:
-        return np.zeros((m, k))
-    # The scores of a chunk of coordinates, (coordinates, n_groups) and
-    # C-ordered, so the row-wise argmax reads them in place.
-    winners = np.empty(m, dtype=np.int64)
-    step = max(1, BLOCK_ENTRIES // n_groups)
-    buf = np.empty((min(step, m), n_groups))
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        scores = np.multiply(mu.T[lo:hi], mu.T[lo:hi], out=buf[:hi - lo])
-        scores *= qstar
-        # argmax takes the smallest index on ties
-        winners[lo:hi] = np.argmax(scores, axis=1)
-    cols = np.arange(m)
-    values = mu[winners, cols]
-    del mu
-    a = np.zeros((m, k))
-    a[cols, winners] = values
+    owner = np.zeros(m, dtype=np.int64)
+    value = np.zeros(m)
+    order, bounds = _segments(np.where(q_reduced > 0, sigma, -1), n_groups)
+    weights = q_reduced[order]
+    best = np.full(m, -np.inf)  # every score is >= 0
+    step = max(1, BLOCK_ENTRIES // max(m, 1))
+    size = min(step, n_groups) * m
+    mu_buf, score_buf, work = np.empty(size), np.empty(size), _block(k, m)
+    for lo in range(0, n_groups, step):
+        hi = min(lo + step, n_groups)
+        mu = mu_buf[:(hi - lo) * m].reshape(hi - lo, m)
+        qstar = _segment_means(centroids, weights, order, bounds[lo:hi + 1],
+                               mu, work, norms=norms)
+        mu[~(qstar > 0)] = 0.0  # rows it left as they were: no mean, 0
+        scores = np.multiply(mu, mu, out=score_buf[:mu.size].reshape(mu.shape))
+        scores *= qstar[:, None]
+        # Only the coordinates this block betters need its argmax, which
+        # takes the smallest index on ties.
+        better = np.flatnonzero(scores.max(axis=0) > best)
+        winners = np.argmax(scores[:, better], axis=0)
+        best[better] = scores[winners, better]
+        owner[better] = winners + lo
+        value[better] = mu[winners, better]
+    return owner, value, k
+
+
+def _dense(owner: np.ndarray, value: np.ndarray, k: int) -> np.ndarray:
+    """The (m, k) factor A of a compact (owner, value, k): row r holds
+    value[r] in column owner[r], zeros elsewhere."""
+    a = np.zeros((len(owner), k))
+    if k:
+        a[np.arange(len(owner)), owner] = value
     return a
+
+
+def _fit_theta(M: np.ndarray, owner: np.ndarray, value: np.ndarray, k: int,
+               group: np.ndarray) -> np.ndarray:
+    """single._theta_against(M, _dense(owner, value, k), group), bit for
+    bit, with no (m, k) array.
+
+    The columns of A go through dense blocks of about BLOCK_ENTRIES
+    entries, and each block fits the columns of M in its groups. A block
+    is two columns wide or more, or one when k = 1, as the whole A is, so
+    a[:, s] is strided exactly when it is in the whole A: each dot takes
+    the same BLAS ddot and the einsum of the squared norms the same loop.
+    A one-column block of a wider A would be contiguous, and both may add
+    in another order.
+
+    M may be bool, as bcc_cluster's labels: the matmul then casts column i
+    to a contiguous copy, with the bits of M's float64 copy read in place.
+    With two or more columns a[:, s] is strided, so both take the
+    non-unit-stride ddot; with one, M has one column in _large_k,
+    contiguous in either order, so both take the unit-stride one.
+    """
+    m, n = M.shape
+    theta = np.zeros(n)
+    step = 1 if k == 1 else max(2, BLOCK_ENTRIES // max(m, 1))
+    starts = list(range(0, k, step))
+    if len(starts) > 1 and k - starts[-1] == 1:
+        starts.pop()  # the last block takes the lone last column
+    rows, row_bounds = _segments(owner, k)
+    cols, col_bounds = _segments(group, k)
+    buf = np.empty(m * min(k, step + 1))
+    for lo, hi in zip(starts, starts[1:] + [k]):
+        c = cols[col_bounds[lo]:col_bounds[hi]]
+        if c.size == 0:
+            continue
+        a = buf[:m * (hi - lo)].reshape(m, hi - lo)
+        a.fill(0.0)
+        r = rows[row_bounds[lo]:row_bounds[hi]]
+        a[r, owner[r] - lo] = value[r]
+        norms_sq = np.einsum("ms,ms->s", a, a)
+        for i, s in zip(c.tolist(), (group[c] - lo).tolist()):
+            if norms_sq[s] > 0:
+                theta[i] = max(float(M[:, i] @ a[:, s]) / norms_sq[s], 0.0)
+    return theta
 
 
 def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
             phi: np.ndarray, norms: np.ndarray | None = None
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Steps 2-3 and the scale fit; returns the factors (a, group, theta).
+            ) -> tuple[tuple[np.ndarray, np.ndarray, int], np.ndarray,
+                       np.ndarray]:
+    """Steps 2-3 and the scale fit; returns the factors (a, group, theta),
+    with a compact as solve_orthogonal_centroids returns it.
 
     Reduction and grouping share one Gram matrix and the leaders that the
-    reduction writes, both freed before the solve.
+    reduction writes, both freed before the solve. _fit_theta fits theta
+    from the compact factor, so no (m, k) array is built here.
     Every centroid row has norm at most 1 (a unit column, or a weighted
     mean of unit points), so no entry of it overflows. With norms, the
     centroids are instead 0/1 label columns (bool), standing for the unit
@@ -300,9 +379,9 @@ def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
     qp = weight_reduction(centroids, q, gram, leader)
     sigma = group_centroids(leader, qp, gram)
     del gram, leader
-    a = solve_orthogonal_centroids(centroids, qp, sigma, norms)
+    factor = solve_orthogonal_centroids(centroids, qp, sigma, norms)
     group = sigma[phi]
-    return a, group, _theta_against(M, a, group)
+    return factor, group, _fit_theta(M, *factor, group)
 
 
 def factorize_double(M, k: int, config: KMeansConfig | None = None) -> OnmfSolution:
@@ -310,7 +389,8 @@ def factorize_double(M, k: int, config: KMeansConfig | None = None) -> OnmfSolut
     M, pts, sol = _cluster(M, k, config)
     centroids, q = centroid_weights(pts, sol)
     del pts  # the unit columns, as large as M: free them before steps 2-3
-    return _solution(M, *_finish(M, centroids, q, sol.assignment))
+    factor, group, theta = _finish(M, centroids, q, sol.assignment)
+    return _solution(M, _dense(*factor), group, theta)
 
 
 def factorize_double_large_k(M) -> OnmfSolution:
@@ -322,30 +402,32 @@ def factorize_double_large_k(M) -> OnmfSolution:
     rows (m = 0) nothing is transposed and the inner dimension is n.
     """
     M = np.asarray(M, dtype=np.float64, order="C")  # bits follow values only
-    return _solution(M, *_large_k(M))
+    factor, group, theta = _large_k(M)
+    return _solution(M, _dense(*factor), group, theta)
 
 
-def _large_k(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The factors (a, group, theta) of factorize_double_large_k, no objective.
+def _large_k(M: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, int],
+                                      np.ndarray, np.ndarray]:
+    """The factors (a, group, theta) of factorize_double_large_k, no
+    objective, with a compact as solve_orthogonal_centroids returns it.
 
     normalize_columns makes the one check of M. When 0 < m < n this solves
     M^T ~ A2 @ W2, freeing its unit columns on return, and converts it to
     M ~ W2^T @ A2^T: A2's columns have disjoint supports, so A2^T has at
-    most one non-zero per column. A2 is freed before W2^T is allocated.
+    most one non-zero per column, and W2^T, with one per row, is already
+    compact as (W2's groups, W2's theta). Neither is built densely.
 
     M may be bool, as bcc_cluster passes its labels. The steps then take
     its columns, the weights fl(fl(sqrt(c))^2) from the column counts c,
     which are normalize_columns' bits, and the exact overlap counts as the
     Gram matrix (see _finish), with no float64 unit columns."""
     if M.ndim == 2 and 0 < M.shape[0] < M.shape[1]:
-        a2, group2, theta2 = _large_k(M.T)  # a2 is (n, k)
-        group = np.argmax(a2, axis=1)  # a2 >= 0; an all-zero row: group 0
-        theta = a2[np.arange(len(group)), group]
-        del a2
-        k = len(group2)
-        a = np.zeros((k, k))  # W2^T
-        a[np.arange(k), group2] = theta2
-        return a, group, theta
+        (owner2, value2, _), group2, theta2 = _large_k(M.T)
+        # Row r of A2 holds value2[r] alone, >= 0, so its argmax is owner2[r]
+        # if value2[r] > 0, else 0; theta reads A2[r, group[r]].
+        group = np.where(value2 > 0, owner2, 0)
+        theta = np.where(group == owner2, value2, 0.0)
+        return (group2, theta2, len(group2)), group, theta
     if M.dtype == bool:
         norms = np.sqrt(np.count_nonzero(M, axis=0))
         return _finish(M, M.T, norms**2, np.arange(len(norms)), norms)

@@ -160,8 +160,7 @@ def _block(n: int, m: int) -> np.ndarray:
 def _weighted_means(points: np.ndarray, weights: np.ndarray,
                     labels: np.ndarray, out: np.ndarray,
                     work: np.ndarray | None = None,
-                    recompute: np.ndarray | None = None,
-                    norms: np.ndarray | None = None) -> np.ndarray:
+                    recompute: np.ndarray | None = None) -> np.ndarray:
     """Recenter each row j of out on the weighted mean of the points labeled j.
 
     Rows whose points carry no positive total weight (empty clusters
@@ -171,27 +170,51 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
     every other row of out is left as it is and reports a total of 0.
 
     One stable sort of the labels turns each row's points into a segment in
-    index order, and the weights are taken once in that order. A segment of
-    two or more points takes the gemv w @ P / total on its rows, as a
-    per-label mask would select them. The single points are done in one
-    array expression: the one-term BLAS product starts from +0.0, so it
-    gives +0.0 where w * x is -0.0, and (w * x + 0.0) / w reproduces it bit
-    for bit; likewise a one-element sum of -0.0 is +0.0. The rows of each
-    gather go into the leading rows of work, an optional buffer of one row
-    of m entries or more, such as _block's. The single points go through it
-    a chunk of len(work) rows at a time, or without it through a new buffer
-    from _block: the operations are elementwise, so the bits are the same.
-    A segment of more rows than work holds, and every segment without it,
-    gathers into an array of its own, since its gemv must see all its rows
-    at once. That is the one allocation whose size depends on the labels:
-    8 bytes times m times the largest cluster. With norms, the points are
-    the rows points / norms, gathered as _gather divides them.
+    index order, and the weights are taken once in that order; the segments
+    then go to _segment_means.
+    """
+    order, bounds = _segments(labels, len(out))
+    return _segment_means(points, weights[order], order, bounds, out, work,
+                          recompute)
+
+
+def _segment_means(points: np.ndarray, weights: np.ndarray,
+                   order: np.ndarray, bounds: np.ndarray, out: np.ndarray,
+                   work: np.ndarray | None = None,
+                   recompute: np.ndarray | None = None,
+                   norms: np.ndarray | None = None) -> np.ndarray:
+    """Row j of out becomes the weighted mean of the points in segment j.
+
+    The segment is order[bounds[j]:bounds[j + 1]], as _segments gives it or
+    any run of len(out) consecutive segments of it, and weights are the
+    points' weights in the order of order. A row whose segment carries no
+    positive total weight keeps its value, and so does every row that
+    recompute, an optional boolean mask over the rows of out, leaves
+    unmarked; those report a total of 0. Returns the total weight per row.
+
+    A segment of two or more points takes the gemv w @ P / total on its
+    rows, as a per-label mask would select them. The single points are done
+    in one array expression: the one-term BLAS product starts from +0.0, so
+    it gives +0.0 where w * x is -0.0, and (w * x + 0.0) / w reproduces it
+    bit for bit; likewise a one-element sum of -0.0 is +0.0. The rows of
+    each gather go into the leading rows of work, an optional buffer of one
+    row of m entries or more, such as _block's. The single points go
+    through it a chunk of len(work) rows at a time, or without it through a
+    new buffer from _block: the operations are elementwise, so the bits are
+    the same. A segment of more rows than work holds, and every segment
+    without it, gathers into an array of its own, since its gemv must see
+    all its rows at once. That is the one allocation whose size depends on
+    the labels: 8 bytes times m times the largest cluster.
+
+    With norms, the points are the rows points / norms, gathered as _gather
+    divides them; points are then 0/1 rows, such as bcc's label columns. A
+    single point's x is 0 or 1 / norm, so its mean is its 0/1 row times one
+    scalar, ((1 / norm) * w + 0.0) / w, taken for all of them at once with
+    the same four operations.
     """
     k, m = out.shape
-    order, bounds = _segments(labels, k)
     counts = np.diff(bounds)
     totals = np.zeros(k)
-    weights = weights[order]
     single, multi = counts == 1, counts > 1
     if recompute is not None:
         single &= recompute
@@ -204,14 +227,24 @@ def _weighted_means(points: np.ndarray, weights: np.ndarray,
         totals[single] = w
         pos = w > 0
         idx, single, w = order[at[pos]], single[pos], w[pos, None]
+        if norms is not None:
+            scale = np.divide(1.0, norms[idx, None])  # (w * x + 0.0) / w
+            scale *= w
+            scale += 0.0
+            scale /= w
         buf = work if work is not None else _block(len(idx), m)
         step = len(buf)
         for lo in range(0, len(idx), step):
             hi = lo + step
-            rows = _gather(points, idx[lo:hi], buf, norms)  # (w * x + 0.0) / w
-            rows *= w[lo:hi]
-            rows += 0.0
-            rows /= w[lo:hi]
+            chunk = idx[lo:hi]
+            if norms is not None:
+                rows = np.multiply(points[chunk], scale[lo:hi],
+                                   out=buf[:len(chunk)])
+            else:
+                rows = _gather(points, chunk, buf)  # (w * x + 0.0) / w
+                rows *= w[lo:hi]
+                rows += 0.0
+                rows /= w[lo:hi]
             out[single[lo:hi]] = rows
 
     bounds = bounds.tolist()  # Python ints slice faster
@@ -356,7 +389,7 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
     A run allocates one buffer of max(k n, b) entries, b the size of a
     _block. The GEMM writes its (k, n) distances into its head; the exact
     cost and the recentering take the points through all of it, as rows of
-    m entries, a block at a time (see _weighted_means for a cluster larger
+    m entries, a block at a time (see _segment_means for a cluster larger
     than that): the distances are dead once _nearest returns.
     """
     centroids = np.array(centroids, dtype=np.float64)

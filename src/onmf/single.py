@@ -28,13 +28,9 @@ class OnmfSolution:
 def _theta_against(M: np.ndarray, a: np.ndarray, group: np.ndarray) -> np.ndarray:
     """Least-squares scale per column of M onto its group's column of a.
 
-    M may be bool, as bcc_cluster's labels reach it through _large_k: the
-    matmul then casts column i to a contiguous float64 copy, where M's
-    float64 copy is read in place. The bits are the same: with two or more
-    columns of a, a[:, s] is strided, so both dots take BLAS's
-    non-unit-stride ddot; with one, M has one column in _large_k, and that
-    is contiguous in C or Fortran order, so both dots take the unit-stride
-    one.
+    factorize_single fits theta here on its dense a; the double
+    factorizations fit it from their compact factor with double._fit_theta,
+    which gives the same bits.
     """
     n = M.shape[1]
     theta = np.zeros(n)

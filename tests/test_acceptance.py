@@ -14,6 +14,7 @@ from conftest import run_cli
 from onmf.bcc import BipartiteLabeling, bcc_cluster, round_block
 from onmf.core import frobenius_norm_sq, normalize_columns
 from onmf.double import (
+    _dense,
     factorize_double,
     factorize_double_large_k,
     solve_orthogonal_centroids,
@@ -193,7 +194,7 @@ def test_criterion_08_coordinate_solver_optimality():
         centroids = rng.random((k, m))
         qp = np.where(rng.random(k) < 0.25, 0.0, rng.random(k))
         sigma = rng.integers(0, k, k)
-        a = solve_orthogonal_centroids(centroids, qp, sigma)
+        a = _dense(*solve_orthogonal_centroids(centroids, qp, sigma))
         achieved = sum(qp[j] * np.sum((centroids[j] - a[:, sigma[j]]) ** 2)
                        for j in range(k) if qp[j] > 0)
         expected = coordinate_enumeration_optimum(centroids, qp, sigma)

@@ -21,7 +21,7 @@ from onmf.bcc import (
 )
 from conftest import nonneg_matrices, planted_labels, traced_peak
 from onmf.core import frobenius_norm_sq
-from onmf.double import _large_k
+from onmf.double import _dense, _large_k
 from oracles import brute_force_bcc, reference_round_block
 
 
@@ -150,7 +150,8 @@ def test_every_live_block_rounds_to_a_cluster(M, data):
         M = M[data.draw(st.lists(st.integers(0, len(M) - 1),
                                  min_size=len(M), max_size=len(M)))]
     M = np.asarray(M, order="C")
-    a, group, theta = _large_k(M)
+    factor, group, theta = _large_k(M)
+    a = _dense(*factor)
     live = theta > 0
     for i in np.flatnonzero(live):
         assert ((M[:, i] == 1) & (a[:, group[i]] > 0)).any()
@@ -187,9 +188,12 @@ def large_k_steps(L, entries):
 
 
 def as_bytes(x):
-    """The dtype and bytes of each array in nested tuples of arrays."""
+    """The dtype and bytes of each array in nested tuples of arrays and
+    ints, such as a compact factor (owner, value, k)."""
     if isinstance(x, tuple):
         return [as_bytes(y) for y in x]
+    if isinstance(x, int):
+        return x
     return x.dtype.str, x.tobytes()
 
 
@@ -235,8 +239,7 @@ def test_large_k_from_labels_decides_as_their_float_copy(M, entries, data):
         tied = set(sigma[extension_ties(labels, positive, i)].tolist())
         assert {sigma[i], ref_sigma[i]} <= tied
     if sigma.tobytes() == ref_sigma.tobytes():
-        assert [x.dtype for x in got] == [x.dtype for x in want]
-        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        assert as_bytes(got) == as_bytes(want)
 
 
 def test_extension_tie_goes_to_the_smaller_index():
@@ -430,9 +433,8 @@ def test_bcc_counts_overlaps_in_float64_past_the_float32_limit(make, digest):
 
 @pytest.mark.parametrize("m, n", [(600, 600), (400, 600)])
 def test_bcc_peak_memory(m, n):
-    # The large-k finish holds no float64 unit columns or Gram matrix. Its
-    # largest arrays are the group means of the solve or the factor a (on
-    # the wide path with its transposed source), the bool labels, their
+    # The large-k finish holds no float64 unit columns or Gram matrix, and
+    # no dense factor. Its largest arrays are the bool labels, their
     # float32 copy or float32 overlap counts, and row blocks of bounded
     # size, so the peak stays below 3.5 m x n float64s. Six
     # such arrays were once alive at the same time, four until the Gram
@@ -461,9 +463,9 @@ def test_bcc_peak_memory_without_unit_columns(m, n):
 
 def test_bcc_wide_path_frees_the_transposed_factor():
     # On the wide path _large_k solves the transpose and reads the groups
-    # and theta from its factor a2 (n x m) before it allocates a (m x m),
-    # so the two are never alive together; with a2, a and the mask a2 > 0
-    # all alive the peak was 1.68 m x n float64s.
+    # and theta from its factor a2, and a is a2's W2 transposed; both are
+    # compact now. When they were dense, with a2, a and the mask a2 > 0 all
+    # alive the peak was 1.68 m x n float64s.
     m, n = 400, 600
     g = BipartiteLabeling(labels=planted_labels(m, n, 12, 0.2, 5))
     assert traced_peak(lambda: bcc_cluster(g)) < 1.4 * 8 * m * n
@@ -472,15 +474,30 @@ def test_bcc_wide_path_frees_the_transposed_factor():
 @pytest.mark.parametrize("m, n", [(300, 300), (400, 300), (300, 400)],
                          ids=["square", "tall", "wide"])
 def test_bcc_holds_no_float_copy_of_the_labels(m, n):
-    # The group means of the solve or the factor a, about an m x n float64
-    # array, are the largest array alive; on the wide path a and its
-    # transposed source are alive together. With the bounded row blocks
-    # that stays below two m x n float64 arrays plus a k x k one,
-    # k = min(m, n); a float64 copy of the labels held through the whole
-    # call adds an m x n array and does not fit.
+    # The labels' float32 copy and overlap counts for the Gram GEMM are the
+    # largest arrays alive. With the bounded row blocks that stays below
+    # two m x n float64 arrays plus a k x k one, k = min(m, n); a float64
+    # copy of the labels held through the whole call adds an m x n array
+    # and does not fit.
     g = BipartiteLabeling(labels=planted_labels(m, n, 6, 0.05, 0))
     k = min(m, n)
     assert traced_peak(lambda: bcc_cluster(g)) < 8 * (2 * m * n + k * k)
+
+
+def test_bcc_peak_memory_single_column_groups():
+    # At 20% flips weight reduction leaves every one of the 600 columns its
+    # own group. The solve takes their means a block of groups at a time,
+    # the factor is one (owner, value) pair per row and theta is fitted
+    # from blocks of it, so no m x k or k x m float64 array is built. The
+    # peak is then the Gram GEMM: the labels' float32 copy and their
+    # float32 overlap counts, 2 x 4 m n bytes. The group means and the
+    # dense factor took it to 1.17 m x n float64s.
+    m = n = 600
+    labels = planted_labels(m, n, 12, 0.2, 5)
+    _, seen = large_k_steps(labels, onmf.core.BLOCK_ENTRIES)
+    assert np.unique(seen["group_centroids"][1]).size == n
+    g = BipartiteLabeling(labels=labels)
+    assert traced_peak(lambda: bcc_cluster(g)) < 1.1 * 8 * m * n
 
 
 def test_bcc_peak_memory_all_plus():

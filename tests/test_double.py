@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -17,6 +16,8 @@ from onmf.bcc import BipartiteLabeling, bcc_cluster
 from onmf.core import MAX_TOTAL_WEIGHT, check_nonneg, normalize_columns
 from onmf.double import (
     GroupingError,
+    _dense,
+    _fit_theta,
     centroid_weights,
     factorize_double,
     factorize_double_large_k,
@@ -550,18 +551,16 @@ def test_one_entry_per_block_keeps_every_byte(monkeypatch):
 
 
 def test_solve_frees_the_group_means_before_the_result(monkeypatch):
-    # k singleton groups: the group means and the result are both k x m.
+    # k singleton groups: the group means, k x m in all, are taken a block
+    # of groups at a time, and the factor is compact, one (owner, value)
+    # pair per coordinate, so the solve holds no k x m array at all.
     monkeypatch.setattr(onmf.double, "BLOCK_ENTRIES", 1 << 10)
     monkeypatch.setattr(onmf.kmeans, "BLOCK_ENTRIES", 1 << 10)
     k, m = 300, 200
     centroids = np.random.default_rng(6).random((k, m))
-    tracemalloc.start()
-    try:
-        solve_orthogonal_centroids(centroids, np.ones(k), np.arange(k))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * 8 * k * m
+    peak = traced_peak(lambda: solve_orthogonal_centroids(
+        centroids, np.ones(k), np.arange(k)))
+    assert peak < 0.25 * 8 * k * m
 
 
 # (centroids, q_reduced, sigma, a) where two groups tie on the score of a
@@ -599,20 +598,108 @@ def solver_cases(draw):
 @example((np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.0, -0.0]),
           np.array([0, 1])))  # no positive weight: an all-zero result
 def test_solver_matches_reference(case):
-    got = solve_orthogonal_centroids(*case)
+    got = _dense(*solve_orthogonal_centroids(*case))
     want = reference_solve_orthogonal_centroids(*case)
     assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
 
+@st.composite
+def compact_cases(draw):
+    """(centroids, q_reduced, sigma, norms, unit, M, group): a solve's
+    input, with float centroids or 0/1 ones and their norms, the unit rows
+    the 0/1 ones stand for, and an M, float or bool in C or Fortran order,
+    with its columns' groups to fit theta on."""
+    k = draw(st.sampled_from([0, 1, 2, 3, 5, 9]))
+    m = draw(st.integers(0, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    binary = draw(st.booleans())
+    if binary:
+        centroids = rng.random((k, m)) < rng.random()
+        counts = np.count_nonzero(centroids, axis=1)
+        norms = np.sqrt(counts)
+        q = np.where(rng.random(k) < 0.3, 0.0, norms**2)
+        unit = centroids / np.where(counts > 0, norms, 1.0)[:, None]
+    else:
+        centroids = rng.random((k, m)) * (rng.random((k, 1)) < 0.8)
+        q = np.where(rng.random(k) < 0.3, 0.0, rng.random(k))
+        q[~centroids.any(axis=1)] = 0.0
+        norms, unit = None, centroids
+    sigma = rng.integers(0, max(k, 1), k)
+    n = draw(st.integers(0, 8)) if k else 0
+    M = rng.random((m, n)) < 0.5
+    if not draw(st.booleans()):
+        M = M * rng.random((m, n))
+    if draw(st.booleans()):
+        M = np.asfortranarray(M)
+    return centroids, q, sigma, norms, unit, M, rng.integers(0, max(k, 1), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(compact_cases(), st.sampled_from([1, 7, onmf.core.BLOCK_ENTRIES]))
+def test_compact_solve_and_theta_match_the_dense_reference(case, entries):
+    # The solve takes the group means a block of groups at a time and keeps
+    # a running best per coordinate; _fit_theta fits theta through dense
+    # blocks of the factor's columns. Densified, the factor must be the
+    # reference solve's, and theta must be the dense _theta_against's, bit
+    # for bit; 0/1 centroids with their norms solve as their unit rows.
+    centroids, q, sigma, norms, unit, M, group = case
+    with mock.patch.object(onmf.double, "BLOCK_ENTRIES", entries), \
+            mock.patch.object(onmf.kmeans, "BLOCK_ENTRIES", entries):
+        factor = solve_orthogonal_centroids(centroids, q, sigma, norms)
+        theta = _fit_theta(M, *factor, group)
+    a = _dense(*factor)
+    want = reference_solve_orthogonal_centroids(unit, q, sigma)
+    assert (a.shape, a.tobytes()) == (want.shape, want.tobytes())
+    assert theta.tobytes() == _theta_against(M, a, group).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 3, 5]), st.booleans(), st.booleans(),
+       st.booleans(), st.sampled_from([1, onmf.core.BLOCK_ENTRIES]),
+       st.integers(0, 2**32 - 1))
+def test_theta_fit_keeps_the_factor_columns_strided(k, binary, fortran, wide,
+                                                    entries, seed):
+    # _fit_theta reads each group's column from a dense block of at least
+    # two columns, or of one when k = 1, so it is strided exactly when it
+    # is in the whole factor. A one-column block of a wider factor would
+    # make the dots and the einsum add in another order. With
+    # BLOCK_ENTRIES = 1 the blocks are two columns wide, so at k = 3 and 5
+    # the last one would hold a single column. k centroids: a tall M of k
+    # columns, or a wide one of k rows, which _large_k solves transposed.
+    rng = np.random.default_rng(seed)
+    long_side = int(rng.integers(k + 1, 160))
+    M = rng.random((k, long_side) if wide else (long_side, k)) < 0.6
+    if not binary:
+        M = M * rng.random(M.shape)
+    if fortran:
+        M = np.asfortranarray(M)
+    seen = []
+    finish = onmf.double._finish
+
+    def spied(*args):
+        seen.append((args[0], finish(*args)))
+        return seen[-1][1]
+
+    with mock.patch.object(onmf.double, "_finish", spied), \
+            mock.patch.object(onmf.double, "BLOCK_ENTRIES", entries), \
+            mock.patch.object(onmf.kmeans, "BLOCK_ENTRIES", entries):
+        onmf.double._large_k(M)
+    [(X, (factor, group, theta))] = seen
+    assert factor[2] == k
+    want = _theta_against(X, _dense(*factor), group)
+    assert theta.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("centroids, q, sigma, expected", SOLVER_TIES)
 def test_solver_ties_go_to_smallest_group(centroids, q, sigma, expected):
-    assert solve_orthogonal_centroids(centroids, q, sigma).tolist() == expected
+    a = _dense(*solve_orthogonal_centroids(centroids, q, sigma))
+    assert a.tolist() == expected
 
 
 def test_solver_one_group_is_weighted_mean():
     centroids = np.array([[0.5, 0.1], [0.3, 0.4]])
     qp = np.array([2.0, 1.0])
-    a = solve_orthogonal_centroids(centroids, qp, np.array([0, 0]))
+    a = _dense(*solve_orthogonal_centroids(centroids, qp, np.array([0, 0])))
     mean = qp @ centroids / qp.sum()
     assert np.allclose(a[:, 0], mean)
     assert (a[:, 1:] == 0).all()
@@ -623,15 +710,15 @@ def test_solver_coordinate_argmax():
     # 1 * 0.81 > 2 * 0.36 so group 2 wins the coordinate
     centroids = np.array([[0.6], [0.9]])
     qp = np.array([2.0, 1.0])
-    a = solve_orthogonal_centroids(centroids, qp, np.array([0, 1]))
+    a = _dense(*solve_orthogonal_centroids(centroids, qp, np.array([0, 1])))
     assert a[0, 0] == 0.0
     assert a[0, 1] == pytest.approx(0.9)
 
 
 def test_solver_zero_coordinate():
     centroids = np.array([[0.0, 0.5], [0.0, 0.2]])
-    a = solve_orthogonal_centroids(centroids, np.array([1.0, 1.0]),
-                                   np.array([0, 1]))
+    a = _dense(*solve_orthogonal_centroids(centroids, np.array([1.0, 1.0]),
+                                           np.array([0, 1])))
     assert (a[0] == 0).all()
 
 
@@ -643,7 +730,7 @@ def test_solver_exactly_optimal():
         centroids = rng.random((k, m))
         qp = np.where(rng.random(k) < 0.2, 0.0, rng.random(k))
         sigma = rng.integers(0, k, k)
-        a = solve_orthogonal_centroids(centroids, qp, sigma)
+        a = _dense(*solve_orthogonal_centroids(centroids, qp, sigma))
         achieved = sum(qp[j] * np.sum((centroids[j] - a[:, sigma[j]]) ** 2)
                        for j in range(k) if qp[j] > 0)
         expected = coordinate_enumeration_optimum(centroids, qp, sigma)
