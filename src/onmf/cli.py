@@ -4,10 +4,13 @@ Matrices are read from headerless CSV files of numbers (core.read_matrix),
 edge lists from lines of u,v,+ or u,v,-; blank lines are skipped, and a bad
 line is reported as path:line. Scalar results go to stdout as JSON, matrices
 and sweep tables to CSV files. Every output but the timings (factorize's
-wall_time_ms, sweep --timing) is deterministic given --seed. Exit codes: 0
-success, 1 runtime failure, 2 usage error, which includes a float flag
-(--noise, a --noise-grid level) that is negative, NaN or infinite, a negative
---seed and any flag the command does not have.
+wall_time_ms, sweep --timing) is deterministic given --seed and the input
+values, whatever the BLAS thread count, but for evaluate's
+non_orthogonality values (BLAS's V @ V.T) on rows of more than about
+10,000 entries. Exit codes: 0 success, 1 runtime failure, 2 usage error,
+which includes a float flag (--noise, a --noise-grid level) that is
+negative, NaN or infinite, a negative --seed and any flag the command does
+not have.
 """
 
 from __future__ import annotations

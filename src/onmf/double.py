@@ -29,7 +29,7 @@ from onmf.kmeans import (
     _segments,
     _weighted_means,
 )
-from onmf.single import OnmfSolution, _cluster, _solution
+from onmf.single import OnmfSolution, _cluster, _fit_theta, _solution
 
 # The most rows whose 0/1 overlaps a float32 GEMM counts exactly: every
 # partial sum is an integer of at most 24 bits. Longer columns are counted
@@ -309,49 +309,6 @@ def _dense(owner: np.ndarray, value: np.ndarray, k: int) -> np.ndarray:
     return a
 
 
-def _fit_theta(M: np.ndarray, owner: np.ndarray, value: np.ndarray, k: int,
-               group: np.ndarray) -> np.ndarray:
-    """single._theta_against(M, _dense(owner, value, k), group), bit for
-    bit, with no (m, k) array.
-
-    The columns of A go through dense blocks of about BLOCK_ENTRIES
-    entries, and each block fits the columns of M in its groups. A block
-    is two columns wide or more, or one when k = 1, as the whole A is, so
-    a[:, s] is strided exactly when it is in the whole A: each dot takes
-    the same BLAS ddot and the einsum of the squared norms the same loop.
-    A one-column block of a wider A would be contiguous, and both may add
-    in another order.
-
-    M may be bool, as bcc_cluster's labels: the matmul then casts column i
-    to a contiguous copy, with the bits of M's float64 copy read in place.
-    With two or more columns a[:, s] is strided, so both take the
-    non-unit-stride ddot; with one, M has one column in _large_k,
-    contiguous in either order, so both take the unit-stride one.
-    """
-    m, n = M.shape
-    theta = np.zeros(n)
-    step = 1 if k == 1 else max(2, BLOCK_ENTRIES // max(m, 1))
-    starts = list(range(0, k, step))
-    if len(starts) > 1 and k - starts[-1] == 1:
-        starts.pop()  # the last block takes the lone last column
-    rows, row_bounds = _segments(owner, k)
-    cols, col_bounds = _segments(group, k)
-    buf = np.empty(m * min(k, step + 1))
-    for lo, hi in zip(starts, starts[1:] + [k]):
-        c = cols[col_bounds[lo]:col_bounds[hi]]
-        if c.size == 0:
-            continue
-        a = buf[:m * (hi - lo)].reshape(m, hi - lo)
-        a.fill(0.0)
-        r = rows[row_bounds[lo]:row_bounds[hi]]
-        a[r, owner[r] - lo] = value[r]
-        norms_sq = np.einsum("ms,ms->s", a, a)
-        for i, s in zip(c.tolist(), (group[c] - lo).tolist()):
-            if norms_sq[s] > 0:
-                theta[i] = max(float(M[:, i] @ a[:, s]) / norms_sq[s], 0.0)
-    return theta
-
-
 def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
             phi: np.ndarray, norms: np.ndarray | None = None
             ) -> tuple[tuple[np.ndarray, np.ndarray, int], np.ndarray,
@@ -360,8 +317,9 @@ def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
     with a compact as solve_orthogonal_centroids returns it.
 
     Reduction and grouping share one Gram matrix and the leaders that the
-    reduction writes, both freed before the solve. _fit_theta fits theta
-    from the compact factor, so no (m, k) array is built here.
+    reduction writes, both freed before the solve. _fit_theta gathers the
+    columns of A it needs from the compact factor, so no (m, k) array is
+    built here.
     Every centroid row has norm at most 1 (a unit column, or a weighted
     mean of unit points), so no entry of it overflows. With norms, the
     centroids are instead 0/1 label columns (bool), standing for the unit
@@ -381,7 +339,7 @@ def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
     del gram, leader
     factor = solve_orthogonal_centroids(centroids, qp, sigma, norms)
     group = sigma[phi]
-    return factor, group, _fit_theta(M, *factor, group)
+    return factor, group, _fit_theta(M, group, factor)
 
 
 def factorize_double(M, k: int, config: KMeansConfig | None = None) -> OnmfSolution:

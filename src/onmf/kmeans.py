@@ -24,8 +24,10 @@ so the seeds, are those of the exact kernel.
 
 Seeding takes the points through one work buffer of at most BLOCK_ENTRIES
 entries, and Lloyd through the buffer that also holds its GEMM's (k, n)
-distances, a block of rows at a time, so k-means allocates no n x m array;
-every kernel works row by row, so the blocks change no bit.
+distances, a block of rows at a time, so k-means allocates no n x m array.
+The blocks change no bit on rows of up to 8,192 entries; past that the
+einsum of _weighted_cost and _nearest may give other bits with another
+block size (seeding's np.sum does not).
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ def _nearest(points: np.ndarray, norms_sq: np.ndarray,
     nothing to decide). Their rows are gathered BLOCK_ENTRIES entries at a
     time, and _weighted_cost's kernel writes their distances into the
     leading entries of dist, which the tally has already read, as an
-    (unsure, k) array: about two blocks of memory whatever k is.
+    (unsure, k) array: about two blocks of memory whatever k is. Past 8,192
+    entries a row, an exact tie may follow the block size (see the top).
     """
     m = points.shape[1]
     k = len(centroids)
@@ -139,8 +142,8 @@ def _nearest(points: np.ndarray, norms_sq: np.ndarray,
 
 def _weighted_cost(pts: WeightedPointSet, centroids: np.ndarray,
                    assignment: np.ndarray, work: np.ndarray) -> float:
-    # The differences go into work, a block of rows at a time (einsum sums
-    # each row alone, so the blocks give the bits of one pass).
+    # The differences go into work, a block of rows at a time: the bits of
+    # one pass on rows of up to 8,192 entries (see the top of this module).
     per_point = np.empty(len(pts))
     step = len(work)
     for lo in range(0, len(pts), step):

@@ -47,9 +47,11 @@ def _rescaled(f, X: np.ndarray) -> tuple[float, float]:
 
 def _norm(R: np.ndarray) -> float:
     """Frobenius norm of the residual R, also where the squares of its
-    entries overflow or underflow (_rescaled)."""
-    norm, s = _rescaled(np.linalg.norm, R)
-    return norm * s
+    entries overflow or underflow (_rescaled). The sum of squares is
+    einsum's: np.linalg.norm's BLAS dot adds in an order that follows the
+    thread count, and frobenius_norm_sq's R * R is as large as R."""
+    sum_sq, s = _rescaled(lambda X: np.einsum("ij,ij->", X, X), R)
+    return math.sqrt(sum_sq) * s
 
 
 def _rsfe(M: np.ndarray, R: np.ndarray) -> float:

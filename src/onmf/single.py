@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from onmf.core import CompactW, normalize_columns
+from onmf.core import BLOCK_ENTRIES, CompactW, normalize_columns
 from onmf.kmeans import KMeansConfig, weighted_kmeans
 
 
@@ -25,20 +25,40 @@ class OnmfSolution:
     objective: float
 
 
-def _theta_against(M: np.ndarray, a: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """Least-squares scale per column of M onto its group's column of a.
+def _fit_theta(M: np.ndarray, group: np.ndarray, a) -> np.ndarray:
+    """Least-squares scale per column of M onto its group's column x of A:
+    max(M[:, i] . x / |x|^2, 0), or 0 where |x|^2 is 0. a is A, dense
+    (m, k) or compact (owner, value, k) as solve_orthogonal_centroids
+    returns it; only the gather of x differs.
 
-    factorize_single fits theta here on its dense a; the double
-    factorizations fit it from their compact factor with double._fit_theta,
-    which gives the same bits.
+    The columns of non-zero groups go BLOCK_ENTRIES entries at a time, as
+    two blocks of rows: x and a float64 copy of M's columns. Each dot and
+    squared norm is one row's pairwise .sum(axis=1), so theta depends on
+    the values alone, not on the block size, M's dtype or the BLAS thread
+    count. (A BLAS dot past 10,000 terms follows the thread count, and
+    einsum past 8,192 entries a row follows the rows it takes at once.)
     """
-    n = M.shape[1]
+    compact = isinstance(a, tuple)
+    if compact:  # row r of A holds value[r] in column owner[r]
+        owner, value, k = a
+        live = np.bincount(owner, value, k) > 0
+    else:
+        live = a.any(axis=0)
+    m, n = M.shape
     theta = np.zeros(n)
-    norms_sq = np.einsum("ms,ms->s", a, a)
-    for i in range(n):
-        s = group[i]
-        if norms_sq[s] > 0:
-            theta[i] = max(float(M[:, i] @ a[:, s]) / norms_sq[s], 0.0)
+    cols = np.flatnonzero(live[group])
+    step = max(1, BLOCK_ENTRIES // max(m, 1))
+    for lo in range(0, cols.size, step):
+        c = cols[lo:lo + step]
+        s = group[c]
+        x = np.where(owner == s[:, None], value, 0.0) if compact else a.T[s]
+        prod = M.T[c].astype(np.float64, copy=False)
+        prod *= x
+        x *= x
+        norms_sq = x.sum(axis=1)
+        fit = np.divide(prod.sum(axis=1), norms_sq, out=np.zeros(len(c)),
+                        where=norms_sq > 0)
+        theta[c] = np.maximum(fit, 0.0)
     return theta
 
 
@@ -77,5 +97,4 @@ def factorize_single(M, k: int, config: KMeansConfig | None = None) -> OnmfSolut
     M, pts, sol = _cluster(M, k, config)
     del pts  # the unit columns, as large as M: free them before the objective
     a = np.maximum(sol.centroids.T, 0.0)  # (m, k), clamp is a no-op on our data
-    return _solution(M, a, sol.assignment,
-                     _theta_against(M, a, sol.assignment))
+    return _solution(M, a, sol.assignment, _fit_theta(M, sol.assignment, a))

@@ -42,7 +42,7 @@ from onmf.kmeans import (
     _sample_index,
     _weighted_means,
 )
-from onmf.single import OnmfSolution, _solution, _theta_against
+from onmf.single import OnmfSolution, _solution
 
 # sin^2(pi/12) = (1 - cos(pi/6)) / 2, the constant in the double-factor
 # approximation guarantees.
@@ -190,7 +190,7 @@ def brute_force_single(M, k: int) -> OnmfSolution:
         if idx.size:
             _, u, _ = rank_one_fit(M[:, idx])
             a[:, j] = u
-    return _solution(M, a, group, _theta_against(M, a, group))
+    return _solution(M, a, group, reference_theta(M, a, group))
 
 
 def brute_force_double(M, k: int) -> float:
@@ -660,6 +660,19 @@ def reference_solve_orthogonal_centroids(centroids: np.ndarray,
     cols = np.arange(m)
     a[cols, winners] = mu[winners, cols]
     return a
+
+
+def reference_theta(M: np.ndarray, a: np.ndarray,
+                    group: np.ndarray) -> np.ndarray:
+    """single._fit_theta on a dense a, one column of M at a time: each dot
+    is a BLAS ddot, whose order of summation follows the BLAS thread count
+    and kernel, and theta is 0 where the group's column has norm 0."""
+    theta = np.zeros(M.shape[1])
+    norms_sq = np.einsum("ms,ms->s", a, a)
+    for i, s in enumerate(group.tolist()):
+        if norms_sq[s] > 0:
+            theta[i] = max(float(M[:, i] @ a[:, s]) / norms_sq[s], 0.0)
+    return theta
 
 
 def reference_solution(M: np.ndarray, a: np.ndarray, group: np.ndarray,

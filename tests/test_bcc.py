@@ -12,6 +12,7 @@ import onmf.bcc
 import onmf.core
 import onmf.double
 import onmf.kmeans
+import onmf.single
 from onmf.bcc import (
     BipartiteLabeling,
     Clustering,
@@ -180,7 +181,7 @@ def large_k_steps(L, entries):
                      "solve_orthogonal_centroids"):
             stack.enter_context(mock.patch.object(
                 onmf.double, name, spy(name, getattr(onmf.double, name))))
-        for module in (onmf.double, onmf.kmeans):
+        for module in (onmf.single, onmf.double, onmf.kmeans):
             stack.enter_context(
                 mock.patch.object(module, "BLOCK_ENTRIES", entries))
         factors = _large_k(L)

@@ -322,8 +322,8 @@ def test_evaluate_and_sweep_bytes(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "sweep.csv").read_text() == (
         "noise_level,median_recovery_error,median_reconstruction_error,"
         "median_non_orthogonality,planted_reference\n"
-        "0.0,6.949727468511708e-16,6.949727468511708e-16,0.0,0.0\n"
-        "0.3,2.25204631299319,1.4031891008312405,0.0,2.6832815729997477\n")
+        "0.0,1.0543009377796707e-15,1.0543009377796707e-15,0.0,0.0\n"
+        "0.3,2.25204631299319,1.4031891008312403,0.0,2.6832815729997477\n")
 
 
 def test_sweep_row_count_and_reference(tmp_path):

@@ -17,7 +17,6 @@ from onmf.core import MAX_TOTAL_WEIGHT, check_nonneg, normalize_columns
 from onmf.double import (
     GroupingError,
     _dense,
-    _fit_theta,
     centroid_weights,
     factorize_double,
     factorize_double_large_k,
@@ -27,7 +26,7 @@ from onmf.double import (
 )
 from onmf.kmeans import KMeansConfig, KMeansSolution, weighted_kmeans
 from onmf.metrics import non_orthogonality
-from onmf.single import _solution, _theta_against, factorize_single
+from onmf.single import _fit_theta, _solution, factorize_single
 from onmf.synth import gen_planted_double
 from conftest import (NONNEG_CELLS, TOO_LARGE, nonneg_matrices, planted_labels,
                       traced_peak)
@@ -47,6 +46,7 @@ from oracles import (
     reference_normalize_columns,
     reference_solution,
     reference_solve_orthogonal_centroids,
+    reference_theta,
     reference_transpose_solution,
     reference_weight_reduction,
 )
@@ -638,56 +638,72 @@ def compact_cases(draw):
 @given(compact_cases(), st.sampled_from([1, 7, onmf.core.BLOCK_ENTRIES]))
 def test_compact_solve_and_theta_match_the_dense_reference(case, entries):
     # The solve takes the group means a block of groups at a time and keeps
-    # a running best per coordinate; _fit_theta fits theta through dense
-    # blocks of the factor's columns. Densified, the factor must be the
-    # reference solve's, and theta must be the dense _theta_against's, bit
-    # for bit; 0/1 centroids with their norms solve as their unit rows.
+    # a running best per coordinate. Densified, the factor must be the
+    # reference solve's, bit for bit, and theta fitted from the compact
+    # factor must have the dense factor's bits; 0/1 centroids with their
+    # norms solve as their unit rows.
     centroids, q, sigma, norms, unit, M, group = case
     with mock.patch.object(onmf.double, "BLOCK_ENTRIES", entries), \
             mock.patch.object(onmf.kmeans, "BLOCK_ENTRIES", entries):
         factor = solve_orthogonal_centroids(centroids, q, sigma, norms)
-        theta = _fit_theta(M, *factor, group)
     a = _dense(*factor)
     want = reference_solve_orthogonal_centroids(unit, q, sigma)
     assert (a.shape, a.tobytes()) == (want.shape, want.tobytes())
-    assert theta.tobytes() == _theta_against(M, a, group).tobytes()
+    assert (_fit_theta(M, group, factor).tobytes()
+            == _fit_theta(M, group, a).tobytes())
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([1, 2, 3, 5]), st.booleans(), st.booleans(),
-       st.booleans(), st.sampled_from([1, onmf.core.BLOCK_ENTRIES]),
-       st.integers(0, 2**32 - 1))
-def test_theta_fit_keeps_the_factor_columns_strided(k, binary, fortran, wide,
-                                                    entries, seed):
-    # _fit_theta reads each group's column from a dense block of at least
-    # two columns, or of one when k = 1, so it is strided exactly when it
-    # is in the whole factor. A one-column block of a wider factor would
-    # make the dots and the einsum add in another order. With
-    # BLOCK_ENTRIES = 1 the blocks are two columns wide, so at k = 3 and 5
-    # the last one would hold a single column. k centroids: a tall M of k
-    # columns, or a wide one of k rows, which _large_k solves transposed.
-    rng = np.random.default_rng(seed)
-    long_side = int(rng.integers(k + 1, 160))
-    M = rng.random((k, long_side) if wide else (long_side, k)) < 0.6
-    if not binary:
-        M = M * rng.random(M.shape)
-    if fortran:
+@st.composite
+def theta_cases(draw):
+    """(M, a compact factor, group): M bool or float64, C or Fortran, some
+    columns of A zero, and rows short or past einsum's 8,192-entry and
+    OpenBLAS's 10,000-term thresholds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.one_of(st.integers(0, 40), st.sampled_from([8_193, 20_000])))
+    n = draw(st.integers(0, 6))
+    k = draw(st.integers(1, 5))
+    M = rng.random((m, n)) < 0.6
+    if not draw(st.booleans()):
+        M = M * rng.random((m, n))
+    if draw(st.booleans()):
         M = np.asfortranarray(M)
-    seen = []
-    finish = onmf.double._finish
+    value = rng.random(m) * (rng.random(m) < 0.8)
+    return M, (rng.integers(0, k, m), value, k), rng.integers(0, k, n)
 
-    def spied(*args):
-        seen.append((args[0], finish(*args)))
-        return seen[-1][1]
 
-    with mock.patch.object(onmf.double, "_finish", spied), \
-            mock.patch.object(onmf.double, "BLOCK_ENTRIES", entries), \
-            mock.patch.object(onmf.kmeans, "BLOCK_ENTRIES", entries):
-        onmf.double._large_k(M)
-    [(X, (factor, group, theta))] = seen
-    assert factor[2] == k
-    want = _theta_against(X, _dense(*factor), group)
-    assert theta.tobytes() == want.tobytes()
+@settings(max_examples=100, deadline=None)
+@given(theta_cases())
+def test_theta_bits_follow_the_values_alone(case):
+    # Each dot and squared norm is the pairwise sum of one row, so theta
+    # has the same bytes with any block size, for a bool M and its float64
+    # copy, and for the dense and the compact factor.
+    M, factor, group = case
+    a = _dense(*factor)
+    inputs = [M, M.astype(np.float64)] if M.dtype == bool else [M]
+    seen = set()
+    for entries in (1, 7, onmf.core.BLOCK_ENTRIES, 100_000):
+        with mock.patch.object(onmf.single, "BLOCK_ENTRIES", entries):
+            seen |= {_fit_theta(X, group, f).tobytes()
+                     for X in inputs for f in (a, factor)}
+    assert len(seen) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta_cases())
+def test_theta_matches_the_reference_dots(case):
+    # Against one BLAS dot per column. Both sides sum m non-negative
+    # products of non-negative floats, in different orders, so with
+    # u = eps / 2 each sum is within g_m = m u / (1 - m u) of its exact
+    # value relative to it, as is the squared norm, and the division adds
+    # u: each theta is within (2 g_m + u)(1 + O(u)) of the exact quotient,
+    # relative to it, and the two within twice that, (2m + 1) eps, of each
+    # other. (2m + 2) eps covers the O(u^2) terms.
+    M, factor, group = case
+    a = _dense(*factor)
+    got, want = _fit_theta(M, group, factor), reference_theta(M, a, group)
+    bound = (2 * len(M) + 2) * np.finfo(np.float64).eps
+    assert (np.abs(got - want) <= bound * want).all()
+    assert ((got == 0) == (want == 0)).all()
 
 
 @pytest.mark.parametrize("centroids, q, sigma, expected", SOLVER_TIES)
@@ -811,7 +827,7 @@ def _reference_large_k_steps(M):
     qp = _exact_weight_reduction(pts.points, pts.weights)
     sigma = _exact_group_centroids(pts.points, qp)
     a = reference_solve_orthogonal_centroids(pts.points, qp, sigma)
-    return reference_solution(M, a, sigma, _theta_against(M, a, sigma))
+    return reference_solution(M, a, sigma, _fit_theta(M, sigma, a))
 
 
 def _solution_bytes(fn, M):

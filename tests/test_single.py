@@ -6,7 +6,7 @@ from onmf.core import frobenius_norm_sq, normalize_columns
 from onmf.double import factorize_double, factorize_double_large_k
 from onmf.kmeans import KMeansConfig, weighted_kmeans
 from onmf.metrics import non_orthogonality
-from onmf.single import _solution, _theta_against, factorize_single
+from onmf.single import _solution, factorize_single
 from onmf.synth import gen_planted_double, gen_planted_single
 from conftest import NONNEG_CELLS, nonneg_matrices, traced_peak
 from oracles import (
@@ -14,6 +14,7 @@ from oracles import (
     brute_force_single,
     rank_one_fit,
     reference_solution,
+    reference_theta,
 )
 
 
@@ -132,7 +133,7 @@ def test_objective_matches_dense_product():
     a = rng.random((5, 4))
     a[:, 2] = 0.0  # an all-zero column of a
     group = np.array([0, 1, 2, 3, 2, 0, 1, 3])
-    theta = _theta_against(M, a, group)
+    theta = reference_theta(M, a, group)
     theta[[1, 6]] = 0.0  # zero-theta columns
     cases = [(M, _solution(M, a, group, theta))]
     for trial in range(4):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from onmf.core import frobenius_norm_sq, normalize_columns
-from onmf.double import factorize_double
+import onmf.cli
+from onmf.double import factorize_double, factorize_double_large_k
 from onmf.kmeans import KMeansConfig, kmeanspp_seed, weighted_kmeans
 from onmf.single import factorize_single
 from onmf.synth import (
@@ -127,7 +128,48 @@ def test_frozen_kmeans_cost_stop():
     fact = factorize_double(M, 15, config)
     assert (digest(sol.assignment), digest(sol.cost), digest(fact.objective),
             digest(fact.w.group)) == ("262debbd428263a5", "dfb07681bd547df5",
-                                      "ba385691f780d0aa", "125c15423ea08783")
+                                      "28d0817c72f7b4cd", "125c15423ea08783")
+
+
+# sha256 prefixes of theta and the objective where each theta dot sums more
+# than 10,000 terms, past which OpenBLAS splits a dot across threads: CI
+# runs this file under one BLAS thread and under its default.
+FROZEN_LONG_COLUMNS = {
+    "single": ("0365529fb62a9edb", "cadfe80e0faa5320"),
+    "double": ("78ee182b31a1fd81", "c2f0ed47c741a00a"),
+    "large_k": ("9a788a39479f28cb", "6d429478ed571365"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(FROZEN_LONG_COLUMNS))
+def test_frozen_long_columns(mode):
+    config = KMeansConfig(restarts=2, seed=0)
+    if mode == "single":
+        M = gen_planted_single(20000, 40, 4, 0.5, 1).m_observed
+        sol = factorize_single(M, 4, config)
+    elif mode == "double":
+        M = gen_planted_double(20000, 40, 4, 0.5, 1).m_observed
+        sol = factorize_double(M, 4, config)
+    else:
+        M = gen_planted_double(12000, 60, 4, 0.5, 1).m_observed
+        sol = factorize_double_large_k(M)
+    assert (digest(sol.w.theta),
+            digest(sol.objective)) == FROZEN_LONG_COLUMNS[mode]
+
+
+def test_frozen_double_sweep(tmp_path):
+    # 50 x 500: evaluate's norms sum 25,000 squares.
+    out = tmp_path / "sweep.csv"
+    assert onmf.cli.main(["sweep", "--m", "50", "--n", "500", "--k", "10",
+                          "--mode", "double", "--noise-grid", "0.1,0.5,1.0",
+                          "--trials", "3", "--restarts", "2",
+                          "--out", str(out)]) == 0
+    assert out.read_text() == (
+        "noise_level,median_recovery_error,median_reconstruction_error,"
+        "median_non_orthogonality,planted_reference\n"
+        "0.1,5.997002764566111,21.77246026142598,0.0,22.360679774997898\n"
+        "0.5,79.62870135381873,129.39351865380908,0.0,111.80339887498948\n"
+        "1.0,171.14860860808716,176.98279205593911,0.0,223.60679774997897\n")
 
 
 def test_planted_single_structure():
