@@ -112,8 +112,9 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
 
     Factorizes the binary matrix with both factors orthogonal, rounds every
     block to binary, and turns each non-empty binary block into a cluster.
-    Returns the clustering and its exact disagreement count. The labels
-    are taken as a C-ordered bool array, with no float64 copy of them all:
+    Returns the clustering and its exact disagreement count, summed over
+    the clusters as they are rounded. The labels are taken as a C-ordered
+    bool array, with no float64 copy of them all:
     _large_k works from their column counts and overlap counts and returns
     its factor a compactly, one (owner, value) pair per row, so no m x k or
     k x m float64 array is built; each block is converted to float64 for
@@ -136,12 +137,19 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
     # L[r, i] = 1 and so a[r, s] = theta2[r] > 0; no product of 1s and unit
     # entries underflows. So the block has rows, and the column round_block
     # picks has a 1 among them and keeps itself.
+    # The count starts with every "+" edge disagreeing. A cluster of rows R
+    # and columns C, with plus "+" edges among them, takes those back and
+    # adds its |R| |C| - plus "-" edges.
+    count = int(np.count_nonzero(L))
     for cluster, s in enumerate(blocks, start=1):  # ids follow block order
         r = rows[row_bounds[s]:row_bounds[s + 1]]
         c = cols[col_bounds[s]:col_bounds[s + 1]]
-        a_hat, w_hat = round_block(L[np.ix_(r, c)].astype(np.float64),
-                                   value[r], theta[c])
-        left[r[a_hat > 0]] = cluster
-        right[c[w_hat > 0]] = cluster
-    clustering = Clustering(left=left, right=right)
-    return clustering, disagreements(g, clustering)
+        block = L[np.ix_(r, c)]
+        a_hat, w_hat = round_block(block.astype(np.float64), value[r],
+                                   theta[c])
+        in_r, in_c = a_hat > 0, w_hat > 0
+        left[r[in_r]] = cluster
+        right[c[in_c]] = cluster
+        plus = np.count_nonzero(block[np.ix_(in_r, in_c)])
+        count += int(in_r.sum()) * int(in_c.sum()) - 2 * plus
+    return Clustering(left=left, right=right), count

@@ -58,20 +58,26 @@ def centroid_weights(pts: WeightedPointSet,
 def _cos_sq_edges(m: int) -> np.ndarray:
     """Filter edges (1 - t, 1 + t, 3 - t, 3 + t) / 4 for rows of m entries.
 
-    The filter estimates cos^2 of rows x, y by r = fl(fl(fl(G^2) / N_x) / N_y)
-    from G = gram[x, y] and N = the Gram diagonal. Each is a sum of m
-    products, so with u = eps / 2 and g_m = m u / (1 - m u), in any order of
-    summation, |G - x.y| <= g_m sum |x_l y_l| <= g_m |x||y| and
+    The filter estimates cos^2 of rows x, y by
+    r = fl(fl(fl(G^2) fl(1 / N_x)) fl(1 / N_y)) from G = gram[x, y] and
+    N = the Gram diagonal. Each is a sum of m products, so with u = eps / 2
+    and g_m = m u / (1 - m u), in any order of summation,
+    |G - x.y| <= g_m sum |x_l y_l| <= g_m |x||y| and
     |N_x - |x|^2| <= g_m |x|^2. Hence G^2 / (|x|^2 |y|^2) is within
-    2 g_m + g_m^2 of cos^2 <= 1, and the two norms and the three roundings
-    of r scale it by a factor within 2 g_m + 3u + O(u^2) of 1, so
-    |r - cos^2| <= 4 g_m + 3u + O(u^2) < (4m + 3) u (1 + 1e-9) for any
-    m below 2^40. The edges use t = 16 (m + 1) eps = 32 (m + 1) u, so t / 4
-    is at least twice that bound, which also covers the rounding of the
-    edges and the subnormal results: for squared norms in [2^-400, 2^400]
-    they add less than (m + 3) 2^-600 to |r - cos^2|, and nothing overflows.
-    Then r <= e0 proves cos^2 < 1/4, e1 < r <= e2 proves 1/4 < cos^2 < 3/4
-    and r > e3 proves cos^2 > 3/4; any other r decides nothing.
+    2 g_m + g_m^2 of cos^2 <= 1, and the two norms and the five roundings
+    of r (the square, two reciprocals, two products) scale it by a factor
+    F with |F - 1| <= (1 - g_m)^-2 (1 + u)^5 - 1, so |r - cos^2| <=
+    (2 g_m + g_m^2) F + |F - 1| < (4m + 5) u (1 + 2^-10) for any m below
+    2^40 (checked in exact rationals). The edges use t = 16 (m + 1) eps =
+    32 (m + 1) u, and t / 4 = 8 (m + 1) u exceeds that bound by more than
+    2u. The slack covers the rounding of the edges, at most u / 2 (t is
+    exact, 1 +- t rounds by at most u, 3 +- t by 2u, and / 4 is exact), and
+    the subnormal results: for squared norms in [2^-400, 2^400] the
+    reciprocals are normal, nothing overflows, and underflowed products add
+    less than 2^-273 to |r - cos^2| (2^-1075 in fl(G^2), times reciprocals
+    of at most 2^400 each, and far less from the sums). Then r <= e0 proves
+    cos^2 < 1/4, e1 < r <= e2 proves 1/4 < cos^2 < 3/4 and r > e3 proves
+    cos^2 > 3/4; any other r decides nothing, and NaN passes no edge.
 
     The rows _finish passes keep inside those limits: each is zero, or a
     unit column or a weighted mean of unit columns, whose squared norm lies
@@ -131,7 +137,7 @@ def weight_reduction(centroids: np.ndarray, q: np.ndarray, gram: np.ndarray,
     BLOCK_ENTRIES entries, so it builds no k x k mask and no list of pairs:
     the filter decides every pair it can, _exact_angle the rest, and the
     block's band pairs are reduced at once. A zero row is in no pair: its
-    estimates are 0/0, NaN, which passes no edge.
+    estimates are 0 inf = NaN, which passes no edge.
 
     A pair changes only the weights of rows at or after its j1, so once its
     block is done a row's weight is final. The block then sets leader[j],
@@ -142,7 +148,8 @@ def weight_reduction(centroids: np.ndarray, q: np.ndarray, gram: np.ndarray,
     below 1/4 or above 3/4, and r is within t/4 of it (_cos_sq_edges).
     """
     k, m = centroids.shape
-    norms_sq = gram.diagonal()
+    with np.errstate(divide="ignore"):  # a zero row's is inf
+        inv = np.divide(1.0, gram.diagonal(), dtype=np.float64)
     e0, e1, e2, e3 = _cos_sq_edges(m)
     exact_rows: dict[int, tuple[dict[int, int], int]] = {}
     qp = np.array(q, dtype=np.float64).tolist()  # Python floats index faster
@@ -158,9 +165,9 @@ def weight_reduction(centroids: np.ndarray, q: np.ndarray, gram: np.ndarray,
         # r[t, c] estimates cos^2 of centroids lo + t and lo + c.
         r = np.square(gram[lo:hi, lo:], dtype=np.float64,
                       out=buf[:(hi - lo) * width].reshape(hi - lo, -1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r /= norms_sq[lo:hi, None]
-            r /= norms_sq[lo:]
+        with np.errstate(invalid="ignore"):  # 0 inf, NaN, for a zero row
+            r *= inv[lo:hi, None]
+            r *= inv[lo:]
         r[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = 0.0  # j2 <= j1
         # Only the pairs above e0 may be in the band or near; flat holds
         # them in row-major order, as index t * width + c of r.
@@ -267,23 +274,36 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
     column owner[r] and zeros elsewhere (_dense builds A). The group means
     are taken BLOCK_ENTRIES // m groups at a time, from one sort of the
     labels, and each coordinate keeps the best score so far, replaced only
-    by a strictly greater one, so the smallest group still wins a tie. With
-    norms, centroids are 0/1 label columns (see _finish), and each group's
-    members are gathered from them and divided by their norms: the bits of
-    their unit columns.
+    by a strictly greater one, so the smallest group still wins a tie.
+
+    With norms, centroids are 0/1 label columns (bool, see _finish), and
+    only groups of two or more members take means, gathered from them and
+    divided by their norms: the bits of their unit columns. A one-member
+    group g, member j of weight q, has the mean c = ((1 / norm_j) q + 0.0)
+    / q where column j has a 1 and 0 elsewhere, so it scores one scalar
+    s_g = (c c) q. Sorted by (s desc, g asc), the first with a 1 at a
+    coordinate is their winner there, found in blocks of BLOCK_ENTRIES // m
+    bool columns; it beats the means' best by a greater score, or an equal
+    one and a smaller group. A coordinate where every score is 0 goes to
+    group 0 with value 0, the float rule wherever no score underflows.
     """
     k, m = centroids.shape
     n_groups = int(sigma.max()) + 1 if k else 0
     owner = np.zeros(m, dtype=np.int64)
     value = np.zeros(m)
-    order, bounds = _segments(np.where(q_reduced > 0, sigma, -1), n_groups)
+    live = q_reduced > 0
+    sizes = np.bincount(sigma[live], minlength=n_groups)
+    means = np.arange(n_groups) if norms is None else np.flatnonzero(sizes > 1)
+    rank = np.full(n_groups, -1)
+    rank[means] = np.arange(len(means))  # the groups that take means, packed
+    order, bounds = _segments(np.where(live, rank[sigma], -1), len(means))
     weights = q_reduced[order]
-    best = np.full(m, -np.inf)  # every score is >= 0
+    best = np.full(m, -np.inf if norms is None else 0.0)  # scores are >= 0
     step = max(1, BLOCK_ENTRIES // max(m, 1))
-    size = min(step, n_groups) * m
+    size = min(step, len(means)) * m
     mu_buf, score_buf, work = np.empty(size), np.empty(size), _block(k, m)
-    for lo in range(0, n_groups, step):
-        hi = min(lo + step, n_groups)
+    for lo in range(0, len(means), step):
+        hi = min(lo + step, len(means))
         mu = mu_buf[:(hi - lo) * m].reshape(hi - lo, m)
         qstar = _segment_means(centroids, weights, order, bounds[lo:hi + 1],
                                mu, work, norms=norms)
@@ -295,8 +315,29 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
         better = np.flatnonzero(scores.max(axis=0) > best)
         winners = np.argmax(scores[:, better], axis=0)
         best[better] = scores[winners, better]
-        owner[better] = winners + lo
+        owner[better] = means[winners + lo]
         value[better] = mu[winners, better]
+    if norms is None:
+        return owner, value, k
+    one = np.flatnonzero(live & (sizes[sigma] == 1))
+    q, g = q_reduced[one], sigma[one]
+    c = (1.0 / norms[one] * q + 0.0) / q  # the mean, as _segment_means'
+    s = c * c * q
+    by = np.lexsort((g, -s))  # best first, ties to the smaller group
+    one, g, c, s = one[by], g[by], c[by], s[by]
+    first = np.full(m, -1)  # each coordinate's winner, as a place in one
+    for lo in range(0, len(one), step):
+        block = centroids.T[:, one[lo:lo + step]]  # (m, b) bool
+        hit = np.argmax(block, axis=1)  # the first 1, or 0 if none
+        new = block[np.arange(m), hit] & (first < 0)
+        first[new] = hit[new] + lo
+        if (first >= 0).all():
+            break
+    r = np.flatnonzero(first >= 0)
+    f = first[r]
+    wins = (s[f] > best[r]) | ((s[f] == best[r]) & (g[f] < owner[r]))
+    owner[r[wins]] = g[f[wins]]
+    value[r[wins]] = c[f[wins]]
     return owner, value, k
 
 

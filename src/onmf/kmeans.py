@@ -210,10 +210,7 @@ def _segment_means(points: np.ndarray, weights: np.ndarray,
     the labels: 8 bytes times m times the largest cluster.
 
     With norms, the points are the rows points / norms, gathered as _gather
-    divides them; points are then 0/1 rows, such as bcc's label columns. A
-    single point's x is 0 or 1 / norm, so its mean is its 0/1 row times one
-    scalar, ((1 / norm) * w + 0.0) / w, taken for all of them at once with
-    the same four operations.
+    divides them; points are then 0/1 rows, such as bcc's label columns.
     """
     k, m = out.shape
     counts = np.diff(bounds)
@@ -230,24 +227,14 @@ def _segment_means(points: np.ndarray, weights: np.ndarray,
         totals[single] = w
         pos = w > 0
         idx, single, w = order[at[pos]], single[pos], w[pos, None]
-        if norms is not None:
-            scale = np.divide(1.0, norms[idx, None])  # (w * x + 0.0) / w
-            scale *= w
-            scale += 0.0
-            scale /= w
         buf = work if work is not None else _block(len(idx), m)
         step = len(buf)
         for lo in range(0, len(idx), step):
             hi = lo + step
-            chunk = idx[lo:hi]
-            if norms is not None:
-                rows = np.multiply(points[chunk], scale[lo:hi],
-                                   out=buf[:len(chunk)])
-            else:
-                rows = _gather(points, chunk, buf)  # (w * x + 0.0) / w
-                rows *= w[lo:hi]
-                rows += 0.0
-                rows /= w[lo:hi]
+            rows = _gather(points, idx[lo:hi], buf, norms)  # (w x + 0.0) / w
+            rows *= w[lo:hi]
+            rows += 0.0
+            rows /= w[lo:hi]
             out[single[lo:hi]] = rows
 
     bounds = bounds.tolist()  # Python ints slice faster

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from onmf.bcc import BipartiteLabeling, bcc_cluster
 from onmf.core import MAX_TOTAL_WEIGHT, check_nonneg, normalize_columns
 from onmf.double import (
     GroupingError,
+    _cos_sq_edges,
     _dense,
     centroid_weights,
     factorize_double,
@@ -333,6 +335,62 @@ FINITE_CELLS = (st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-310,
                 | st.floats(0.0, 4.0))
 
 
+def _assert_estimates_within_the_bound(centroids):
+    # _cos_sq_edges' bound: each of weight_reduction's estimates, the
+    # squared Gram entry times the rows' two reciprocal squared norms, is
+    # within (4m + 5) u (1 + 2^-10) of the exact cos^2, and with the
+    # rounding of each edge that stays below t / 4, so every edge the
+    # filter passes proves its side.
+    gram = centroids @ centroids.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / gram.diagonal()
+        r = np.square(gram) * inv[:, None] * inv
+    m = centroids.shape[1]
+    u = Fraction(1, 2**53)
+    bound = (4 * m + 5) * u * (1 + Fraction(1, 1024))
+    t = 32 * (m + 1) * u
+    exact_edges = [(1 - t) / 4, (1 + t) / 4, (3 - t) / 4, (3 + t) / 4]
+    for edge, exact in zip(_cos_sq_edges(m).tolist(), exact_edges):
+        assert bound + abs(Fraction(edge) - exact) < t / 4
+    for i, j in itertools.combinations(range(len(centroids)), 2):
+        cos_sq = exact_cos_sq(centroids[i], centroids[j])
+        if cos_sq is None:
+            assert np.isnan(r[i, j])  # a zero row passes no edge
+        else:
+            assert abs(Fraction(r[i, j]) - cos_sq) <= bound
+
+
+@pytest.mark.parametrize("c1, c2, overlap", EXACT_TIES)
+def test_filter_estimates_are_within_the_bound_at_exact_ties(c1, c2,
+                                                            overlap):
+    # Each unit column also scaled to the ends of the squared norms the
+    # filter serves, 1 / (2m) and 2m.
+    m = c1 + c2
+    rows = _overlapping_unit_columns(c1, c2, overlap)
+    scales = [math.sqrt(1 / (2 * m)), 1.0, math.sqrt(2 * m)]
+    _assert_estimates_within_the_bound(
+        np.array([row * scale for row in rows for scale in scales]))
+
+
+@st.composite
+def scaled_rows(draw):
+    """Non-negative rows, some zero, of 1 to 6 entries, each scaled by
+    2^-199, 1 or 2^199, with squared norms in the filter's [2^-400, 2^400]."""
+    d = draw(st.integers(1, 6))
+    row = st.builds(lambda v, e: [x * 2.0**e for x in v],
+                    st.lists(FINITE_CELLS, min_size=d, max_size=d),
+                    st.sampled_from([-199, 0, 199]))
+    row = row.filter(lambda v: not any(v)
+                     or 2.0**-400 <= sum(x * x for x in v) <= 2.0**400)
+    return np.array(draw(st.lists(row, min_size=2, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_rows() | centroid_sets().map(lambda case: case[0]))
+def test_filter_estimates_are_within_the_bound(centroids):
+    _assert_estimates_within_the_bound(centroids)
+
+
 @st.composite
 def finish_inputs(draw):
     """(centroids, q) as _finish receives them: the unit columns and
@@ -634,14 +692,53 @@ def compact_cases(draw):
     return centroids, q, sigma, norms, unit, M, rng.integers(0, max(k, 1), n)
 
 
+def binary_case(columns, q, sigma):
+    """A compact_cases case of 0/1 centroids, each a string of its bits,
+    with the given weights and groups, and a bool M of ones."""
+    centroids = np.array([[bit == "1" for bit in col] for col in columns])
+    counts = np.count_nonzero(centroids, axis=1)
+    norms = np.sqrt(counts)
+    unit = centroids / np.where(counts > 0, norms, 1.0)[:, None]
+    M = np.ones((centroids.shape[1], 3), dtype=bool)
+    return (centroids, np.array(q, dtype=np.float64), np.array(sigma), norms,
+            unit, M, np.array([0, 1, len(columns) - 1]))
+
+
+# With norms, one-member groups score one scalar each where their column has
+# a 1, and groups of more members take means; a tie goes to the smaller
+# group either way.
+SOLVE_TIES = [
+    # Four one-member groups of two ones and weight 2 each: every coordinate
+    # is a tie of two of them, and the smaller group wins, whatever the
+    # order of their columns.
+    binary_case(["1100", "0110", "0011", "1001"], [2.0] * 4, [3, 1, 0, 2]),
+    # One-member group of weight 2 against a group of two members of
+    # weight 1 on the same column: the same mean and score, with the
+    # one-member group first, then second; coordinates 2 and 3 score 0.
+    binary_case(["1100"] * 3, [2.0, 1.0, 1.0], [0, 1, 1]),
+    binary_case(["1100"] * 3, [2.0, 1.0, 1.0], [1, 0, 0]),
+    # Coordinate 3 scores 0 everywhere. Groups 0 and 1 are empty (column 0
+    # has weight 0) and the two-member group 2 comes before the one-member
+    # groups 3 and 4, yet the coordinate goes to group 0 with value 0.
+    binary_case(["0001", "1000", "1000", "0100", "0010"],
+                [0.0, 1.0, 1.0, 1.0, 1.0], [0, 2, 2, 3, 4]),
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(compact_cases(), st.sampled_from([1, 7, onmf.core.BLOCK_ENTRIES]))
+@example(SOLVE_TIES[0], 1)
+@example(SOLVE_TIES[0], onmf.core.BLOCK_ENTRIES)
+@example(SOLVE_TIES[1], 1)
+@example(SOLVE_TIES[2], 1)
+@example(SOLVE_TIES[3], 7)
 def test_compact_solve_and_theta_match_the_dense_reference(case, entries):
     # The solve takes the group means a block of groups at a time and keeps
-    # a running best per coordinate. Densified, the factor must be the
-    # reference solve's, bit for bit, and theta fitted from the compact
-    # factor must have the dense factor's bits; 0/1 centroids with their
-    # norms solve as their unit rows.
+    # a running best per coordinate; with norms, one-member groups are
+    # scored apart. Densified, the factor must be the reference solve's,
+    # bit for bit, and theta fitted from the compact factor must have the
+    # dense factor's bits; 0/1 centroids with their norms solve as their
+    # unit rows.
     centroids, q, sigma, norms, unit, M, group = case
     with mock.patch.object(onmf.double, "BLOCK_ENTRIES", entries), \
             mock.patch.object(onmf.kmeans, "BLOCK_ENTRIES", entries):
@@ -649,6 +746,8 @@ def test_compact_solve_and_theta_match_the_dense_reference(case, entries):
     a = _dense(*factor)
     want = reference_solve_orthogonal_centroids(unit, q, sigma)
     assert (a.shape, a.tobytes()) == (want.shape, want.tobytes())
+    owner, value, _ = factor
+    assert not owner[value == 0].any()  # every score 0: group 0, as argmax
     assert (_fit_theta(M, group, factor).tobytes()
             == _fit_theta(M, group, a).tobytes())
 
