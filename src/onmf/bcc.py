@@ -114,9 +114,10 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
     block to binary, and turns each non-empty binary block into a cluster.
     Returns the clustering and its exact disagreement count, summed over
     the clusters as they are rounded. The labels are taken as a C-ordered
-    bool array, with no float64 copy of them all:
-    _large_k works from their column counts and overlap counts and returns
-    its factor a compactly, one (owner, value) pair per row, so no m x k or
+    bool array, with no float64 copy of them all: _large_k works from their
+    column counts and a float32 copy, whose GEMM row blocks are their
+    overlap counts, so no k x k array is built either, and returns its
+    factor a compactly, one (owner, value) pair per row, so no m x k or
     k x m float64 array is built; each block is converted to float64 for
     round_block alone.
     """

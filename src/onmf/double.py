@@ -9,11 +9,12 @@ entirely, treating every normalized column as its own centroid,
 transposing first when that orientation is cheaper.
 
 Steps 2 and 3 decide on the exact angles of the centroids, as floats, in
-one walk of their Gram matrix by row blocks, keeping no list of pairs: a
-float filter certifies almost every pair, and the few it cannot are
-recomputed in integer arithmetic. On 0/1 labels, as bcc_cluster passes
-them, the large-k steps take the label columns and their exact overlap
-counts in place of the unit columns and their Gram matrix.
+one walk of their Gram matrix that computes it a GEMM row block at a time,
+so no k x k array is built and no list of pairs is kept: a float filter
+certifies almost every pair, and the few it cannot are recomputed in
+integer arithmetic. On 0/1 labels, as bcc_cluster passes them, the
+large-k steps take a float32 copy of the label columns, whose products are
+their exact overlap counts, in place of the unit columns.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ from onmf.single import OnmfSolution, _cluster, _fit_theta, _solution
 # partial sum is an integer of at most 24 bits. Longer columns are counted
 # in float64.
 _FLOAT32_COUNT_ROWS = 1 << 24
+
+# About the fewest rows a GEMM block of the Gram matrix takes (see
+# _block_rows). At k = 3000 the walk's BLOCK_ENTRIES sub-blocks are 10 rows,
+# and 20-row products took 0.53 s against 0.33 s for blocks of 120 to 250
+# rows.
+_GEMM_ROWS = 128
 
 
 class GroupingError(RuntimeError):
@@ -115,56 +122,72 @@ def _exact_angle(x: tuple[dict[int, int], int],
     return dot > 0 and prod <= four <= 3 * prod
 
 
-def weight_reduction(centroids: np.ndarray, q: np.ndarray, gram: np.ndarray,
-                     leader: np.ndarray) -> np.ndarray:
+def _block_rows(k: int) -> tuple[int, int]:
+    """Rows of a sub-block of at most BLOCK_ENTRIES entries of a k x k Gram
+    matrix, and of a GEMM block: the most whole sub-blocks in _GEMM_ROWS
+    rows, or one."""
+    step = max(1, BLOCK_ENTRIES // max(k, 1))
+    return step, step * max(1, _GEMM_ROWS // step)
+
+
+def weight_reduction(centroids: np.ndarray, q: np.ndarray,
+                     norms_sq: np.ndarray, leader: np.ndarray) -> np.ndarray:
     """Zero out paired weights of centroids with angle in [pi/6, pi/3], and
     write each centroid's group leader into leader (k entries, int64).
 
-    centroids are finite and non-negative, and gram is centroids @
-    centroids.T. Every row is either zero with weight 0, or a unit column or
-    a weighted mean of unit columns, as in _finish: its squared norm is then
-    between about 1/(2m) and 2m, well inside the [2^-400, 2^400] that the
-    filter of _cos_sq_edges needs. Or the rows are 0/1 label columns (bool)
-    and gram holds their exact overlap counts, float32 or float64, as in
-    _finish: the squared norms are then column counts, at most m, and every
-    angle is that of the unit columns.
+    centroids are finite and non-negative, and norms_sq holds their squared
+    norms, the diagonal of their Gram matrix, summed in any order. Every
+    row is either zero with weight 0, or a unit column or a weighted mean
+    of unit columns, as in _finish: its squared norm is then between about
+    1/(2m) and 2m, well inside the [2^-400, 2^400] that the filter of
+    _cos_sq_edges needs. Or the rows are 0/1 label columns as float32 or
+    float64, as in _finish: their products are then exact overlap counts,
+    the squared norms are column counts, at most m, and every angle is that
+    of the unit columns.
 
     The pairs (j1, j2), j1 < j2, whose exact angle is in the band go in
     row-major order; each pair of positive weights decreases both by their
     minimum, sending at least one to zero. One pass suffices because weights
     never increase, and the rest of a row's pairs is skipped once its own
-    weight is zero. The walk takes gram in row blocks of at most
-    BLOCK_ENTRIES entries, so it builds no k x k mask and no list of pairs:
-    the filter decides every pair it can, _exact_angle the rest, and the
-    block's band pairs are reduced at once. A zero row is in no pair: its
-    estimates are 0 inf = NaN, which passes no edge.
+    weight is zero. The walk computes the upper triangle of the Gram matrix
+    a GEMM block of _block_rows(k)[1] rows at a time, as centroids[lo:hi] @
+    centroids[lo:].T, and takes each block in sub-blocks of at most
+    BLOCK_ENTRIES entries, so it builds no k x k array and no list of
+    pairs: the filter decides every pair it can, _exact_angle the rest, and
+    the sub-block's band pairs are reduced at once. A zero row is in no
+    pair: its estimates are 0 inf = NaN, which passes no edge.
 
     A pair changes only the weights of rows at or after its j1, so once its
-    block is done a row's weight is final. The block then sets leader[j],
-    for each column j, to the smallest positive row i < j with r > e2, if
-    any (else leader[j] = j). For a positive j that is the smallest positive
-    centroid less than pi/6 from j, with no exact test: once the reduction
-    is done no two positive centroids are in the band, so their cos^2 is
-    below 1/4 or above 3/4, and r is within t/4 of it (_cos_sq_edges).
+    sub-block is done a row's weight is final. The sub-block then sets
+    leader[j], for each column j, to the smallest positive row i < j with
+    r > e2, if any (else leader[j] = j). For a positive j that is the
+    smallest positive centroid less than pi/6 from j, with no exact test:
+    once the reduction is done no two positive centroids are in the band,
+    so their cos^2 is below 1/4 or above 3/4, and r is within t/4 of it
+    (_cos_sq_edges).
     """
     k, m = centroids.shape
     with np.errstate(divide="ignore"):  # a zero row's is inf
-        inv = np.divide(1.0, gram.diagonal(), dtype=np.float64)
+        inv = np.divide(1.0, norms_sq, dtype=np.float64)
     e0, e1, e2, e3 = _cos_sq_edges(m)
     exact_rows: dict[int, tuple[dict[int, int], int]] = {}
     qp = np.array(q, dtype=np.float64).tolist()  # Python floats index faster
     leader[:] = np.arange(k)
-    step = max(1, BLOCK_ENTRIES // max(k, 1))
+    step, gemm = _block_rows(k)
     # The band pairs go through as Python ints a few thousand at a time, so
     # their lists stay near 300 KB however many pairs a block holds.
     chunk = max(1, BLOCK_ENTRIES // 8)
     buf = np.empty(min(step, k) * k)
     for lo in range(0, k, step):
+        if lo % gemm == 0:  # the next GEMM block, once the last is freed
+            top, gram = lo, None
+            gram = centroids[lo:lo + gemm] @ centroids[lo:].T
         hi = min(lo + step, k)
         width = k - lo
         # r[t, c] estimates cos^2 of centroids lo + t and lo + c.
-        r = np.square(gram[lo:hi, lo:], dtype=np.float64,
-                      out=buf[:(hi - lo) * width].reshape(hi - lo, -1))
+        r = buf[:(hi - lo) * width].reshape(hi - lo, -1)
+        np.copyto(r, gram[lo - top:hi - top, lo - top:])
+        np.multiply(r, r, out=r)
         with np.errstate(invalid="ignore"):  # 0 inf, NaN, for a zero row
             r *= inv[lo:hi, None]
             r *= inv[lo:]
@@ -211,13 +234,14 @@ def weight_reduction(centroids: np.ndarray, q: np.ndarray, gram: np.ndarray,
 
 
 def group_centroids(leader: np.ndarray, q_reduced: np.ndarray,
-                    gram: np.ndarray) -> np.ndarray:
+                    centroids: np.ndarray,
+                    norms_sq: np.ndarray) -> np.ndarray:
     """Group the surviving centroids into cliques of small-angle pairs.
 
-    leader and q_reduced are what weight_reduction left, as in _finish;
-    gram is the centroids' Gram matrix. The groups are the cliques of pairs
-    less than pi/6 apart among the positive-weight centroids, numbered in
-    order of their smallest member.
+    leader and q_reduced are what weight_reduction left, and centroids and
+    norms_sq what it took, as in _finish. The groups are the cliques of
+    pairs less than pi/6 apart among the positive-weight centroids,
+    numbered in order of their smallest member.
 
     After weight_reduction no two positive centroids are at an angle in
     [pi/6, pi/3], so nearness is transitive among them: if a, b and b, c
@@ -229,31 +253,53 @@ def group_centroids(leader: np.ndarray, q_reduced: np.ndarray,
     band, so they are more than pi/3 apart.
 
     A zero-weight centroid i joins the group of the positive centroid j
-    with the largest gram[i, j] / sqrt(gram[j, j]) (the nearest in angle,
-    up to rounding), ties toward the smallest index, so a zero centroid goes
-    to the first positive one; with no positive-weight centroid at all
-    everything maps to group 0. On a count Gram (see _finish) the score is
-    D / sqrt(c) in float64, with D the overlap of i and j and c the count
-    of j. As on unit columns, rounding may break an exact tie of angles.
+    with the largest score G_ij / sqrt(norms_sq[j]), G_ij = centroids[i] .
+    centroids[j] (the nearest in angle, up to rounding), ties toward the
+    smallest index, so a zero centroid goes to the first positive one; with
+    no positive-weight centroid at all everything maps to group 0. On 0/1
+    label rows (see _finish) the score is D / sqrt(c) in float64, with D
+    the overlap of i and j and c the count of j. As on unit columns,
+    rounding may break an exact tie of angles. The scores come from GEMM
+    blocks of _block_rows(k)[1] rows of the smaller side, zero or positive,
+    against all centroids, so their cost follows min(|zero|, |positive|)
+    k m; across blocks of positive rows a best score is replaced only by a
+    strictly greater one, so ties still go to the smallest index.
     """
     k = len(q_reduced)
     sigma = np.zeros(k, dtype=np.int64)
     is_positive = q_reduced > 0
     positive = np.flatnonzero(is_positive)
+    zero = np.flatnonzero(~is_positive)
     if positive.size == 0:
         return sigma
     sigma[positive] = np.unique(leader[positive], return_inverse=True)[1]
+    if zero.size == 0:
+        return sigma
 
-    # Extend to zero-weight centroids, in row blocks of the Gram matrix. A
-    # positive-weight centroid is never zero (see weight_reduction): no
+    # A positive-weight centroid is never zero (see weight_reduction): no
     # scale is 0.
-    zero = np.flatnonzero(~is_positive)
-    scale = np.sqrt(gram.diagonal()[positive], dtype=np.float64)
-    step = max(1, BLOCK_ENTRIES // positive.size)
-    for lo in range(0, zero.size, step):
-        rows = zero[lo:lo + step]
-        scores = gram[np.ix_(rows, positive)] / scale
-        sigma[rows] = sigma[positive[np.argmax(scores, axis=1)]]
+    scale = np.sqrt(norms_sq[positive], dtype=np.float64)
+    gemm = _block_rows(k)[1]
+    if zero.size <= positive.size:
+        for lo in range(0, zero.size, gemm):
+            block = zero[lo:lo + gemm]
+            scores = (centroids[block] @ centroids.T)[:, positive] / scale
+            sigma[block] = sigma[positive[np.argmax(scores, axis=1)]]
+            del scores
+        return sigma
+    best = np.full(zero.size, -np.inf)
+    nearest = np.zeros(zero.size, dtype=np.int64)  # places in positive
+    for lo in range(0, positive.size, gemm):
+        block = positive[lo:lo + gemm]
+        scores = ((centroids[block] @ centroids.T)[:, zero]
+                  / scale[lo:lo + gemm, None])
+        top = np.argmax(scores, axis=0)
+        score = scores[top, np.arange(zero.size)]
+        better = score > best
+        best[better] = score[better]
+        nearest[better] = top[better] + lo
+        del scores
+    sigma[zero] = sigma[positive[nearest]]
     return sigma
 
 
@@ -351,33 +397,38 @@ def _dense(owner: np.ndarray, value: np.ndarray, k: int) -> np.ndarray:
 
 
 def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
-            phi: np.ndarray, norms: np.ndarray | None = None
+            phi: np.ndarray, counts: np.ndarray | None = None
             ) -> tuple[tuple[np.ndarray, np.ndarray, int], np.ndarray,
                        np.ndarray]:
     """Steps 2-3 and the scale fit; returns the factors (a, group, theta),
     with a compact as solve_orthogonal_centroids returns it.
 
-    Reduction and grouping share one Gram matrix and the leaders that the
-    reduction writes, both freed before the solve. _fit_theta gathers the
-    columns of A it needs from the compact factor, so no (m, k) array is
-    built here.
+    Reduction and grouping share the GEMM operand X, the squared norms of
+    its rows and the leaders that the reduction writes, all freed before
+    the solve. Each step computes the blocks of X's Gram matrix it reads,
+    so no k x k array is built. _fit_theta gathers the columns of A it
+    needs from the compact factor, so no (m, k) array is built here.
     Every centroid row has norm at most 1 (a unit column, or a weighted
-    mean of unit points), so no entry of it overflows. With norms, the
-    centroids are instead 0/1 label columns (bool), standing for the unit
-    columns centroids / norms, and the Gram matrix holds their exact
-    overlap counts: the steps decide on angles, which are scale-invariant,
-    and the solve divides what it gathers by the norms.
+    mean of unit points), so no entry of it overflows; X is the centroids
+    themselves, and the squared norms one row-wise sum. With counts, the
+    centroids are instead 0/1 label columns (bool) with counts[j] ones in
+    row j, standing for the unit columns centroids / norms, norms =
+    sqrt(counts), and X is their float32 copy, whose products are their
+    exact overlap counts, the squared norms being counts: the steps decide
+    on angles, which are scale-invariant, and the solve divides what it
+    gathers by the norms.
     """
-    X = centroids
-    if norms is not None:  # integer counts, exact in float32 (see top)
+    X, norms_sq, norms = centroids, counts, None
+    if counts is None:
+        norms_sq = np.einsum("ij,ij->i", X, X)
+    else:  # integer counts, exact in float32 (see top)
         X = centroids.astype(np.float32 if centroids.shape[1]
                              <= _FLOAT32_COUNT_ROWS else np.float64)
-    gram = X @ X.T
-    del X
+        norms = np.sqrt(counts)
     leader = np.empty(len(q), dtype=np.int64)
-    qp = weight_reduction(centroids, q, gram, leader)
-    sigma = group_centroids(leader, qp, gram)
-    del gram, leader
+    qp = weight_reduction(X, q, norms_sq, leader)
+    sigma = group_centroids(leader, qp, X, norms_sq)
+    del X, norms_sq, leader
     factor = solve_orthogonal_centroids(centroids, qp, sigma, norms)
     group = sigma[phi]
     return factor, group, _fit_theta(M, group, factor)
@@ -418,8 +469,9 @@ def _large_k(M: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, int],
 
     M may be bool, as bcc_cluster passes its labels. The steps then take
     its columns, the weights fl(fl(sqrt(c))^2) from the column counts c,
-    which are normalize_columns' bits, and the exact overlap counts as the
-    Gram matrix (see _finish), with no float64 unit columns."""
+    which are normalize_columns' bits, and a float32 copy of the columns
+    whose products are their exact overlap counts (see _finish), with no
+    float64 unit columns."""
     if M.ndim == 2 and 0 < M.shape[0] < M.shape[1]:
         (owner2, value2, _), group2, theta2 = _large_k(M.T)
         # Row r of A2 holds value2[r] alone, >= 0, so its argmax is owner2[r]
@@ -428,7 +480,8 @@ def _large_k(M: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, int],
         theta = np.where(group == owner2, value2, 0.0)
         return (group2, theta2, len(group2)), group, theta
     if M.dtype == bool:
-        norms = np.sqrt(np.count_nonzero(M, axis=0))
-        return _finish(M, M.T, norms**2, np.arange(len(norms)), norms)
+        counts = np.count_nonzero(M, axis=0)
+        return _finish(M, M.T, np.sqrt(counts)**2, np.arange(len(counts)),
+                       counts)
     pts = normalize_columns(M)
     return _finish(M, pts.points, pts.weights, np.arange(len(pts)))

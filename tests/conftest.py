@@ -1,12 +1,16 @@
+import contextlib
+import itertools
 import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
 
 import onmf
+import onmf.double
 
 # Directory holding the onmf package under test, as an absolute path, so a
 # child process finds the same package whatever its working directory.
@@ -36,6 +40,22 @@ def traced_peak(f):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def block_rows(k):
+    """(GEMM, sub-block) row counts for a k x k Gram matrix: 1, 7 and k
+    rows each, in all nine pairs."""
+    return list(itertools.product((1, 7, k), repeat=2))
+
+
+@contextlib.contextmanager
+def gram_blocks(gemm_rows, sub_rows, k):
+    """Patch onmf.double so that the Gram matrix of k centroids goes in GEMM
+    blocks of about gemm_rows rows (whole sub-blocks, at least one) and
+    sub-blocks of sub_rows rows."""
+    with mock.patch.object(onmf.double, "_GEMM_ROWS", gemm_rows), \
+            mock.patch.object(onmf.double, "BLOCK_ENTRIES", sub_rows * k):
+        yield
 
 
 def planted_labels(m, n, clusters, flip, seed):

@@ -20,7 +20,8 @@ from onmf.bcc import (
     disagreements,
     round_block,
 )
-from conftest import nonneg_matrices, planted_labels, traced_peak
+from conftest import (block_rows, gram_blocks, nonneg_matrices,
+                      planted_labels, traced_peak)
 from onmf.core import frobenius_norm_sq
 from onmf.double import _dense, _large_k
 from oracles import brute_force_bcc, reference_round_block
@@ -229,7 +230,7 @@ def test_large_k_from_labels_decides_as_their_float_copy(M, entries, data):
     for name in ("weight_reduction", "solve_orthogonal_centroids"):
         assert as_bytes(seen[name][1]) == as_bytes(ref[name][1])
     labels = seen["weight_reduction"][0][0]
-    assert labels.dtype == bool
+    assert labels.dtype == np.float32  # the GEMM operand: a count copy
     positive = np.flatnonzero(seen["weight_reduction"][1] > 0)
     leader = seen["group_centroids"][0][0]
     ref_leader = ref["group_centroids"][0][0]
@@ -260,6 +261,39 @@ def test_extension_tie_goes_to_the_smaller_index():
     assert extension_ties(seen["weight_reduction"][0][0], positive,
                           0) == [2, 3]
     assert group.tolist() == [0, 1, 0, 1]
+
+
+def tie_across_tiles():
+    """19 x 19 labels: the columns of the test above as columns 0, 1, 2 and
+    10, with a one-row column in each of columns 3 to 9 (rows 12 to 18) and
+    columns 11 to 18 empty. Columns 2 to 10 are the 9 positive ones, each
+    its own group, and 10 columns have zero weight, so the extension tiles
+    the positive side. Column 0 ties exactly between columns 2 and 10, the
+    first and last positive ones, which tiles of 1 or 7 rows split."""
+    columns = ["011010111011", "111111111111", "000010001000",
+               "100111110101"]
+    L = np.zeros((19, 19), dtype=bool)
+    for j, col in zip((0, 1, 2, 10), columns):
+        L[:12, j] = [c == "1" for c in col]
+    L[12 + np.arange(7), 3 + np.arange(7)] = True
+    return L
+
+
+def test_extension_tie_across_positive_tiles_goes_to_the_smaller_index():
+    # Across tiles a best score is replaced only by a strictly greater one.
+    # Column 0 joins column 2's group, the empty columns, whose scores are
+    # all 0, the first positive column's, and column 1 (12 ones) column
+    # 10's, the largest D / sqrt(c).
+    L = tie_across_tiles()
+    _, seen = large_k_steps(L, onmf.core.BLOCK_ENTRIES)
+    positive = np.flatnonzero(seen["weight_reduction"][1] > 0)
+    assert positive.tolist() == list(range(2, 11))
+    assert extension_ties(L.T, positive, 0) == [2, 10]
+    want = [0, 8, 0, 1, 2, 3, 4, 5, 6, 7, 8] + [0] * 8
+    for gemm, sub in block_rows(19):
+        with gram_blocks(gemm, sub, 19):
+            (_, group, _) = _large_k(L)
+        assert group.tolist() == want, (gemm, sub)
 
 
 def test_disagreements_perfect_blocks():
@@ -444,23 +478,43 @@ def test_bcc_frozen_outputs(make, digest):
     assert bcc_digest(make()) == digest
 
 
+@pytest.mark.parametrize(
+    "make", [case[1] for case in FROZEN_BCC] + [tie_across_tiles],
+    ids=[case[0] for case in FROZEN_BCC] + ["tie-across-tiles"])
+def test_gram_block_rows_keep_every_bcc_byte(make):
+    # The differential test of the Gram blocks: GEMM blocks and the walk's
+    # sub-blocks of 1, 7 and k rows give the bytes of the default blocks.
+    # The cases have fewer zero-weight than positive columns (120x90-one-
+    # member), more (40x90-transposed, 600x600-3-clusters, 120x90-mixed and
+    # tie-across-tiles, whose exact tie spans two tiles of positive rows),
+    # none (600x600, all-plus, noiseless-4, identity-300) and no positive
+    # one (all-minus).
+    labels = make()
+    want = bcc_digest(labels)
+    k = min(labels.shape)
+    for gemm, sub in block_rows(k):
+        with gram_blocks(gemm, sub, k):
+            assert bcc_digest(labels) == want, (gemm, sub)
+
+
 @pytest.mark.parametrize("make, digest", [case[1:] for case in FROZEN_BCC],
                          ids=[case[0] for case in FROZEN_BCC])
 def test_bcc_counts_overlaps_in_float64_past_the_float32_limit(make, digest):
     # Past _FLOAT32_COUNT_ROWS summed rows the overlaps are counted in
-    # float64. With the limit at 0 every Gram matrix is float64, and the
-    # counts, hence every output byte, stay the same.
-    grams = []
+    # float64. With the limit at 0 every GEMM operand, the copy of the
+    # labels whose products are the counts, is float64, and the counts,
+    # hence every output byte, stay the same.
+    operands = []
     weight_reduction = onmf.double.weight_reduction
 
-    def spied(centroids, q, gram, leader):
-        grams.append(gram.dtype)
-        return weight_reduction(centroids, q, gram, leader)
+    def spied(centroids, q, norms_sq, leader):
+        operands.append(centroids.dtype)
+        return weight_reduction(centroids, q, norms_sq, leader)
 
     with mock.patch.object(onmf.double, "_FLOAT32_COUNT_ROWS", 0), \
             mock.patch.object(onmf.double, "weight_reduction", spied):
         assert bcc_digest(make()) == digest
-    assert grams == [np.float64]
+    assert operands == [np.float64]
 
 
 @pytest.mark.parametrize("m, n", [(600, 600), (400, 600)])
@@ -491,6 +545,20 @@ def test_bcc_peak_memory_without_unit_columns(m, n):
     # float64s; with them it was 2.15 to 2.22.
     g = BipartiteLabeling(labels=planted_labels(m, n, 12, 0.2, 5))
     assert traced_peak(lambda: bcc_cluster(g)) < 1.8 * 8 * m * n
+
+
+def test_bcc_peak_holds_no_k_by_k_counts(monkeypatch):
+    # With blocks of 2^12 entries and GEMM blocks of one sub-block, a
+    # 400 x 600 labeling (k = 400 on the transposed path) peaks below the
+    # labels' float32 copy plus 8 such blocks of float64s. The k x k
+    # float32 overlap counts alone are 20 of them.
+    entries = 1 << 12
+    for module in (onmf.double, onmf.single, onmf.kmeans, onmf.bcc):
+        monkeypatch.setattr(module, "BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(onmf.double, "_GEMM_ROWS", 1)
+    m, n = 400, 600
+    g = BipartiteLabeling(labels=planted_labels(m, n, 12, 0.2, 5))
+    assert traced_peak(lambda: bcc_cluster(g)) < 4 * m * n + 8 * 8 * entries
 
 
 def test_bcc_wide_path_frees_the_transposed_factor():

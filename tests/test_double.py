@@ -19,6 +19,7 @@ from onmf.double import (
     GroupingError,
     _cos_sq_edges,
     _dense,
+    _large_k,
     centroid_weights,
     factorize_double,
     factorize_double_large_k,
@@ -30,8 +31,8 @@ from onmf.kmeans import KMeansConfig, KMeansSolution, weighted_kmeans
 from onmf.metrics import non_orthogonality
 from onmf.single import _fit_theta, _solution, factorize_single
 from onmf.synth import gen_planted_double
-from conftest import (NONNEG_CELLS, TOO_LARGE, nonneg_matrices, planted_labels,
-                      traced_peak)
+from conftest import (NONNEG_CELLS, TOO_LARGE, block_rows, gram_blocks,
+                      nonneg_matrices, planted_labels, traced_peak)
 from oracles import (
     COS_NARROW,
     COS_WIDE,
@@ -83,13 +84,12 @@ def test_centroid_weights_recentred_norm_at_most_one():
                 assert np.linalg.norm(centroids[j]) > 0
 
 
-def _steps(centroids, q, gram=None):
+def _steps(centroids, q):
     """Weight reduction and grouping as double._finish runs them."""
-    if gram is None:
-        gram = centroids @ centroids.T
+    norms_sq = np.einsum("ij,ij->i", centroids, centroids)
     leader = np.empty(len(q), dtype=np.int64)
-    qp = weight_reduction(centroids, q, gram, leader)
-    return qp, group_centroids(leader, qp, gram)
+    qp = weight_reduction(centroids, q, norms_sq, leader)
+    return qp, group_centroids(leader, qp, centroids, norms_sq)
 
 
 def test_weight_reduction_orthogonal_pair_untouched():
@@ -558,19 +558,69 @@ def test_no_pair_needs_the_exact_test_on_planted_labels(monkeypatch, seed):
 
 
 def test_angle_steps_hold_no_k_by_k_temporary(monkeypatch):
-    # With the Gram matrix given, the walk, the reduction and the grouping
-    # allocate row blocks, never a k x k mask or float array, and no list
-    # of pairs outlives its block. On the uniform input nearly all of the
-    # 179,700 pairs are in the band, and on the equal columns all are
-    # near: 8 bytes a pair would hold about 1.4 MB.
+    # The walk, the reduction and the grouping compute the Gram matrix in
+    # GEMM row blocks, here of one row each, never a k x k mask or float
+    # array, and no list of pairs outlives its block. On the uniform input
+    # nearly all of the 179,700 pairs are in the band, and on the equal
+    # columns all are near: 8 bytes a pair would hold about 1.4 MB.
     monkeypatch.setattr(onmf.double, "BLOCK_ENTRIES", 1 << 10)
+    monkeypatch.setattr(onmf.double, "_GEMM_ROWS", 1)
     for M in (planted_labels(600, 600, 12, 0.2, 5).astype(float),
               np.random.default_rng(5).random((600, 600)),
               np.ones((30, 600))):
         pts = normalize_columns(M)
-        gram = pts.points @ pts.points.T
-        peak = traced_peak(lambda: _steps(pts.points, pts.weights, gram))
-        assert peak < len(gram) ** 2 // 4
+        peak = traced_peak(lambda: _steps(pts.points, pts.weights))
+        assert peak < len(pts) ** 2 // 4
+
+
+def test_large_k_peak_holds_no_k_by_k_gram(monkeypatch):
+    # With blocks of 2^12 entries and GEMM blocks of one sub-block, the
+    # large-k steps on a uniform 300 x 400 matrix (k = 300 on the transposed
+    # path, nearly every pair in the band) peak below the float64 unit
+    # columns plus 12 such blocks; normalize_columns' norm pass takes about
+    # 4 of them. The k x k Gram matrix alone is 22. The dense A and the
+    # residual of the objective, which _solution builds after the steps,
+    # are not counted.
+    entries = 1 << 12
+    for module in (onmf.double, onmf.single, onmf.kmeans):
+        monkeypatch.setattr(module, "BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(onmf.double, "_GEMM_ROWS", 1)
+    m, n = 300, 400
+    M = np.random.default_rng(5).random((m, n))
+    assert traced_peak(lambda: _large_k(M)) < 8 * m * n + 12 * 8 * entries
+
+
+def _float_block_cases():
+    """Float matrices with fewer zero-weight than positive columns, with
+    more (also on the transposed path) and with none; the planted one has
+    five all-zero columns, whose scores tie exactly across every tile."""
+    rng = np.random.default_rng(31)
+    sparse = rng.random((80, 60)) * (rng.random((80, 60)) < 0.1)
+    planted = planted_labels(90, 70, 6, 0.05, 3) * rng.random((90, 70))
+    planted[:, :5] = 0.0
+    return [("fewer-zero", sparse, "<"), ("more-zero", planted, ">"),
+            ("more-zero-transposed", planted.T, ">"),
+            ("no-zero", np.eye(50) * rng.random(50), "=")]
+
+
+@pytest.mark.parametrize("M, relation", [case[1:] for case in
+                                         _float_block_cases()],
+                         ids=[case[0] for case in _float_block_cases()])
+def test_gram_block_rows_keep_every_large_k_byte(M, relation):
+    # The differential test of the Gram blocks on floats: GEMM blocks and
+    # the walk's sub-blocks of 1, 7 and k rows give the bytes of the
+    # default blocks. Only an extension score can change with them, in its
+    # last bits, so these cases hold no near tie.
+    pts = normalize_columns(M if M.shape[0] >= M.shape[1] else M.T)
+    positive = int((_steps(pts.points, pts.weights)[0] > 0).sum())
+    zero = len(pts) - positive
+    assert {"<": 0 < zero < positive, ">": zero > positive,
+            "=": zero == 0}[relation]
+    want = _solution_bytes(factorize_double_large_k, M)
+    for gemm, sub in block_rows(len(pts)):
+        with gram_blocks(gemm, sub, len(pts)):
+            got = _solution_bytes(factorize_double_large_k, M)
+        assert got == want, (gemm, sub)
 
 
 @settings(max_examples=150, deadline=None)
