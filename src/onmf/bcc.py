@@ -55,14 +55,15 @@ class Clustering:
 def round_block(Mblk, a, w) -> tuple[np.ndarray, np.ndarray]:
     """Round one fractional rank-1 block to binary vectors.
 
-    Mblk, a and w are float64 arrays, Mblk 0/1 and a and w non-negative, as
-    in every block that bcc_cluster passes; nothing here checks or converts
-    them. Picks the column whose rescaled copy is closest to a as the binary
-    left vector, then keeps exactly the columns sharing at least half of its
-    support. The squared error of the binary block is at most 8 times the
-    fractional one. Conventions: columns with zero w are dropped; if every w
-    is zero both outputs are zero; if the chosen column is empty the bound
-    is vacuous, and every overlap is 0 of 0, so the right vector is the
+    Mblk holds 0/1 values, bool or float64, and a and w are non-negative
+    float64 arrays, as in every block that bcc_cluster passes; nothing here
+    checks them, and the outputs are float64 either way. Picks the column
+    whose rescaled copy is closest to a as the binary left vector, then
+    keeps exactly the columns sharing at least half of its support. The
+    squared error of the binary block is at most 8 times the fractional
+    one. Conventions: columns with zero w are dropped; if every w is zero
+    both outputs are zero; if the chosen column is empty the bound is
+    vacuous, and every overlap is 0 of 0, so the right vector is the
     indicator of positive w.
     """
     m, n = Mblk.shape
@@ -82,9 +83,10 @@ def round_block(Mblk, a, w) -> tuple[np.ndarray, np.ndarray]:
             scaled = Mblk.T[cols] / w[cols, None]
             dists[lo:lo + step] = _sq_dists(scaled, a, scaled)
     i_star = int(pos[int(np.argmin(dists))])  # argmin ties -> smallest index
-    a_hat = Mblk[:, i_star].copy()
+    a_hat = Mblk[:, i_star].astype(np.float64)
     support = a_hat > 0
-    overlap = np.count_nonzero((Mblk > 0)[:, pos] & support[:, None], axis=0)
+    ones = Mblk.astype(bool, copy=False)[:, pos]  # a bool Mblk casts free
+    overlap = np.count_nonzero(ones & support[:, None], axis=0)
     w_hat[pos[2 * overlap >= np.count_nonzero(support)]] = 1.0
     return a_hat, w_hat
 
@@ -112,32 +114,31 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
 
     Factorizes the binary matrix with both factors orthogonal, rounds every
     block to binary, and turns each non-empty binary block into a cluster.
-    Returns the clustering and its exact disagreement count, summed over
-    the clusters as they are rounded. The labels are taken as a C-ordered
-    bool array, with no float64 copy of them all: _large_k works from their
-    column counts and a float32 copy, whose GEMM row blocks are their
-    overlap counts, so no k x k array is built either, and returns its
-    factor a compactly, one (owner, value) pair per row, so no m x k or
-    k x m float64 array is built; each block is converted to float64 for
-    round_block alone.
+    Returns the clustering and its exact disagreement count, a Python int
+    summed over the clusters as they are rounded. The labels are taken as
+    a C-ordered bool array, with no float64 copy of them, whole or by
+    block: _large_k works from their column counts and a float32 copy,
+    whose GEMM row blocks are their overlap counts, so no k x k array is
+    built either, and returns both factors as CompactWs, the transpose At
+    of A and W, so no m x k or k x n float64 array is built.
     """
     L = np.asarray(g.labels, dtype=bool, order="C")  # any layout
-    (owner, value, k), group, theta = _large_k(L)  # no objective
+    at, w = _large_k(L)  # no objective
     left = np.zeros(g.m, dtype=np.int64)
     right = np.zeros(g.n, dtype=np.int64)
-    # Block s has the rows r with a[r, s] = value[r] > 0 (the columns of a
-    # have disjoint supports) and the columns of group s with positive
-    # theta; any other row or column is labeled -1, in no block.
-    rows, row_bounds = _segments(np.where(value > 0, owner, -1), k)
-    cols, col_bounds = _segments(np.where(theta > 0, group, -1), k)
+    # Block s has the rows of group s of At and the columns of group s of
+    # W with positive theta (At's rows, W's too, have disjoint supports);
+    # any other row or column is labeled -1, in no block.
+    (rows, row_bounds), (cols, col_bounds) = (
+        _segments(np.where(f.theta > 0, f.group, -1), f.k) for f in (at, w))
     blocks = np.flatnonzero(np.diff(col_bounds)).tolist()
     row_bounds, col_bounds = row_bounds.tolist(), col_bounds.tolist()
     # Every block walked is a cluster. A column i of group s with theta[i]
     # > 0 has a 1 in a row r with a[r, s] > 0: theta[i] sums L[r, i] a[r, s]
     # over r, or on the wide path averages rows of L of which one, r, has
-    # L[r, i] = 1 and so a[r, s] = theta2[r] > 0; no product of 1s and unit
-    # entries underflows. So the block has rows, and the column round_block
-    # picks has a 1 among them and keeps itself.
+    # L[r, i] = 1 and so a[r, s] = W2.theta[r] > 0; no product of 1s and
+    # unit entries underflows. So the block has rows, and the column
+    # round_block picks has a 1 among them and keeps itself.
     # The count starts with every "+" edge disagreeing. A cluster of rows R
     # and columns C, with plus "+" edges among them, takes those back and
     # adds its |R| |C| - plus "-" edges.
@@ -146,11 +147,10 @@ def bcc_cluster(g: BipartiteLabeling) -> tuple[Clustering, int]:
         r = rows[row_bounds[s]:row_bounds[s + 1]]
         c = cols[col_bounds[s]:col_bounds[s + 1]]
         block = L[np.ix_(r, c)]
-        a_hat, w_hat = round_block(block.astype(np.float64), value[r],
-                                   theta[c])
+        a_hat, w_hat = round_block(block, at.theta[r], w.theta[c])
         in_r, in_c = a_hat > 0, w_hat > 0
         left[r[in_r]] = cluster
         right[c[in_c]] = cluster
-        plus = np.count_nonzero(block[np.ix_(in_r, in_c)])
+        plus = int(np.count_nonzero(block[np.ix_(in_r, in_c)]))
         count += int(in_r.sum()) * int(in_c.sum()) - 2 * plus
     return Clustering(left=left, right=right), count

@@ -98,7 +98,8 @@ def normalize_columns(M) -> WeightedPointSet:
 
 @dataclass
 class CompactW:
-    """Orthogonal-rows factor W stored as one (group, scale) pair per column.
+    """An orthogonal-rows factor stored as one (group, scale) pair per
+    column: W, or the transpose of an orthogonal-columns factor A.
 
     The materialized k x n matrix has entry (group[i], i) = theta[i] and
     zeros elsewhere, so its rows have pairwise disjoint supports. Group

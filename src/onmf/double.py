@@ -21,7 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from onmf.core import BLOCK_ENTRIES, WeightedPointSet, normalize_columns
+from onmf.core import (
+    BLOCK_ENTRIES,
+    CompactW,
+    WeightedPointSet,
+    normalize_columns,
+)
 from onmf.kmeans import (
     KMeansConfig,
     KMeansSolution,
@@ -305,8 +310,7 @@ def group_centroids(leader: np.ndarray, q_reduced: np.ndarray,
 
 def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
                                sigma: np.ndarray,
-                               norms: np.ndarray | None = None
-                               ) -> tuple[np.ndarray, np.ndarray, int]:
+                               norms: np.ndarray | None = None) -> CompactW:
     """Exact coordinate-wise solve for orthogonal group representatives.
 
     Minimizes the reduced-weight squared distance of each centroid to its
@@ -315,12 +319,15 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
     one maximizing (group weight) * (group mean)^2, ties toward the smallest
     group index; it receives the group mean, all others zero.
 
-    Returns the (m, k) factor A compactly, as (owner, value, k): column s of
-    A is the representative of group s, and row r of A holds value[r] in
-    column owner[r] and zeros elsewhere (_dense builds A). The group means
-    are taken BLOCK_ENTRIES // m groups at a time, from one sort of the
-    labels, and each coordinate keeps the best score so far, replaced only
-    by a strictly greater one, so the smallest group still wins a tie.
+    Returns the (m, k) factor A as its transpose At = CompactW(k, owner,
+    value): column s of A is the representative of group s, and row r of A
+    holds value[r] in column owner[r] and zeros elsewhere (_dense builds A).
+    A positive score needs a non-zero mean, and a coordinate where every
+    score is 0 goes to group 0, so every row with value 0 has owner 0. The
+    group means are taken BLOCK_ENTRIES // m groups at a time, from one
+    sort of the labels, and each coordinate keeps the best score so far,
+    replaced only by a strictly greater one, so the smallest group still
+    wins a tie.
 
     With norms, centroids are 0/1 label columns (bool, see _finish), and
     only groups of two or more members take means, gathered from them and
@@ -364,7 +371,7 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
         owner[better] = means[winners + lo]
         value[better] = mu[winners, better]
     if norms is None:
-        return owner, value, k
+        return CompactW(k, owner, value)
     one = np.flatnonzero(live & (sizes[sigma] == 1))
     q, g = q_reduced[one], sigma[one]
     c = (1.0 / norms[one] * q + 0.0) / q  # the mean, as _segment_means'
@@ -384,24 +391,23 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
     wins = (s[f] > best[r]) | ((s[f] == best[r]) & (g[f] < owner[r]))
     owner[r[wins]] = g[f[wins]]
     value[r[wins]] = c[f[wins]]
-    return owner, value, k
+    return CompactW(k, owner, value)
 
 
-def _dense(owner: np.ndarray, value: np.ndarray, k: int) -> np.ndarray:
-    """The (m, k) factor A of a compact (owner, value, k): row r holds
-    value[r] in column owner[r], zeros elsewhere."""
-    a = np.zeros((len(owner), k))
-    if k:
-        a[np.arange(len(owner)), owner] = value
+def _dense(at: CompactW) -> np.ndarray:
+    """The C-ordered (m, k) factor A of its compact transpose at: row r
+    holds at.theta[r] in column at.group[r], zeros elsewhere."""
+    a = np.zeros((at.n, at.k))
+    if at.k:
+        a[np.arange(at.n), at.group] = at.theta
     return a
 
 
 def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
             phi: np.ndarray, counts: np.ndarray | None = None
-            ) -> tuple[tuple[np.ndarray, np.ndarray, int], np.ndarray,
-                       np.ndarray]:
-    """Steps 2-3 and the scale fit; returns the factors (a, group, theta),
-    with a compact as solve_orthogonal_centroids returns it.
+            ) -> tuple[CompactW, CompactW]:
+    """Steps 2-3 and the scale fit; returns the factors (At, W), At the
+    transpose of A as solve_orthogonal_centroids returns it.
 
     Reduction and grouping share the GEMM operand X, the squared norms of
     its rows and the leaders that the reduction writes, all freed before
@@ -429,9 +435,9 @@ def _finish(M: np.ndarray, centroids: np.ndarray, q: np.ndarray,
     qp = weight_reduction(X, q, norms_sq, leader)
     sigma = group_centroids(leader, qp, X, norms_sq)
     del X, norms_sq, leader
-    factor = solve_orthogonal_centroids(centroids, qp, sigma, norms)
+    at = solve_orthogonal_centroids(centroids, qp, sigma, norms)
     group = sigma[phi]
-    return factor, group, _fit_theta(M, group, factor)
+    return at, CompactW(at.k, group, _fit_theta(M, group, at))
 
 
 def factorize_double(M, k: int, config: KMeansConfig | None = None) -> OnmfSolution:
@@ -439,8 +445,8 @@ def factorize_double(M, k: int, config: KMeansConfig | None = None) -> OnmfSolut
     M, pts, sol = _cluster(M, k, config)
     centroids, q = centroid_weights(pts, sol)
     del pts  # the unit columns, as large as M: free them before steps 2-3
-    factor, group, theta = _finish(M, centroids, q, sol.assignment)
-    return _solution(M, _dense(*factor), group, theta)
+    at, w = _finish(M, centroids, q, sol.assignment)
+    return _solution(M, _dense(at), w)
 
 
 def factorize_double_large_k(M) -> OnmfSolution:
@@ -452,20 +458,19 @@ def factorize_double_large_k(M) -> OnmfSolution:
     rows (m = 0) nothing is transposed and the inner dimension is n.
     """
     M = np.asarray(M, dtype=np.float64, order="C")  # bits follow values only
-    factor, group, theta = _large_k(M)
-    return _solution(M, _dense(*factor), group, theta)
+    at, w = _large_k(M)
+    return _solution(M, _dense(at), w)
 
 
-def _large_k(M: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, int],
-                                      np.ndarray, np.ndarray]:
-    """The factors (a, group, theta) of factorize_double_large_k, no
-    objective, with a compact as solve_orthogonal_centroids returns it.
+def _large_k(M: np.ndarray) -> tuple[CompactW, CompactW]:
+    """The factors (At, W) of factorize_double_large_k, no objective, At
+    the transpose of A as solve_orthogonal_centroids returns it.
 
     normalize_columns makes the one check of M. When 0 < m < n this solves
-    M^T ~ A2 @ W2, freeing its unit columns on return, and converts it to
-    M ~ W2^T @ A2^T: A2's columns have disjoint supports, so A2^T has at
-    most one non-zero per column, and W2^T, with one per row, is already
-    compact as (W2's groups, W2's theta). Neither is built densely.
+    M^T ~ A2 @ W2, freeing its unit columns on return, and swaps it to
+    M ~ W2^T @ A2^T: At is W2 and W is At2, neither built densely. Each
+    zero-theta column of At2 is in group 0 (see solve_orthogonal_centroids),
+    where the argmax of A2's zero row puts it.
 
     M may be bool, as bcc_cluster passes its labels. The steps then take
     its columns, the weights fl(fl(sqrt(c))^2) from the column counts c,
@@ -473,12 +478,8 @@ def _large_k(M: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, int],
     whose products are their exact overlap counts (see _finish), with no
     float64 unit columns."""
     if M.ndim == 2 and 0 < M.shape[0] < M.shape[1]:
-        (owner2, value2, _), group2, theta2 = _large_k(M.T)
-        # Row r of A2 holds value2[r] alone, >= 0, so its argmax is owner2[r]
-        # if value2[r] > 0, else 0; theta reads A2[r, group[r]].
-        group = np.where(value2 > 0, owner2, 0)
-        theta = np.where(group == owner2, value2, 0.0)
-        return (group2, theta2, len(group2)), group, theta
+        at2, w2 = _large_k(M.T)
+        return w2, at2
     if M.dtype == bool:
         counts = np.count_nonzero(M, axis=0)
         return _finish(M, M.T, np.sqrt(counts)**2, np.arange(len(counts)),

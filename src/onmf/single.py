@@ -28,7 +28,7 @@ class OnmfSolution:
 def _fit_theta(M: np.ndarray, group: np.ndarray, a) -> np.ndarray:
     """Least-squares scale per column of M onto its group's column x of A:
     max(M[:, i] . x / |x|^2, 0), or 0 where |x|^2 is 0. a is A, dense
-    (m, k) or compact (owner, value, k) as solve_orthogonal_centroids
+    (m, k), or its transpose as a CompactW, as solve_orthogonal_centroids
     returns it; only the gather of x differs.
 
     The columns of non-zero groups go BLOCK_ENTRIES entries at a time, as
@@ -38,10 +38,9 @@ def _fit_theta(M: np.ndarray, group: np.ndarray, a) -> np.ndarray:
     count. (A BLAS dot past 10,000 terms follows the thread count, and
     einsum past 8,192 entries a row follows the rows it takes at once.)
     """
-    compact = isinstance(a, tuple)
-    if compact:  # row r of A holds value[r] in column owner[r]
-        owner, value, k = a
-        live = np.bincount(owner, value, k) > 0
+    compact = isinstance(a, CompactW)
+    if compact:  # row r of A holds theta[r] in column group[r]
+        live = np.bincount(a.group, a.theta, a.k) > 0
     else:
         live = a.any(axis=0)
     m, n = M.shape
@@ -51,7 +50,7 @@ def _fit_theta(M: np.ndarray, group: np.ndarray, a) -> np.ndarray:
     for lo in range(0, cols.size, step):
         c = cols[lo:lo + step]
         s = group[c]
-        x = np.where(owner == s[:, None], value, 0.0) if compact else a.T[s]
+        x = np.where(a.group == s[:, None], a.theta, 0.0) if compact else a.T[s]
         prod = M.T[c].astype(np.float64, copy=False)
         prod *= x
         x *= x
@@ -62,14 +61,12 @@ def _fit_theta(M: np.ndarray, group: np.ndarray, a) -> np.ndarray:
     return theta
 
 
-def _solution(M: np.ndarray, a: np.ndarray, group: np.ndarray,
-              theta: np.ndarray) -> OnmfSolution:
-    """Package (a, group, theta) with its objective ||M - a W||_F^2.
+def _solution(M: np.ndarray, a: np.ndarray, w: CompactW) -> OnmfSolution:
+    """Package (a, w) with its objective ||M - a W||_F^2.
 
     Column i of a @ W is a[:, group[i]] * theta[i] exactly (every other
     term of the product is a zero), so W is never materialized.
     """
-    w = CompactW(k=a.shape[1], group=group, theta=theta)
     # M - a[:, group] * theta, squared, all in one C-ordered buffer: the same
     # elementwise operations and pairwise sum as frobenius_norm_sq of it.
     residual = np.take(a, w.group, axis=1)
@@ -97,4 +94,5 @@ def factorize_single(M, k: int, config: KMeansConfig | None = None) -> OnmfSolut
     M, pts, sol = _cluster(M, k, config)
     del pts  # the unit columns, as large as M: free them before the objective
     a = np.maximum(sol.centroids.T, 0.0)  # (m, k), clamp is a no-op on our data
-    return _solution(M, a, sol.assignment, _fit_theta(M, sol.assignment, a))
+    theta = _fit_theta(M, sol.assignment, a)
+    return _solution(M, a, CompactW(a.shape[1], sol.assignment, theta))

@@ -190,7 +190,7 @@ def brute_force_single(M, k: int) -> OnmfSolution:
         if idx.size:
             _, u, _ = rank_one_fit(M[:, idx])
             a[:, j] = u
-    return _solution(M, a, group, reference_theta(M, a, group))
+    return _solution(M, a, CompactW(k, group, reference_theta(M, a, group)))
 
 
 def brute_force_double(M, k: int) -> float:

@@ -22,7 +22,7 @@ from onmf.bcc import (
 )
 from conftest import (block_rows, gram_blocks, nonneg_matrices,
                       planted_labels, traced_peak)
-from onmf.core import frobenius_norm_sq
+from onmf.core import CompactW, frobenius_norm_sq
 from onmf.double import _dense, _large_k
 from oracles import brute_force_bcc, reference_round_block
 
@@ -119,6 +119,21 @@ def test_round_block_one_column_per_chunk(seed, monkeypatch):
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([1, onmf.core.BLOCK_ENTRIES]))
+def test_round_block_takes_bool_blocks(seed, entries):
+    # bcc_cluster passes its bool blocks unconverted. True / w has the bits
+    # of 1.0 / w, so a bool block rounds to the float64 block's outputs,
+    # dtype and bytes, one column per chunk or all at once.
+    Mblk, a, w = random_block(seed, 30, 40)
+    with mock.patch.object(onmf.bcc, "BLOCK_ENTRIES", entries):
+        got = round_block(Mblk.astype(bool), a, w)
+        want = round_block(Mblk, a, w)
+    assert ([(v.dtype.str, v.tobytes()) for v in got]
+            == [(v.dtype.str, v.tobytes()) for v in want])
+
+
 @pytest.mark.parametrize("seed", range(16))
 def test_round_block_ties_follow_the_column_loop(seed):
     # Every column permutes one base column within classes of rows where a
@@ -152,8 +167,8 @@ def test_every_live_block_rounds_to_a_cluster(M, data):
         M = M[data.draw(st.lists(st.integers(0, len(M) - 1),
                                  min_size=len(M), max_size=len(M)))]
     M = np.asarray(M, order="C")
-    factor, group, theta = _large_k(M)
-    a = _dense(*factor)
+    at, w = _large_k(M)
+    a, group, theta = _dense(at), w.group, w.theta
     live = theta > 0
     for i in np.flatnonzero(live):
         assert ((M[:, i] == 1) & (a[:, group[i]] > 0)).any()
@@ -190,8 +205,10 @@ def large_k_steps(L, entries):
 
 
 def as_bytes(x):
-    """The dtype and bytes of each array in nested tuples of arrays and
-    ints, such as a compact factor (owner, value, k)."""
+    """The dtype and bytes of each array in nested tuples of arrays, ints
+    and CompactWs, such as the factors (At, W)."""
+    if isinstance(x, CompactW):
+        return as_bytes((x.k, x.group, x.theta))
     if isinstance(x, tuple):
         return [as_bytes(y) for y in x]
     if isinstance(x, int):
@@ -255,12 +272,12 @@ def test_extension_tie_goes_to_the_smaller_index():
                "100111110101"]
     L = np.ascontiguousarray(
         np.array([[c == "1" for c in col] for col in columns]).T)
-    (_, group, _), seen = large_k_steps(L, onmf.core.BLOCK_ENTRIES)
+    (_, w), seen = large_k_steps(L, onmf.core.BLOCK_ENTRIES)
     positive = np.flatnonzero(seen["weight_reduction"][1] > 0)
     assert positive.tolist() == [2, 3]
     assert extension_ties(seen["weight_reduction"][0][0], positive,
                           0) == [2, 3]
-    assert group.tolist() == [0, 1, 0, 1]
+    assert w.group.tolist() == [0, 1, 0, 1]
 
 
 def tie_across_tiles():
@@ -292,8 +309,21 @@ def test_extension_tie_across_positive_tiles_goes_to_the_smaller_index():
     want = [0, 8, 0, 1, 2, 3, 4, 5, 6, 7, 8] + [0] * 8
     for gemm, sub in block_rows(19):
         with gram_blocks(gemm, sub, 19):
-            (_, group, _) = _large_k(L)
-        assert group.tolist() == want, (gemm, sub)
+            _, w = _large_k(L)
+        assert w.group.tolist() == want, (gemm, sub)
+
+
+@pytest.mark.parametrize(
+    "labels", [np.random.default_rng(3).random((30, 20)) < 0.5,
+               np.zeros((3, 2), dtype=bool)],
+    ids=["random-rounds-blocks", "all-minus-rounds-none"])
+def test_bcc_count_is_a_python_int(labels):
+    # The count adds each rounded block's "+" edges; counted by numpy they
+    # once made it a numpy integer whenever a block was rounded.
+    clustering, count = bcc_cluster(BipartiteLabeling(labels=labels))
+    assert type(count) is int
+    assert count == disagreements(BipartiteLabeling(labels=labels),
+                                  clustering)
 
 
 def test_disagreements_perfect_blocks():
@@ -587,7 +617,7 @@ def test_bcc_holds_no_float_copy_of_the_labels(m, n):
 def test_bcc_peak_memory_single_column_groups():
     # At 20% flips weight reduction leaves every one of the 600 columns its
     # own group. The solve takes their means a block of groups at a time,
-    # the factor is one (owner, value) pair per row and theta is fitted
+    # the factor is one (group, theta) pair per row and theta is fitted
     # from blocks of it, so no m x k or k x m float64 array is built. The
     # peak is then the Gram GEMM: the labels' float32 copy and their
     # float32 overlap counts, 2 x 4 m n bytes. The group means and the

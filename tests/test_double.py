@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import onmf.bcc
 import onmf.core
@@ -14,7 +14,12 @@ import onmf.double
 import onmf.kmeans
 import onmf.single
 from onmf.bcc import BipartiteLabeling, bcc_cluster
-from onmf.core import MAX_TOTAL_WEIGHT, check_nonneg, normalize_columns
+from onmf.core import (
+    MAX_TOTAL_WEIGHT,
+    CompactW,
+    check_nonneg,
+    normalize_columns,
+)
 from onmf.double import (
     GroupingError,
     _cos_sq_edges,
@@ -660,7 +665,7 @@ def test_one_entry_per_block_keeps_every_byte(monkeypatch):
 
 def test_solve_frees_the_group_means_before_the_result(monkeypatch):
     # k singleton groups: the group means, k x m in all, are taken a block
-    # of groups at a time, and the factor is compact, one (owner, value)
+    # of groups at a time, and the factor is compact, one (group, theta)
     # pair per coordinate, so the solve holds no k x m array at all.
     monkeypatch.setattr(onmf.double, "BLOCK_ENTRIES", 1 << 10)
     monkeypatch.setattr(onmf.kmeans, "BLOCK_ENTRIES", 1 << 10)
@@ -706,7 +711,7 @@ def solver_cases(draw):
 @example((np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.0, -0.0]),
           np.array([0, 1])))  # no positive weight: an all-zero result
 def test_solver_matches_reference(case):
-    got = _dense(*solve_orthogonal_centroids(*case))
+    got = _dense(solve_orthogonal_centroids(*case))
     want = reference_solve_orthogonal_centroids(*case)
     assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
@@ -793,11 +798,10 @@ def test_compact_solve_and_theta_match_the_dense_reference(case, entries):
     with mock.patch.object(onmf.double, "BLOCK_ENTRIES", entries), \
             mock.patch.object(onmf.kmeans, "BLOCK_ENTRIES", entries):
         factor = solve_orthogonal_centroids(centroids, q, sigma, norms)
-    a = _dense(*factor)
+    a = _dense(factor)
     want = reference_solve_orthogonal_centroids(unit, q, sigma)
     assert (a.shape, a.tobytes()) == (want.shape, want.tobytes())
-    owner, value, _ = factor
-    assert not owner[value == 0].any()  # every score 0: group 0, as argmax
+    assert not factor.group[factor.theta == 0].any()  # value 0: group 0
     assert (_fit_theta(M, group, factor).tobytes()
             == _fit_theta(M, group, a).tobytes())
 
@@ -817,7 +821,8 @@ def theta_cases(draw):
     if draw(st.booleans()):
         M = np.asfortranarray(M)
     value = rng.random(m) * (rng.random(m) < 0.8)
-    return M, (rng.integers(0, k, m), value, k), rng.integers(0, k, n)
+    at = CompactW(k, rng.integers(0, k, m), value)
+    return M, at, rng.integers(0, k, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -827,7 +832,7 @@ def test_theta_bits_follow_the_values_alone(case):
     # has the same bytes with any block size, for a bool M and its float64
     # copy, and for the dense and the compact factor.
     M, factor, group = case
-    a = _dense(*factor)
+    a = _dense(factor)
     inputs = [M, M.astype(np.float64)] if M.dtype == bool else [M]
     seen = set()
     for entries in (1, 7, onmf.core.BLOCK_ENTRIES, 100_000):
@@ -848,7 +853,7 @@ def test_theta_matches_the_reference_dots(case):
     # relative to it, and the two within twice that, (2m + 1) eps, of each
     # other. (2m + 2) eps covers the O(u^2) terms.
     M, factor, group = case
-    a = _dense(*factor)
+    a = _dense(factor)
     got, want = _fit_theta(M, group, factor), reference_theta(M, a, group)
     bound = (2 * len(M) + 2) * np.finfo(np.float64).eps
     assert (np.abs(got - want) <= bound * want).all()
@@ -857,14 +862,14 @@ def test_theta_matches_the_reference_dots(case):
 
 @pytest.mark.parametrize("centroids, q, sigma, expected", SOLVER_TIES)
 def test_solver_ties_go_to_smallest_group(centroids, q, sigma, expected):
-    a = _dense(*solve_orthogonal_centroids(centroids, q, sigma))
+    a = _dense(solve_orthogonal_centroids(centroids, q, sigma))
     assert a.tolist() == expected
 
 
 def test_solver_one_group_is_weighted_mean():
     centroids = np.array([[0.5, 0.1], [0.3, 0.4]])
     qp = np.array([2.0, 1.0])
-    a = _dense(*solve_orthogonal_centroids(centroids, qp, np.array([0, 0])))
+    a = _dense(solve_orthogonal_centroids(centroids, qp, np.array([0, 0])))
     mean = qp @ centroids / qp.sum()
     assert np.allclose(a[:, 0], mean)
     assert (a[:, 1:] == 0).all()
@@ -875,14 +880,14 @@ def test_solver_coordinate_argmax():
     # 1 * 0.81 > 2 * 0.36 so group 2 wins the coordinate
     centroids = np.array([[0.6], [0.9]])
     qp = np.array([2.0, 1.0])
-    a = _dense(*solve_orthogonal_centroids(centroids, qp, np.array([0, 1])))
+    a = _dense(solve_orthogonal_centroids(centroids, qp, np.array([0, 1])))
     assert a[0, 0] == 0.0
     assert a[0, 1] == pytest.approx(0.9)
 
 
 def test_solver_zero_coordinate():
     centroids = np.array([[0.0, 0.5], [0.0, 0.2]])
-    a = _dense(*solve_orthogonal_centroids(centroids, np.array([1.0, 1.0]),
+    a = _dense(solve_orthogonal_centroids(centroids, np.array([1.0, 1.0]),
                                            np.array([0, 1])))
     assert (a[0] == 0).all()
 
@@ -895,7 +900,7 @@ def test_solver_exactly_optimal():
         centroids = rng.random((k, m))
         qp = np.where(rng.random(k) < 0.2, 0.0, rng.random(k))
         sigma = rng.integers(0, k, k)
-        a = _dense(*solve_orthogonal_centroids(centroids, qp, sigma))
+        a = _dense(solve_orthogonal_centroids(centroids, qp, sigma))
         achieved = sum(qp[j] * np.sum((centroids[j] - a[:, sigma[j]]) ** 2)
                        for j in range(k) if qp[j] > 0)
         expected = coordinate_enumeration_optimum(centroids, qp, sigma)
@@ -955,6 +960,36 @@ def test_large_k_transposes_wide_input():
     assert sol.w.n == 6
     assert non_orthogonality(sol.w.materialize()) == 0.0
     assert non_orthogonality(sol.a.T) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonneg_matrices(min_side=1), st.booleans())
+@example(np.eye(3)[:2], False)  # a zero column of M: zero theta in W
+@example(np.eye(3)[:2], True)
+@np.errstate(all="ignore")  # squares of 1e308 overflow
+def test_large_k_wide_path_swaps_the_transposed_factors(M, labels):
+    # For 0 < m < n, _large_k solves M^T ~ A2 @ W2 and returns the factors
+    # of M ~ W2^T @ A2^T, on bool labels as on floats: At is W2 and W is
+    # At2, whose columns of zero theta are in group 0, where the argmax of
+    # their zero rows of A2 puts them.
+    assume(M.shape[0] != M.shape[1])
+    if M.shape[0] > M.shape[1]:
+        M = M.T
+    M = np.ascontiguousarray(M != 0 if labels else M)
+    try:
+        at2, w2 = _large_k(M.T)
+    except ValueError as exc:  # too large, as the wide path must say too
+        with pytest.raises(ValueError) as wide:
+            _large_k(M)
+        assert str(wide.value) == str(exc)
+        return
+    at, w = _large_k(M)
+    assert ((at.k, at.group.tobytes(), at.theta.tobytes())
+            == (w2.k, w2.group.tobytes(), w2.theta.tobytes()))
+    assert ((w.k, w.group.tobytes(), w.theta.tobytes())
+            == (at2.k, at2.group.tobytes(), at2.theta.tobytes()))
+    assert not w.group[w.theta == 0].any()
+    assert w.group.tolist() == np.argmax(_dense(at2) > 0, axis=1).tolist()
 
 
 def _reference_large_k(M):

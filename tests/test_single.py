@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from onmf.core import frobenius_norm_sq, normalize_columns
+from onmf.core import CompactW, frobenius_norm_sq, normalize_columns
 from onmf.double import factorize_double, factorize_double_large_k
 from onmf.kmeans import KMeansConfig, weighted_kmeans
 from onmf.metrics import non_orthogonality
@@ -135,7 +135,7 @@ def test_objective_matches_dense_product():
     group = np.array([0, 1, 2, 3, 2, 0, 1, 3])
     theta = reference_theta(M, a, group)
     theta[[1, 6]] = 0.0  # zero-theta columns
-    cases = [(M, _solution(M, a, group, theta))]
+    cases = [(M, _solution(M, a, CompactW(4, group, theta)))]
     for trial in range(4):
         cfg = KMeansConfig(restarts=2, seed=trial)
         single = gen_planted_single(20, 60, 5, 0.3, trial).m_observed
@@ -172,7 +172,9 @@ def solution_cases(draw):
 @given(solution_cases())
 @np.errstate(all="ignore")  # products with 1e308 overflow in both
 def test_solution_matches_reference(case):
-    got, want = _solution(*case), reference_solution(*case)
+    M, a, group, theta = case
+    got = _solution(M, a, CompactW(a.shape[1], group, theta))
+    want = reference_solution(*case)
     assert got.a is want.a
     assert got.w.group.tobytes() == want.w.group.tobytes()
     assert got.w.theta.tobytes() == want.w.theta.tobytes()
