@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from onmf.core import BLOCK_ENTRIES
+from onmf.core import block_rows
 from onmf.double import _large_k
 from onmf.kmeans import _segments, _sq_dists
 
@@ -72,11 +72,11 @@ def round_block(Mblk, a, w) -> tuple[np.ndarray, np.ndarray]:
     pos = np.flatnonzero(w > 0)
     if pos.size == 0:
         return a_hat, w_hat
-    # Squared distances of the rescaled columns to a, BLOCK_ENTRIES at a
+    # Squared distances of the rescaled columns to a, block_rows(m) at a
     # time. Each is its own contiguous row, so np.sum over axis 1 adds it
     # just as np.sum adds the column alone.
     dists = np.empty(pos.size)
-    step = max(1, BLOCK_ENTRIES // max(m, 1))
+    step = block_rows(m)
     for lo in range(0, pos.size, step):
         cols = pos[lo:lo + step]
         with np.errstate(over="ignore"):  # a tiny w[i] gives an inf distance

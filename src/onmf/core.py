@@ -28,6 +28,15 @@ MAX_TOTAL_WEIGHT = float(np.finfo(np.float64).max) / 4
 BLOCK_ENTRIES = 1 << 15
 
 
+def block_rows(width: int, limit: int | None = None) -> int:
+    """Rows of width entries in a block of at most BLOCK_ENTRIES entries:
+    at least one, and at most limit if one is given. Every blocked loop of
+    the package takes its rows from here, so patching BLOCK_ENTRIES moves
+    them all."""
+    rows = BLOCK_ENTRIES // max(width, 1)
+    return max(1, rows if limit is None else min(limit, rows))
+
+
 def as_matrix(data) -> np.ndarray:
     """Coerce to a 2-D float64 array and check that all entries are finite."""
     M = np.asarray(data, dtype=np.float64)

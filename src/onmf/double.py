@@ -22,9 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from onmf.core import (
-    BLOCK_ENTRIES,
     CompactW,
     WeightedPointSet,
+    block_rows,
     normalize_columns,
 )
 from onmf.kmeans import (
@@ -43,7 +43,7 @@ from onmf.single import OnmfSolution, _cluster, _fit_theta, _solution
 _FLOAT32_COUNT_ROWS = 1 << 24
 
 # About the fewest rows a GEMM block of the Gram matrix takes (see
-# _block_rows). At k = 3000 the walk's BLOCK_ENTRIES sub-blocks are 10 rows,
+# _gram_rows). At k = 3000 the walk's sub-blocks, block_rows(k), are 10 rows,
 # and 20-row products took 0.53 s against 0.33 s for blocks of 120 to 250
 # rows.
 _GEMM_ROWS = 128
@@ -127,11 +127,10 @@ def _exact_angle(x: tuple[dict[int, int], int],
     return dot > 0 and prod <= four <= 3 * prod
 
 
-def _block_rows(k: int) -> tuple[int, int]:
-    """Rows of a sub-block of at most BLOCK_ENTRIES entries of a k x k Gram
-    matrix, and of a GEMM block: the most whole sub-blocks in _GEMM_ROWS
-    rows, or one."""
-    step = max(1, BLOCK_ENTRIES // max(k, 1))
+def _gram_rows(k: int) -> tuple[int, int]:
+    """Rows of a sub-block of a k x k Gram matrix, block_rows(k), and of a
+    GEMM block: the most whole sub-blocks in _GEMM_ROWS rows, or one."""
+    step = block_rows(k)
     return step, step * max(1, _GEMM_ROWS // step)
 
 
@@ -155,11 +154,11 @@ def weight_reduction(centroids: np.ndarray, q: np.ndarray,
     minimum, sending at least one to zero. One pass suffices because weights
     never increase, and the rest of a row's pairs is skipped once its own
     weight is zero. The walk computes the upper triangle of the Gram matrix
-    a GEMM block of _block_rows(k)[1] rows at a time, as centroids[lo:hi] @
-    centroids[lo:].T, and takes each block in sub-blocks of at most
-    BLOCK_ENTRIES entries, so it builds no k x k array and no list of
-    pairs: the filter decides every pair it can, _exact_angle the rest, and
-    the sub-block's band pairs are reduced at once. A zero row is in no
+    a GEMM block of _gram_rows(k)[1] rows at a time, as centroids[lo:hi] @
+    centroids[lo:].T, and takes each block in sub-blocks of block_rows(k)
+    rows, so it builds no k x k array and no list of pairs: the filter
+    decides every pair it can, _exact_angle the rest, and the sub-block's
+    band pairs are reduced at once. A zero row is in no
     pair: its estimates are 0 inf = NaN, which passes no edge.
 
     A pair changes only the weights of rows at or after its j1, so once its
@@ -178,10 +177,10 @@ def weight_reduction(centroids: np.ndarray, q: np.ndarray,
     exact_rows: dict[int, tuple[dict[int, int], int]] = {}
     qp = np.array(q, dtype=np.float64).tolist()  # Python floats index faster
     leader[:] = np.arange(k)
-    step, gemm = _block_rows(k)
+    step, gemm = _gram_rows(k)
     # The band pairs go through as Python ints a few thousand at a time, so
     # their lists stay near 300 KB however many pairs a block holds.
-    chunk = max(1, BLOCK_ENTRIES // 8)
+    chunk = block_rows(8)
     buf = np.empty(min(step, k) * k)
     for lo in range(0, k, step):
         if lo % gemm == 0:  # the next GEMM block, once the last is freed
@@ -265,7 +264,7 @@ def group_centroids(leader: np.ndarray, q_reduced: np.ndarray,
     label rows (see _finish) the score is D / sqrt(c) in float64, with D
     the overlap of i and j and c the count of j. As on unit columns,
     rounding may break an exact tie of angles. The scores come from GEMM
-    blocks of _block_rows(k)[1] rows of the smaller side, zero or positive,
+    blocks of _gram_rows(k)[1] rows of the smaller side, zero or positive,
     against all centroids, so their cost follows min(|zero|, |positive|)
     k m; across blocks of positive rows a best score is replaced only by a
     strictly greater one, so ties still go to the smallest index.
@@ -284,7 +283,7 @@ def group_centroids(leader: np.ndarray, q_reduced: np.ndarray,
     # A positive-weight centroid is never zero (see weight_reduction): no
     # scale is 0.
     scale = np.sqrt(norms_sq[positive], dtype=np.float64)
-    gemm = _block_rows(k)[1]
+    gemm = _gram_rows(k)[1]
     if zero.size <= positive.size:
         for lo in range(0, zero.size, gemm):
             block = zero[lo:lo + gemm]
@@ -324,10 +323,9 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
     holds value[r] in column owner[r] and zeros elsewhere (_dense builds A).
     A positive score needs a non-zero mean, and a coordinate where every
     score is 0 goes to group 0, so every row with value 0 has owner 0. The
-    group means are taken BLOCK_ENTRIES // m groups at a time, from one
-    sort of the labels, and each coordinate keeps the best score so far,
-    replaced only by a strictly greater one, so the smallest group still
-    wins a tie.
+    group means are taken block_rows(m) groups at a time, from one sort of
+    the labels, and each coordinate keeps the best score so far, replaced
+    only by a strictly greater one, so the smallest group still wins a tie.
 
     With norms, centroids are 0/1 label columns (bool, see _finish), and
     only groups of two or more members take means, gathered from them and
@@ -335,7 +333,7 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
     group g, member j of weight q, has the mean c = ((1 / norm_j) q + 0.0)
     / q where column j has a 1 and 0 elsewhere, so it scores one scalar
     s_g = (c c) q. Sorted by (s desc, g asc), the first with a 1 at a
-    coordinate is their winner there, found in blocks of BLOCK_ENTRIES // m
+    coordinate is their winner there, found in blocks of block_rows(m)
     bool columns; it beats the means' best by a greater score, or an equal
     one and a smaller group. A coordinate where every score is 0 goes to
     group 0 with value 0, the float rule wherever no score underflows.
@@ -352,7 +350,7 @@ def solve_orthogonal_centroids(centroids: np.ndarray, q_reduced: np.ndarray,
     order, bounds = _segments(np.where(live, rank[sigma], -1), len(means))
     weights = q_reduced[order]
     best = np.full(m, -np.inf if norms is None else 0.0)  # scores are >= 0
-    step = max(1, BLOCK_ENTRIES // max(m, 1))
+    step = block_rows(m)
     size = min(step, len(means)) * m
     mu_buf, score_buf, work = np.empty(size), np.empty(size), _block(k, m)
     for lo in range(0, len(means), step):

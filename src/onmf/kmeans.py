@@ -22,8 +22,8 @@ cannot be proven farther from it than from their nearest chosen centroid are
 recomputed with the exact kernel. The distances that weight the draws, and
 so the seeds, are those of the exact kernel.
 
-Seeding takes the points through one work buffer of at most BLOCK_ENTRIES
-entries, and Lloyd through the buffer that also holds its GEMM's (k, n)
+Seeding takes the points through one work buffer of core.block_rows(m, n)
+rows, and Lloyd through the buffer that also holds its GEMM's (k, n)
 distances, a block of rows at a time, so k-means allocates no n x m array.
 The blocks change no bit on rows of up to 8,192 entries; past that the
 einsum of _weighted_cost and _nearest may give other bits with another
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from onmf.core import BLOCK_ENTRIES, WeightedPointSet
+from onmf.core import WeightedPointSet, block_rows
 
 
 @dataclass
@@ -107,7 +107,7 @@ def _nearest(points: np.ndarray, norms_sq: np.ndarray,
     counts those centroids and sums their indices. The rest are recomputed
     exactly: exact ties, and NaN and inf rows, whose threshold is NaN (no
     centroid counts) or inf (every centroid counts; with k = 1 there is
-    nothing to decide). Their rows are gathered BLOCK_ENTRIES entries at a
+    nothing to decide). Their rows are gathered block_rows(m) rows at a
     time, and _weighted_cost's kernel writes their distances into the
     leading entries of dist, which the tally has already read, as an
     (unsure, k) array: about two blocks of memory whatever k is. Past 8,192
@@ -155,9 +155,8 @@ def _weighted_cost(pts: WeightedPointSet, centroids: np.ndarray,
 
 
 def _block(n: int, m: int) -> np.ndarray:
-    """An empty work buffer of rows of m entries: at most BLOCK_ENTRIES
-    entries, at most n rows and at least one."""
-    return np.empty((max(1, min(n, BLOCK_ENTRIES // max(m, 1))), m))
+    """An empty work buffer of block_rows(m, n) rows of m entries."""
+    return np.empty((block_rows(m, n), m))
 
 
 def _weighted_means(points: np.ndarray, weights: np.ndarray,
@@ -280,7 +279,7 @@ def _gather(points: np.ndarray, idx: np.ndarray, work: np.ndarray | None,
 def _sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
     cum = np.cumsum(weights)
     u = rng.random() * cum[-1]
-    return int(np.searchsorted(cum, u, side="right").clip(0, len(weights) - 1))
+    return min(int(np.searchsorted(cum, u, side="right")), len(weights) - 1)
 
 
 def _sq_dists(points: np.ndarray, c: np.ndarray,
@@ -324,8 +323,8 @@ def kmeanspp_seed(pts: WeightedPointSet, k: int,
     any point, so the convention is harmless).
 
     The squared distances d2 to the nearest chosen centroid are exact
-    (_sq_dists), taken a block of rows at a time in one work buffer of at
-    most BLOCK_ENTRIES entries (_block). For each later centroid only the
+    (_sq_dists), taken a block of rows at a time in one work buffer of
+    block_rows(m, n) rows (_block). For each later centroid only the
     points _maybe_nearer returns are gathered, a block at a time, into the
     leading rows of work and recomputed with the same kernel; the rest keep
     d2. The kernel sums each row alone, so d2, and with it every draw and
@@ -376,17 +375,17 @@ def lloyd(pts: WeightedPointSet, centroids: np.ndarray,
     centroid is at distance exactly zero. After the first recentering, only
     the centroids that lost or gained a point are recentered again.
 
-    A run allocates one buffer of max(k n, b) entries, b the size of a
-    _block. The GEMM writes its (k, n) distances into its head; the exact
-    cost and the recentering take the points through all of it, as rows of
-    m entries, a block at a time (see _segment_means for a cluster larger
-    than that): the distances are dead once _nearest returns.
+    A run allocates one buffer of max(k n, b m) entries, b = block_rows(m,
+    n) the rows of a _block. The GEMM writes its (k, n) distances into its
+    head; the exact cost and the recentering take the points through all
+    of it, as rows of m entries, a block at a time (see _segment_means for
+    a cluster larger than that): the distances are dead once _nearest
+    returns.
     """
     centroids = np.array(centroids, dtype=np.float64)
     k = len(centroids)
     n, m = pts.points.shape
-    rows = max(1, min(n, BLOCK_ENTRIES // max(m, 1)))  # _block's rows
-    buf = np.empty(max(k * n, rows * m))
+    buf = np.empty(max(k * n, block_rows(m, n) * m))
     dist = buf[:k * n].reshape(k, n)
     work = buf[:len(buf) // m * m].reshape(-1, m) if m else _block(n, m)
     norms_sq = np.einsum("nm,nm->n", pts.points, pts.points)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from onmf.core import BLOCK_ENTRIES, CompactW, normalize_columns
+from onmf.core import CompactW, block_rows, normalize_columns
 from onmf.kmeans import KMeansConfig, weighted_kmeans
 
 
@@ -31,8 +31,8 @@ def _fit_theta(M: np.ndarray, group: np.ndarray, a) -> np.ndarray:
     (m, k), or its transpose as a CompactW, as solve_orthogonal_centroids
     returns it; only the gather of x differs.
 
-    The columns of non-zero groups go BLOCK_ENTRIES entries at a time, as
-    two blocks of rows: x and a float64 copy of M's columns. Each dot and
+    The columns of non-zero groups go block_rows(m) at a time, as two
+    blocks of rows: x and a float64 copy of M's columns. Each dot and
     squared norm is one row's pairwise .sum(axis=1), so theta depends on
     the values alone, not on the block size, M's dtype or the BLAS thread
     count. (A BLAS dot past 10,000 terms follows the thread count, and
@@ -46,7 +46,7 @@ def _fit_theta(M: np.ndarray, group: np.ndarray, a) -> np.ndarray:
     m, n = M.shape
     theta = np.zeros(n)
     cols = np.flatnonzero(live[group])
-    step = max(1, BLOCK_ENTRIES // max(m, 1))
+    step = block_rows(m)
     for lo in range(0, cols.size, step):
         c = cols[lo:lo + step]
         s = group[c]

@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import onmf
+import onmf.core
 import onmf.double
 
 # Directory holding the onmf package under test, as an absolute path, so a
@@ -42,7 +43,7 @@ def traced_peak(f):
         tracemalloc.stop()
 
 
-def block_rows(k):
+def gram_row_pairs(k):
     """(GEMM, sub-block) row counts for a k x k Gram matrix: 1, 7 and k
     rows each, in all nine pairs."""
     return list(itertools.product((1, 7, k), repeat=2))
@@ -50,11 +51,12 @@ def block_rows(k):
 
 @contextlib.contextmanager
 def gram_blocks(gemm_rows, sub_rows, k):
-    """Patch onmf.double so that the Gram matrix of k centroids goes in GEMM
-    blocks of about gemm_rows rows (whole sub-blocks, at least one) and
-    sub-blocks of sub_rows rows."""
+    """Patch onmf so that the Gram matrix of k centroids goes in GEMM blocks
+    of about gemm_rows rows (whole sub-blocks, at least one) and sub-blocks
+    of sub_rows rows; every other blocked loop takes blocks of sub_rows * k
+    entries."""
     with mock.patch.object(onmf.double, "_GEMM_ROWS", gemm_rows), \
-            mock.patch.object(onmf.double, "BLOCK_ENTRIES", sub_rows * k):
+            mock.patch.object(onmf.core, "BLOCK_ENTRIES", sub_rows * k):
         yield
 
 

@@ -8,11 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import onmf.bcc
 import onmf.core
 import onmf.double
-import onmf.kmeans
-import onmf.single
 from onmf.bcc import (
     BipartiteLabeling,
     Clustering,
@@ -20,7 +17,7 @@ from onmf.bcc import (
     disagreements,
     round_block,
 )
-from conftest import (block_rows, gram_blocks, nonneg_matrices,
+from conftest import (gram_blocks, gram_row_pairs, nonneg_matrices,
                       planted_labels, traced_peak)
 from onmf.core import CompactW, frobenius_norm_sq
 from onmf.double import _dense, _large_k
@@ -112,7 +109,7 @@ def test_round_block_matches_column_loop(seed):
 @pytest.mark.parametrize("seed", range(16))
 def test_round_block_one_column_per_chunk(seed, monkeypatch):
     # With one entry per block, every column is a chunk of its own.
-    monkeypatch.setattr(onmf.bcc, "BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(onmf.core, "BLOCK_ENTRIES", 1)
     Mblk, a, w = random_block(seed, 30, 40)
     got = round_block(Mblk, a, w)
     want = reference_round_block(Mblk, a, w)
@@ -127,7 +124,7 @@ def test_round_block_takes_bool_blocks(seed, entries):
     # of 1.0 / w, so a bool block rounds to the float64 block's outputs,
     # dtype and bytes, one column per chunk or all at once.
     Mblk, a, w = random_block(seed, 30, 40)
-    with mock.patch.object(onmf.bcc, "BLOCK_ENTRIES", entries):
+    with mock.patch.object(onmf.core, "BLOCK_ENTRIES", entries):
         got = round_block(Mblk.astype(bool), a, w)
         want = round_block(Mblk, a, w)
     assert ([(v.dtype.str, v.tobytes()) for v in got]
@@ -197,9 +194,8 @@ def large_k_steps(L, entries):
                      "solve_orthogonal_centroids"):
             stack.enter_context(mock.patch.object(
                 onmf.double, name, spy(name, getattr(onmf.double, name))))
-        for module in (onmf.single, onmf.double, onmf.kmeans):
-            stack.enter_context(
-                mock.patch.object(module, "BLOCK_ENTRIES", entries))
+        stack.enter_context(
+            mock.patch.object(onmf.core, "BLOCK_ENTRIES", entries))
         factors = _large_k(L)
     return factors, seen
 
@@ -307,7 +303,7 @@ def test_extension_tie_across_positive_tiles_goes_to_the_smaller_index():
     assert positive.tolist() == list(range(2, 11))
     assert extension_ties(L.T, positive, 0) == [2, 10]
     want = [0, 8, 0, 1, 2, 3, 4, 5, 6, 7, 8] + [0] * 8
-    for gemm, sub in block_rows(19):
+    for gemm, sub in gram_row_pairs(19):
         with gram_blocks(gemm, sub, 19):
             _, w = _large_k(L)
         assert w.group.tolist() == want, (gemm, sub)
@@ -522,7 +518,7 @@ def test_gram_block_rows_keep_every_bcc_byte(make):
     labels = make()
     want = bcc_digest(labels)
     k = min(labels.shape)
-    for gemm, sub in block_rows(k):
+    for gemm, sub in gram_row_pairs(k):
         with gram_blocks(gemm, sub, k):
             assert bcc_digest(labels) == want, (gemm, sub)
 
@@ -583,8 +579,7 @@ def test_bcc_peak_holds_no_k_by_k_counts(monkeypatch):
     # labels' float32 copy plus 8 such blocks of float64s. The k x k
     # float32 overlap counts alone are 20 of them.
     entries = 1 << 12
-    for module in (onmf.double, onmf.single, onmf.kmeans, onmf.bcc):
-        monkeypatch.setattr(module, "BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(onmf.core, "BLOCK_ENTRIES", entries)
     monkeypatch.setattr(onmf.double, "_GEMM_ROWS", 1)
     m, n = 400, 600
     g = BipartiteLabeling(labels=planted_labels(m, n, 12, 0.2, 5))

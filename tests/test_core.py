@@ -16,10 +16,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import onmf
+import onmf.core
 from onmf.core import (
     MAX_TOTAL_WEIGHT,
     CompactW,
     as_matrix,
+    block_rows,
     check_nonneg,
     frobenius_norm_sq,
     normalize_columns,
@@ -600,3 +602,35 @@ def test_no_dead_module_names():
                       and isinstance(node.ctx, ast.Load))
     dead = defined - loaded - set(onmf.__all__) - {"__all__"}
     assert dead == PERFBENCH_ONLY
+
+
+def test_block_entries_is_read_only_by_core():
+    # Every blocked loop takes its rows from core.block_rows, so one patch
+    # of core.BLOCK_ENTRIES moves them all: no other module imports the
+    # constant or reads it, by name or as an attribute.
+    readers = set()
+    for path in pathlib.Path(onmf.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if ((isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                 and node.id == "BLOCK_ENTRIES")
+                    or (isinstance(node, ast.Attribute)
+                        and node.attr == "BLOCK_ENTRIES")
+                    or (isinstance(node, ast.alias)
+                        and node.name == "BLOCK_ENTRIES")):
+                readers.add(path.name)
+    assert readers == {"core.py"}
+
+
+@pytest.mark.parametrize("entries", [1, 7, onmf.core.BLOCK_ENTRIES])
+def test_block_rows_gives_the_rows_of_each_old_rule(monkeypatch, entries):
+    # The three rules the blocked loops wrote out before block_rows: rows
+    # of width w up to a limit n, rows of width w, and the band pairs'
+    # chunk of BLOCK_ENTRIES // 8.
+    monkeypatch.setattr(onmf.core, "BLOCK_ENTRIES", entries)
+    B = entries
+    widths = [0, 1, 7, 8, 50, 100, 600, 2**15, 2**15 + 1, 10**6]
+    for w in widths:
+        assert block_rows(w) == max(1, B // max(w, 1))
+        for n in [0, 1, 3, 10**6]:
+            assert block_rows(w, n) == max(1, min(n, B // max(w, 1)))
+    assert block_rows(8) == max(1, B // 8)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -8,10 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-import onmf.bcc
 import onmf.core
 import onmf.double
-import onmf.kmeans
 import onmf.single
 from onmf.bcc import BipartiteLabeling, bcc_cluster
 from onmf.core import (
@@ -36,7 +35,7 @@ from onmf.kmeans import KMeansConfig, KMeansSolution, weighted_kmeans
 from onmf.metrics import non_orthogonality
 from onmf.single import _fit_theta, _solution, factorize_single
 from onmf.synth import gen_planted_double
-from conftest import (NONNEG_CELLS, TOO_LARGE, block_rows, gram_blocks,
+from conftest import (NONNEG_CELLS, TOO_LARGE, gram_blocks, gram_row_pairs,
                       nonneg_matrices, planted_labels, traced_peak)
 from oracles import (
     COS_NARROW,
@@ -286,7 +285,7 @@ def _assert_steps_match_exact_reference(centroids, q):
     want = _exact_weight_reduction(centroids, q)
     sigma = _exact_group_centroids(centroids, want)
     for entries in (1, 7, onmf.core.BLOCK_ENTRIES):
-        with mock.patch.object(onmf.double, "BLOCK_ENTRIES", entries):
+        with mock.patch.object(onmf.core, "BLOCK_ENTRIES", entries):
             reduced, got = _steps(centroids, q)
         assert reduced.tobytes() == want.tobytes()
         assert got.tobytes() == sigma.tobytes()
@@ -568,7 +567,7 @@ def test_angle_steps_hold_no_k_by_k_temporary(monkeypatch):
     # array, and no list of pairs outlives its block. On the uniform input
     # nearly all of the 179,700 pairs are in the band, and on the equal
     # columns all are near: 8 bytes a pair would hold about 1.4 MB.
-    monkeypatch.setattr(onmf.double, "BLOCK_ENTRIES", 1 << 10)
+    monkeypatch.setattr(onmf.core, "BLOCK_ENTRIES", 1 << 10)
     monkeypatch.setattr(onmf.double, "_GEMM_ROWS", 1)
     for M in (planted_labels(600, 600, 12, 0.2, 5).astype(float),
               np.random.default_rng(5).random((600, 600)),
@@ -587,8 +586,7 @@ def test_large_k_peak_holds_no_k_by_k_gram(monkeypatch):
     # residual of the objective, which _solution builds after the steps,
     # are not counted.
     entries = 1 << 12
-    for module in (onmf.double, onmf.single, onmf.kmeans):
-        monkeypatch.setattr(module, "BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(onmf.core, "BLOCK_ENTRIES", entries)
     monkeypatch.setattr(onmf.double, "_GEMM_ROWS", 1)
     m, n = 300, 400
     M = np.random.default_rng(5).random((m, n))
@@ -622,7 +620,7 @@ def test_gram_block_rows_keep_every_large_k_byte(M, relation):
     assert {"<": 0 < zero < positive, ">": zero > positive,
             "=": zero == 0}[relation]
     want = _solution_bytes(factorize_double_large_k, M)
-    for gemm, sub in block_rows(len(pts)):
+    for gemm, sub in gram_row_pairs(len(pts)):
         with gram_blocks(gemm, sub, len(pts)):
             got = _solution_bytes(factorize_double_large_k, M)
         assert got == want, (gemm, sub)
@@ -644,7 +642,10 @@ def test_results_do_not_depend_on_memory_layout(M, k):
 
 def test_one_entry_per_block_keeps_every_byte(monkeypatch):
     # BLOCK_ENTRIES = 1 takes one row, column or band pair per block in
-    # every blocked loop of the double-factor steps, k-means and bcc.
+    # every blocked loop: the double-factor steps, k-means, the theta fit
+    # and bcc's rounding. A profile hook records the module that calls
+    # core.block_rows and what each call returns, so the one patch is seen
+    # to reach all four modules.
     rng = np.random.default_rng(24)
     g = BipartiteLabeling(planted_labels(30, 40, 4, 0.1, 24))
     M = rng.random((12, 20)) * (rng.random((12, 20)) < 0.6)
@@ -658,17 +659,32 @@ def test_one_entry_per_block_keeps_every_byte(monkeypatch):
                 _solution_bytes(lambda X: factorize_double(X, 5, config), M)]
 
     want = outputs()
-    for module in (onmf.double, onmf.kmeans, onmf.bcc):
-        monkeypatch.setattr(module, "BLOCK_ENTRIES", 1)
-    assert outputs() == want
+    monkeypatch.setattr(onmf.core, "BLOCK_ENTRIES", 1)
+    callers, rows = set(), set()
+
+    def profile(frame, event, result):
+        if frame.f_code is onmf.core.block_rows.__code__:
+            if event == "call":
+                callers.add(frame.f_back.f_globals["__name__"])
+            elif event == "return":
+                rows.add(result)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        got = outputs()
+    finally:
+        sys.setprofile(previous)
+    assert got == want
+    assert callers == {"onmf.bcc", "onmf.double", "onmf.kmeans", "onmf.single"}
+    assert rows == {1}
 
 
 def test_solve_frees_the_group_means_before_the_result(monkeypatch):
     # k singleton groups: the group means, k x m in all, are taken a block
     # of groups at a time, and the factor is compact, one (group, theta)
     # pair per coordinate, so the solve holds no k x m array at all.
-    monkeypatch.setattr(onmf.double, "BLOCK_ENTRIES", 1 << 10)
-    monkeypatch.setattr(onmf.kmeans, "BLOCK_ENTRIES", 1 << 10)
+    monkeypatch.setattr(onmf.core, "BLOCK_ENTRIES", 1 << 10)
     k, m = 300, 200
     centroids = np.random.default_rng(6).random((k, m))
     peak = traced_peak(lambda: solve_orthogonal_centroids(
@@ -795,8 +811,7 @@ def test_compact_solve_and_theta_match_the_dense_reference(case, entries):
     # dense factor's bits; 0/1 centroids with their norms solve as their
     # unit rows.
     centroids, q, sigma, norms, unit, M, group = case
-    with mock.patch.object(onmf.double, "BLOCK_ENTRIES", entries), \
-            mock.patch.object(onmf.kmeans, "BLOCK_ENTRIES", entries):
+    with mock.patch.object(onmf.core, "BLOCK_ENTRIES", entries):
         factor = solve_orthogonal_centroids(centroids, q, sigma, norms)
     a = _dense(factor)
     want = reference_solve_orthogonal_centroids(unit, q, sigma)
@@ -836,7 +851,7 @@ def test_theta_bits_follow_the_values_alone(case):
     inputs = [M, M.astype(np.float64)] if M.dtype == bool else [M]
     seen = set()
     for entries in (1, 7, onmf.core.BLOCK_ENTRIES, 100_000):
-        with mock.patch.object(onmf.single, "BLOCK_ENTRIES", entries):
+        with mock.patch.object(onmf.core, "BLOCK_ENTRIES", entries):
             seen |= {_fit_theta(X, group, f).tobytes()
                      for X in inputs for f in (a, factor)}
     assert len(seen) == 1

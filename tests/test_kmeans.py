@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import onmf.core
 import onmf.kmeans
 from onmf.core import WeightedPointSet, normalize_columns
 from onmf.kmeans import (
@@ -558,7 +559,7 @@ def test_weighted_means_one_point_per_chunk(case):
     points, weights, labels, out = case
     want_out = out.copy()
     want = reference_weighted_means(points, weights, labels, want_out)
-    with mock.patch.object(onmf.kmeans, "BLOCK_ENTRIES", 1):
+    with mock.patch.object(onmf.core, "BLOCK_ENTRIES", 1):
         totals = _weighted_means(points, weights, labels, out)
     assert totals.tobytes() == want.tobytes()
     assert out.tobytes() == want_out.tobytes()
@@ -650,7 +651,7 @@ def test_gemm_kernel_recomputes_in_blocks(m):
     centroids = np.vstack([base, base])
     exact = _distances_sq(points, centroids)
     dist = garbage((len(centroids), len(points)))
-    with mock.patch.object(onmf.kmeans, "BLOCK_ENTRIES", 8):
+    with mock.patch.object(onmf.core, "BLOCK_ENTRIES", 8):
         assignment = _nearest(points, np.einsum("nm,nm->n", points, points),
                               centroids, dist)
     assert assignment.tobytes() == np.argmin(exact, axis=1).tobytes()
@@ -676,7 +677,7 @@ def test_gemm_kernel_recomputation_memory_does_not_grow_with_k():
     # within the limit, so none was recomputed.
     assert (dist.sum(axis=0) == 1).all()
     unsure = nearest_peak(points, np.repeat(points[:1], k, axis=0), dist)
-    assert unsure - certified <= 4 * 8 * onmf.kmeans.BLOCK_ENTRIES
+    assert unsure - certified <= 4 * 8 * onmf.core.BLOCK_ENTRIES
 
 
 @st.composite
@@ -760,7 +761,7 @@ def test_kmeans_in_row_blocks_matches_reference(case, size, max_iters, seed):
             as_bytes(reference_lloyd(pts, centroids, config)),
             as_bytes(reference_weighted_kmeans(pts, k, restarts)))
     entries = BLOCK_SIZES[size](pts.points.shape[1])
-    with mock.patch.object(onmf.kmeans, "BLOCK_ENTRIES", entries):
+    with mock.patch.object(onmf.core, "BLOCK_ENTRIES", entries):
         got = (kmeanspp_seed(pts, k, rng).tobytes(),
                as_bytes(lloyd(pts, centroids, config)),
                as_bytes(weighted_kmeans(pts, k, restarts)))
